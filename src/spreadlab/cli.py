@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .experiments import ExperimentSpec, run_experiment
@@ -135,6 +136,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1 (got {args.jobs})")
+    cpus = os.cpu_count()
+    if cpus is not None and args.jobs > cpus:
+        print(f"warning: --jobs {args.jobs} exceeds os.cpu_count() = {cpus}; "
+              "workers will share cores", file=sys.stderr)
     params = {k: getattr(args, k) for k in ("q", "n", "m", "k", "sample")
               if getattr(args, k) is not None}
     out = args.out or f"{args.name}-report.json"

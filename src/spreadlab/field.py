@@ -2,11 +2,29 @@
 
 Every element of the ambient field F_p^(2ne) is encoded as an integer: the
 base-p digits of the encoding are the coefficients of the element written in
-the power basis of the defining polynomial.  All arithmetic runs through
-log/antilog tables built once at construction time.  Construction is fully
+the power basis of the defining polynomial.  Construction is fully
 deterministic: the defining polynomial is the least monic irreducible of the
 right degree (coefficients compared as a base-p integer), gamma is the least
 encoding that generates the multiplicative group, and beta = gamma^((q^n-1)/(q-1)).
+
+All arithmetic runs through tables built once at construction time, each
+operation through exactly one of them (Lidl and Niederreiter, Finite Fields,
+ch. 9):
+
+* multiply, divide, invert, power and negate (multiply by -1, encoded p-1)
+  use a sentinel log table: log[gamma^i] = i and log[0] = 2(N-1), against an
+  antilog table of length 4(N-1)+1 that repeats the powers of gamma twice and
+  holds zeros from index 2(N-1) on.  A product is exp[log[a] + log[b]] with no
+  zero mask and no modulo, since any sum that involves log[0] lands in the
+  zero tail.
+* add in odd characteristic uses a split-digit table: with h = ceil(d/2) and
+  P = p^h, one P x P table holds the digitwise sums of two h-digit numbers,
+  and a + b = T[a div P, b div P] * P + T[a mod P, b mod P].  In
+  characteristic 2 addition is XOR.
+
+The tables are int32 (encodings stay below the 2^24 table budget); the
+vectorized kernels return int64 arrays, and the scalar kernels read the same
+tables through memoryviews, which return Python ints.
 """
 
 from __future__ import annotations
@@ -21,7 +39,6 @@ import numpy as np
 Elt = int
 
 DEFAULT_TABLE_BUDGET = 1 << 24
-_ADD_TABLE_LIMIT = 1024
 
 
 def _is_prime(m: int) -> bool:
@@ -199,12 +216,13 @@ class FieldCtx:
             raise ValueError(
                 f"p^(2ne) = {self.N} exceeds the table budget {budget}; "
                 "set SPREADLAB_TABLE_BUDGET to override")
-        self._add_table = None
         self.defining_poly = tuple(_least_irreducible(p, self.d))
         self._pvec = np.array([p ** i for i in range(self.d)], dtype=np.int64)
         self._build_reduction()
         self.gamma = self._find_gamma()
         self._build_exp_log()
+        if p != 2:
+            self._build_split_add()
         qn = self.q ** n
         self.beta = self.pow(self.gamma, (qn - 1) // (self.q - 1))
         self._frob_cache: dict[int, np.ndarray] = {}
@@ -284,65 +302,73 @@ class FieldCtx:
             g_s = self._raw_pow(self.gamma, have)
             V[have:have + t] = self._mul_block(V[:t], digits_of(g_s, p, d))
             have += t
-        exp = (V @ self._pvec).astype(np.int64)
+        exp = V @ self._pvec
+        del V
         if self._raw_mul(int(exp[-1]), self.gamma) != 1:
             raise RuntimeError("exp table construction failed to cycle")
-        log = np.full(N, -1, dtype=np.int64)
-        log[exp] = np.arange(N - 1, dtype=np.int64)
+        M = N - 1
+        log = np.full(N, -1, dtype=np.int32)
+        log[exp] = np.arange(M, dtype=np.int32)
         if np.any(log[1:] < 0):
             raise RuntimeError("exp table is not a bijection")
-        exp.flags.writeable = False
+        log[0] = 2 * M
+        table = np.zeros(4 * M + 1, dtype=np.int32)
+        table[:M] = exp
+        table[M:2 * M] = exp
+        table.flags.writeable = False
         log.flags.writeable = False
-        self.exp = exp
+        self._exp = table
+        self.exp = table[:M]          # gamma^i for i = 0 .. N-2
         self.log = log
-        if N <= _ADD_TABLE_LIMIT:
-            a = np.arange(N, dtype=np.int64)
-            tbl = self.vadd(a[:, None], a[None, :])
-            tbl.flags.writeable = False
-            self._add_table = tbl
+        self._expv = memoryview(table)
+        self._logv = memoryview(log)
+        self._log_minus1 = int(log[p - 1])
+
+    def _build_split_add(self):
+        # T[x * P + y] = digitwise sum mod p of the h-digit numbers x and y
+        p, h = self.p, (self.d + 1) // 2
+        P = p ** h
+        T = np.zeros(P * P, dtype=np.int32)
+        x = np.arange(P, dtype=np.int32)
+        shift = 1
+        for _ in range(h):
+            digit = x // shift % p
+            s = np.add.outer(digit, digit)
+            s %= p
+            s *= shift
+            T += s.reshape(-1)
+            shift *= p
+        T.flags.writeable = False
+        self._P = P
+        self._sum = T
+        self._sumv = memoryview(T)
 
     # -- scalar arithmetic ------------------------------------------------------
 
     def add(self, a: Elt, b: Elt) -> Elt:
         if self.p == 2:
             return a ^ b
-        if self._add_table is not None:
-            return int(self._add_table[a, b])
-        p = self.p
-        out, shift = 0, 1
-        for _ in range(self.d):
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+        P, T = self._P, self._sumv
+        return T[a // P * P + b // P] * P + T[a % P * P + b % P]
 
     def neg(self, a: Elt) -> Elt:
-        if self.p == 2:
-            return a
-        p = self.p
-        out, shift = 0, 1
-        for _ in range(self.d):
-            out += ((-a) % p) * shift
-            a //= p
-            shift *= p
-        return out
+        return self._expv[self._logv[a] + self._log_minus1]
 
     def sub(self, a: Elt, b: Elt) -> Elt:
         return self.add(a, self.neg(b))
 
     def mul(self, a: Elt, b: Elt) -> Elt:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % (self.N - 1)])
+        return self._expv[self._logv[a] + self._logv[b]]
 
     def inv(self, a: Elt) -> Elt:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return int(self.exp[(-int(self.log[a])) % (self.N - 1)])
+        return self._expv[self.N - 1 - self._logv[a]]
 
     def div(self, a: Elt, b: Elt) -> Elt:
-        return self.mul(a, self.inv(b))
+        if b == 0:
+            raise ZeroDivisionError("division by 0")
+        return self._expv[self._logv[a] + self.N - 1 - self._logv[b]]
 
     def pow(self, a: Elt, m: int) -> Elt:
         if a == 0:
@@ -351,7 +377,7 @@ class FieldCtx:
             if m < 0:
                 raise ZeroDivisionError("0 to a negative power")
             return 0
-        return int(self.exp[(int(self.log[a]) * m) % (self.N - 1)])
+        return self._expv[self._logv[a] * m % (self.N - 1)]
 
     def frob(self, a: Elt, k: int = 1) -> Elt:
         """a^(p^k)."""
@@ -362,56 +388,33 @@ class FieldCtx:
     def vadd(self, A, B):
         if self.p == 2:
             return np.bitwise_xor(np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64))
-        p = self.p
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
-        out = np.zeros(np.broadcast(A, B).shape, dtype=np.int64)
-        shift = 1
-        for _ in range(self.d):
-            out += ((A + B) % p) * shift
-            A = A // p
-            B = B // p
-            shift *= p
-        return out
+        P, T = self._P, self._sum
+        ah, al = np.divmod(A, P)
+        bh, bl = np.divmod(B, P)
+        return (T.take(ah * P + bh) * P + T.take(al * P + bl)).astype(np.int64)
 
     def vneg(self, A):
-        A = np.asarray(A, dtype=np.int64)
-        if self.p == 2:
-            return A.copy()
-        p = self.p
-        out = np.zeros(A.shape, dtype=np.int64)
-        shift = 1
-        for _ in range(self.d):
-            out += ((-A) % p) * shift
-            A = A // p
-            shift *= p
-        return out
+        return self._exp.take(self.log.take(A) + self._log_minus1).astype(np.int64)
 
     def vsub(self, A, B):
-        B = np.asarray(B, dtype=np.int64)
         return self.vadd(A, self.vneg(B))
 
     def vmul(self, A, B):
-        A, B = np.broadcast_arrays(np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64))
-        out = np.zeros(A.shape, dtype=np.int64)
-        nz = (A != 0) & (B != 0)
-        out[nz] = self.exp[(self.log[A[nz]] + self.log[B[nz]]) % (self.N - 1)]
-        return out
+        return self._exp.take(self.log.take(A) + self.log.take(B)).astype(np.int64)
 
     def vinv(self, A):
-        A = np.asarray(A, dtype=np.int64)
-        if np.any(A == 0):
+        if np.any(np.asarray(A) == 0):
             raise ZeroDivisionError("inverse of 0")
-        return self.exp[(-self.log[A]) % (self.N - 1)]
+        return self._exp.take(self.N - 1 - self.log.take(A)).astype(np.int64)
 
     def vpow(self, A, m: int):
-        A = np.asarray(A, dtype=np.int64)
-        out = np.zeros(A.shape, dtype=np.int64)
-        nz = A != 0
-        out[nz] = self.exp[(self.log[A[nz]] * m) % (self.N - 1)]
         if m == 0:
-            out[~nz] = 1
-        return out
+            return np.ones(np.shape(A), dtype=np.int64)
+        M = self.N - 1
+        # int64: log * (m mod M) can pass 2^31; zeros keep their sentinel
+        # 2M and so land in the zero tail of the antilog table
+        L = self.log.take(A).astype(np.int64)
+        return self._exp.take(L * (m % M) % M + L // M * M).astype(np.int64)
 
     def frob_table(self, k: int) -> np.ndarray:
         """Lookup table x -> x^(p^k) over the whole ambient field."""

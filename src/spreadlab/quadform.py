@@ -138,12 +138,23 @@ def _canon_table(ctx: FieldCtx, field_k: int) -> np.ndarray:
     return ctx._span_cache[key]
 
 
+def _coset_rep_positions(ctx: FieldCtx, field_k: int) -> np.ndarray:
+    """Positions in ctx.subfield_elements(field_k) of the canonical
+    F_q^*-coset representatives, ascending."""
+    key = ("coset_reps", field_k)
+    if key not in ctx._span_cache:
+        dom = ctx.subfield_elements(field_k)
+        reps = np.unique(_canon_table(ctx, field_k)[dom[1:]])
+        pos = ctx.element_index(field_k)[reps]
+        pos.flags.writeable = False
+        ctx._span_cache[key] = pos
+    return ctx._span_cache[key]
+
+
 def coset_representatives(ctx: FieldCtx, field_k) -> list[Elt]:
     """Canonical representatives of F_p^field_k^* / F_q^*."""
     k = ctx.tag_degree(field_k)
-    tbl = _canon_table(ctx, k)
-    dom = ctx.subfield_elements(k)
-    return sorted({int(tbl[int(x)]) for x in dom[1:]})
+    return ctx.subfield_elements(k)[_coset_rep_positions(ctx, k)].tolist()
 
 
 def permutes_cosets(f: DOPoly) -> bool:
@@ -157,15 +168,11 @@ def permutes_cosets(f: DOPoly) -> bool:
     ctx = f.ctx
     if f.base_k % ctx.e != 0:
         raise ValueError("coset action needs the grading base to contain F_q")
-    tbl = _canon_table(ctx, f.field_k)
-    reps = coset_representatives(ctx, f.field_k)
-    seen = set()
-    for r in reps:
-        v = f(r)
-        if v == 0:
-            return False
-        seen.add(int(tbl[v]))
-    return len(seen) == len(reps)
+    pos = _coset_rep_positions(ctx, f.field_k)
+    vals = f.values()[pos]
+    if not vals.all():
+        return False
+    return len(np.unique(_canon_table(ctx, f.field_k)[vals])) == len(pos)
 
 
 # -- quadratic spaces ------------------------------------------------------------

@@ -6,6 +6,7 @@ in this file means either a performance regression or, far worse, a
 mathematical regression in the library.
 """
 
+import contextlib
 import sys
 import time
 
@@ -28,13 +29,19 @@ from spreadlab.experiments import (verify_even_n3_classification, verify_hermite
 def passline(request):
     """Emit one PASS line per criterion straight to the terminal (outside
     pytest's capture) and enforce the runtime budget."""
-    tr = request.config.pluginmanager.get_plugin("terminalreporter")
+    plugins = request.config.pluginmanager
+    tr = plugins.get_plugin("terminalreporter")
+    capman = plugins.get_plugin("capturemanager")
 
     def emit(label: str, dt: float, budget: float) -> None:
         line = f"PASS {label} ({dt:.2f}s, budget {budget:.0f}s)"
         if tr is not None:
-            tr.ensure_newline()
-            tr.write_line(line)
+            # with fd capture on, a write to the terminal would land in the
+            # test's captured output and show only if the test failed
+            with (capman.global_and_fixture_disabled() if capman is not None
+                  else contextlib.nullcontext()):
+                tr.ensure_newline()
+                tr.write_line(line)
         else:
             print(line, file=sys.__stdout__, flush=True)
         assert dt < budget

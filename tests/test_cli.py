@@ -122,3 +122,12 @@ def test_experiment_errors_exit_1(tmp_path, capsys):
     assert main(["experiment", "no-typec-odd", "--q", "2", "--n", "2",
                  "--out", str(tmp_path / "y.json")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_experiment_rejects_jobs_below_1(tmp_path, capsys, jobs):
+    out = tmp_path / "j.json"
+    assert main(["experiment", "no-typec-odd", "--q", "3", "--n", "2",
+                 "--jobs", jobs, "--out", str(out)]) == 1
+    assert f"--jobs must be at least 1 (got {jobs})" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spreadlab import build_tower, ctx_from_json, factor_prime_power
+from spreadlab.field import digits_of
 
 
 def _order(ctx, x):
@@ -179,3 +180,192 @@ def test_coords_round_trip(c313):
         for c, b in zip(cs, basis):
             acc = c313.add(acc, c313.mul(c, b))
         assert acc == x
+
+
+# -- every arithmetic kernel against slow, independent partners ------------------
+#
+# The reference adds digitwise (digits_of) and multiplies schoolbook-style
+# modulo the defining polynomial; it is itself checked against the pre-table
+# polynomial arithmetic FieldCtx._raw_mul / _raw_pow.  (7,1,2), with 2401
+# elements, lies above the 1024 elements up to which add once had its own
+# full table.
+
+KERNEL_TOWERS = [(3, 1, 1), (7, 1, 1), (2, 1, 3), (5, 1, 2), (3, 1, 3), (7, 1, 2)]
+ROWS = 128          # block height for the all-pairs checks
+
+
+class _Reference:
+    def __init__(self, ctx):
+        p, d = ctx.p, ctx.d
+        self.p, self.N = p, ctx.N
+        self.D = np.array([digits_of(x, p, d) for x in range(ctx.N)], dtype=np.int64)
+        self.pw = p ** np.arange(d, dtype=np.int64)
+        # digits of X^k mod the defining polynomial, k = 0 .. 2d-2
+        f = ctx.defining_poly
+        self.R = np.zeros((2 * d - 1, d), dtype=np.int64)
+        cur = [1] + [0] * (d - 1)
+        for k in range(2 * d - 1):
+            self.R[k] = cur
+            top = cur[-1]
+            cur = [(c - top * fj) % p for c, fj in zip([0] + cur[:-1], f)]
+
+    def _enc(self, digits):
+        return (digits % self.p) @ self.pw
+
+    def add(self, a, b):
+        return self._enc(self.D[a] + self.D[b])
+
+    def neg(self, a):
+        return self._enc(-self.D[a])
+
+    def mul(self, a, b):
+        Da, Db = self.D[a], self.D[b]
+        d = Da.shape[-1]
+        conv = np.zeros(np.broadcast_shapes(Da.shape, Db.shape)[:-1] + (2 * d - 1,),
+                        dtype=np.int64)
+        for i in range(d):
+            conv[..., i:i + d] += Da[..., i:i + 1] * Db
+        return self._enc(conv @ self.R)
+
+    def pow(self, a, m: int):
+        """Square and multiply; m >= 0."""
+        out, base = np.ones_like(a), a
+        while m:
+            if m & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            m >>= 1
+        return out
+
+
+@pytest.fixture(scope="module", params=KERNEL_TOWERS, ids=str)
+def tower(request):
+    ctx = build_tower(*request.param)
+    return ctx, _Reference(ctx)
+
+
+def _blocks(N):
+    """(column, row) index blocks that together cover every pair (a, b)."""
+    b = np.arange(N)[None, :]
+    for lo in range(0, N, ROWS):
+        yield np.arange(lo, min(N, lo + ROWS))[:, None], b
+
+
+def _exponents(N):
+    return [0, 1, 2, 3, 7, N - 2, N - 1, N, 3 * N + 2, 10 ** 30 + 7, -1, -2, -N]
+
+
+def _expect_pow(ref, a, m):
+    if m >= 0:
+        return ref.pow(a, m)
+    return ref.pow(ref.pow(a, ref.N - 2), -m)
+
+
+def test_reference_matches_raw_polynomial_arithmetic(tower):
+    ctx, ref = tower
+    N = ctx.N
+    rng = np.random.default_rng(N)
+    pairs = rng.integers(0, N, (400, 2))
+    pairs[:20, 0] = 0
+    for a, b in pairs.tolist():
+        assert int(ref.mul(a, b)) == ctx._raw_mul(a, b)
+    for a in rng.integers(1, N, 10).tolist():
+        for m in (m for m in _exponents(N) if m >= 0):
+            assert int(ref.pow(a, m)) == ctx._raw_pow(a, m)
+
+
+def test_vector_kernels_every_pair(tower):
+    ctx, ref = tower
+    N = ctx.N
+    for A, B in _blocks(N):
+        for got, want in ((ctx.vadd(A, B), ref.add(A, B)),
+                          (ctx.vsub(A, B), ref.add(A, ref.neg(B))),
+                          (ctx.vmul(A, B), ref.mul(A, B))):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+    every, units = np.arange(N), np.arange(1, N)
+    np.testing.assert_array_equal(ctx.vneg(every), ref.neg(every))
+    np.testing.assert_array_equal(ctx.vinv(units), ref.pow(units, N - 2))
+    for m in _exponents(N):
+        dom = every if m >= 0 else units
+        got = ctx.vpow(dom, m)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _expect_pow(ref, dom, m))
+    with pytest.raises(ZeroDivisionError):
+        ctx.vinv(every)
+
+
+def test_scalar_kernels_every_pair(tower):
+    ctx, ref = tower
+    N = ctx.N
+    if N > 1024:          # 128 seeded rows against every column
+        rows = np.random.default_rng(N).choice(N, ROWS, replace=False)[:, None]
+        blocks = [(rows, np.arange(N)[None, :])]
+    else:
+        blocks = _blocks(N)
+    ops = {name: np.frompyfunc(getattr(ctx, name), 2, 1)
+           for name in ("add", "sub", "mul", "div")}
+    for A, B in blocks:
+        np.testing.assert_array_equal(ops["add"](A, B).astype(np.int64), ref.add(A, B))
+        np.testing.assert_array_equal(ops["sub"](A, B).astype(np.int64),
+                                      ref.add(A, ref.neg(B)))
+        np.testing.assert_array_equal(ops["mul"](A, B).astype(np.int64), ref.mul(A, B))
+        U = B[:, 1:]
+        quot = ops["div"](A, U).astype(np.int64)
+        np.testing.assert_array_equal(ref.mul(quot, U), np.broadcast_to(A, quot.shape))
+    every, units = np.arange(N), np.arange(1, N)
+    np.testing.assert_array_equal([ctx.neg(a) for a in range(N)], ref.neg(every))
+    np.testing.assert_array_equal([ctx.inv(a) for a in range(1, N)], ref.pow(units, N - 2))
+    for m in _exponents(N):
+        dom = every if m >= 0 else units
+        np.testing.assert_array_equal([ctx.pow(int(a), m) for a in dom],
+                                      _expect_pow(ref, dom, m))
+    # Python ints in, Python ints out; table reads give Python ints for
+    # numpy ints too
+    a, b = N - 1, 1
+    for got in (ctx.add(a, b), ctx.sub(a, b), ctx.mul(a, b), ctx.div(a, b),
+                ctx.neg(a), ctx.inv(a), ctx.pow(a, 5)):
+        assert type(got) is int
+    a, b = np.int64(a), np.int64(b)
+    for got in (ctx.mul(a, b), ctx.div(a, b), ctx.neg(a), ctx.inv(a), ctx.pow(a, 5)):
+        assert type(got) is int
+
+
+def test_scalar_kernel_zero_operands(tower):
+    ctx, _ = tower
+    x = ctx.N - 1
+    assert ctx.add(0, x) == ctx.add(x, 0) == x
+    assert ctx.sub(x, 0) == x and ctx.sub(0, 0) == 0 == ctx.neg(0)
+    assert ctx.mul(0, x) == ctx.mul(x, 0) == ctx.mul(0, 0) == 0
+    assert ctx.div(0, x) == 0
+    assert ctx.pow(0, 0) == 1 and ctx.pow(0, 5) == 0 and ctx.pow(x, 0) == 1
+    for bad in (lambda: ctx.inv(0), lambda: ctx.div(x, 0), lambda: ctx.div(0, 0),
+                lambda: ctx.pow(0, -1)):
+        with pytest.raises(ZeroDivisionError):
+            bad()
+
+
+def test_vector_kernels_broadcast_scalars_and_0d(tower):
+    ctx, _ = tower
+    N = ctx.N
+    every = np.arange(N)
+    c = N - 2
+    pairs = {"vadd": ctx.add, "vsub": ctx.sub, "vmul": ctx.mul}
+    for name, scalar in pairs.items():
+        kernel = getattr(ctx, name)
+        want = [scalar(c, a) for a in range(N)]
+        np.testing.assert_array_equal(kernel(c, every), want)
+        np.testing.assert_array_equal(kernel(every, c), [scalar(a, c) for a in range(N)])
+        np.testing.assert_array_equal(kernel(np.int64(c), every), want)
+        for x, y in ((np.array(c), np.array(3)), (np.array(0), np.array(c))):
+            got = kernel(x, y)
+            assert np.shape(got) == () and got.dtype == np.int64
+            assert int(got) == scalar(int(x), int(y))
+    for kernel, scalar in ((ctx.vneg, ctx.neg), (ctx.vinv, ctx.inv),
+                           (lambda a: ctx.vpow(a, 3), lambda a: ctx.pow(a, 3)),
+                           (lambda a: ctx.vpow(a, 0), lambda a: ctx.pow(a, 0))):
+        got = kernel(np.array(c))
+        assert np.shape(got) == () and got.dtype == np.int64
+        assert int(got) == scalar(c)
+    np.testing.assert_array_equal(ctx.vpow(np.zeros((2, 3), dtype=np.int64), 0),
+                                  np.ones((2, 3)))

@@ -4,9 +4,10 @@ permutation criteria."""
 import numpy as np
 import pytest
 
-from spreadlab import (DOPoly, QuadSpace, classify_char2, coset_representatives,
-                       count_zeros, is_permutation_brute, is_permutation_via_rank,
-                       permutes_cosets, radical)
+from spreadlab import (DOPoly, QuadSpace, build_tower, classify_char2,
+                       coset_representatives, count_zeros, is_permutation_brute,
+                       is_permutation_via_rank, permutes_cosets, radical)
+from spreadlab.quadform import _canon_table
 
 
 # -- coordinate forms with hand-checkable zero counts ----------------------------
@@ -155,6 +156,39 @@ def test_permutes_cosets_square_map(c313, c312):
 def test_coset_representatives_size(c313, c312):
     assert len(coset_representatives(c313, "qn")) == 13
     assert len(coset_representatives(c312, "qn")) == 4
+
+
+def _permutes_cosets_scalar(f):
+    """Reference: evaluate f with DOPoly.__call__ at every coset
+    representative, the representatives rebuilt from the canonical table."""
+    ctx = f.ctx
+    tbl = _canon_table(ctx, f.field_k)
+    reps = sorted({int(tbl[int(x)]) for x in ctx.subfield_elements(f.field_k)[1:]})
+    assert coset_representatives(ctx, f.field_k) == reps
+    seen = set()
+    for r in reps:
+        v = f(r)
+        if v == 0:
+            return False
+        seen.add(int(tbl[v]))
+    return len(seen) == len(reps)
+
+
+# X^2 and 200 seeded forms each; at n = 2 none of them permutes the cosets,
+# at (3,3) X^2 does, so both verdicts are compared
+@pytest.mark.parametrize("q, n, some_permute", [(3, 2, False), (5, 2, False), (3, 3, True)])
+def test_permutes_cosets_matches_scalar_reference(q, n, some_permute):
+    ctx = build_tower(q, 1, n)
+    dom = ctx.subfield_elements("qn")
+    rng = np.random.default_rng(q * 10 + n)
+    forms = [DOPoly(ctx, {(0, 0): 1})] + [
+        DOPoly(ctx, {(i, j): int(rng.choice(dom)) for i in range(n) for j in range(i, n)})
+        for _ in range(200)]
+    verdicts = []
+    for f in forms:
+        verdicts.append(permutes_cosets(f))
+        assert verdicts[-1] == _permutes_cosets_scalar(f), f
+    assert any(verdicts) == some_permute and not all(verdicts)
 
 
 def test_permutes_cosets_zero_value_fails(c313):
