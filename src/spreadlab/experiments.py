@@ -9,12 +9,14 @@ deterministic given (params, seed) and independent of the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import multiprocessing as mp
 import os
 import time
+import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -56,23 +58,38 @@ class VerdictReport:
 
 # -- checkpoint state ---------------------------------------------------------------
 
+_STATE_SCHEMA = 1
+
 
 def _state_path(out: str) -> str:
     return out + ".state"
 
 
-def _load_state(out: str | None, key: str) -> dict | None:
+def _state_key(name: str, params: dict, items: list) -> dict:
+    """What a checkpoint must match to be resumed: the scan, its normalized
+    params, the state layout and the exact candidate list."""
+    # zlib, not hashlib: the key guards against a changed list, not an
+    # adversary, and hashlib would load OpenSSL (about 4 MB of resident memory)
+    digest = f"{len(items)}:{zlib.crc32(json.dumps(items).encode()):08x}"
+    return {"scan": name, "params": params, "schema": _STATE_SCHEMA,
+            "items": digest}
+
+
+def _load_state(out: str | None, key) -> dict | None:
+    """The checkpoint saved under key, or None if there is none for this key;
+    a state file that cannot be read is an error, never a silent restart."""
     if not out or not os.path.exists(_state_path(out)):
         return None
     try:
         with open(_state_path(out)) as fh:
             doc = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return doc if doc.get("key") == key else None
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot resume from {_state_path(out)}: {exc}; "
+                         "delete it to start the scan again") from None
+    return doc if isinstance(doc, dict) and doc.get("key") == key else None
 
 
-def _save_state(out: str | None, key: str, **fields) -> None:
+def _save_state(out: str | None, key, **fields) -> None:
     if not out:
         return
     doc = {"key": key, **fields}
@@ -87,48 +104,105 @@ def _clear_state(out: str | None) -> None:
         os.remove(_state_path(out))
 
 
-# -- worker plumbing ----------------------------------------------------------------
+# -- running a scan ---------------------------------------------------------------
 
-_G: dict = {}
+# (check, state) of the scan being run; written only by _run_scan, and
+# inherited by the workers it forks
+_SCAN: tuple = ()
 
 
-def _ordered_map(worker, items, jobs, init, initargs):
-    """Apply worker over items, results in item order; jobs > 1 forks."""
-    if jobs <= 1:
-        init(*initargs)
-        for it in items:
-            yield worker(it)
-        return
-    ctxmp = mp.get_context("fork")
-    with ctxmp.Pool(jobs, initializer=init, initargs=initargs) as pool:
-        yield from pool.imap(worker, items, chunksize=max(1, len(items) // (4 * jobs)))
+def _work(item):
+    check, state = _SCAN
+    return check(state, item)
+
+
+def _run_scan(name: str, params: dict, items: list, setup, args: tuple, check,
+              details, jobs: int, out: str | None) -> VerdictReport:
+    """Run check(setup(*args), item) over items in order and stop at the
+    first counterexample.
+
+    check returns (candidates scanned, hits, counterexample or None), so the
+    reported candidates are those of every earlier item plus the hit's own.
+    jobs > 1 evaluates on forked workers with results kept in item order, so
+    the verdict does not depend on the worker count.  With a report path the
+    scan checkpoints to <out>.state every CHECKPOINT_EVERY candidates,
+    resumes from a checkpoint with the same key, and removes it at the end.
+    details(hits, counterexample) gives the report's details.
+    """
+    global _SCAN
+    key = _state_key(name, params, items) if out else None
+    saved = _load_state(out, key) or {"pos": 0, "candidates": 0, "hits": 0,
+                                      "seconds": 0.0}
+    pos, scanned, hits = saved["pos"], saved["candidates"], saved["hits"]
+    t0 = time.time() - saved["seconds"]
+    cex = None
+    since_ckpt = 0
+    _SCAN = (check, setup(*args))
+    try:
+        rest = items[pos:]
+        pool = (mp.get_context("fork").Pool(jobs) if jobs > 1
+                else contextlib.nullcontext())
+        with pool:
+            results = (pool.imap(_work, rest, chunksize=max(1, len(rest) // (4 * jobs)))
+                       if jobs > 1 else map(_work, rest))
+            for n, h, cex in results:
+                scanned += n
+                hits += h
+                if cex is not None:
+                    break
+                pos += 1
+                since_ckpt += n
+                if since_ckpt >= CHECKPOINT_EVERY:
+                    _save_state(out, key, pos=pos, candidates=scanned, hits=hits,
+                                seconds=time.time() - t0)
+                    since_ckpt = 0
+    finally:
+        _SCAN = ()
+    _clear_state(out)
+    return VerdictReport(name, params, "counterexample" if cex else "confirmed",
+                         cex, scanned, time.time() - t0, details(hits, cex))
+
+
+def _read_params(params: dict | None, **defaults) -> dict:
+    """params over the scan's defaults; a key the scan does not read is refused."""
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) {', '.join(unknown)}; "
+                         f"this scan reads {', '.join(defaults)}")
+    return {**defaults, **params}
+
+
+def _outside_deltas(ctx: FieldCtx) -> list[int]:
+    """The deltas of the even-q scans: every element outside F_{q^n}."""
+    ne = ctx.n * ctx.e
+    return [x for x in range(1, ctx.N) if not ctx.in_subfield(x, ne)]
 
 
 # -- no type C spread, odd q, n even ----------------------------------------------
 
 
-def _init_typec_odd(p, e, n):
+def _odd_setup(p, e, n):
     ctx = build_tower(p, e, n)
-    _G["ctx"] = ctx
-    _G["deltas"] = ctx.find_deltas()
+    return ctx, ctx.find_deltas()
 
 
-def _scan_L_odd(coeffs):
-    """One q-polynomial L against every admissible delta; first hit index."""
-    ctx = _G["ctx"]
+def _odd_check(state, coeffs):
+    """One q-polynomial L against every admissible delta, up to the first hit."""
+    ctx, deltas = state
     L = QPoly(ctx, list(coeffs))
-    for di, d in enumerate(_G["deltas"]):
+    for di, d in enumerate(deltas):
         if permutes_cosets(q_from_component(L, int(d))):
-            return di
-    return None
+            return di + 1, 1, {"L_coeffs": list(coeffs), "delta": int(d)}
+    return len(deltas), 0, None
 
 
 def verify_no_typeC_odd(params: dict | None = None, *, jobs: int = 1,
                         out: str | None = None, **_ignored) -> VerdictReport:
     """Exhaustively confirm that no (L, delta) at odd q, even n makes
     Q = (X + delta L)(X + delta^(q^n) L) permute F_{q^n}^* / F_q^*."""
-    params = dict(params or {})
-    q, n = int(params.get("q", 3)), int(params.get("n", 2))
+    params = _read_params(params, q=3, n=2)
+    q, n = int(params["q"]), int(params["n"])
     p, e = factor_prime_power(q)
     if p == 2:
         raise ValueError("this nonexistence statement needs odd q")
@@ -138,30 +212,18 @@ def verify_no_typeC_odd(params: dict | None = None, *, jobs: int = 1,
     dom = [int(x) for x in ctx.subfield_elements("qn")]
     if len(dom) ** n > 10 ** 6:
         raise ValueError("search space exceeds the desk-scale budget")
-    deltas = ctx.find_deltas()
     combos = list(itertools.product(dom, repeat=n))
-    t0 = time.time()
-    scanned = 0
-    cex = None
-    for li, hit in zip(range(len(combos)),
-                       _ordered_map(_scan_L_odd, combos, jobs,
-                                    _init_typec_odd, (p, e, n))):
-        if hit is not None:
-            scanned += hit + 1
-            cex = {"L_coeffs": list(combos[li]), "delta": int(deltas[hit])}
-            break
-        scanned += len(deltas)
-    report = VerdictReport(
-        "no-typec-odd", {"q": q, "n": n},
-        "counterexample" if cex else "confirmed", cex, scanned,
-        time.time() - t0, {"polynomials": len(combos), "deltas": len(deltas)})
-    return report
+    n_deltas = len(ctx.find_deltas())
+    return _run_scan("no-typec-odd", {"q": q, "n": n}, combos, _odd_setup, (p, e, n),
+                     _odd_check,
+                     lambda hits, cex: {"polynomials": len(combos), "deltas": n_deltas},
+                     jobs, out)
 
 
 # -- no type C spread, even q, 8-dimensional ambient space --------------------------
 
 
-def _init_even8(p, e):
+def _even8_setup(p, e):
     ctx = build_tower(p, e, 4)
     ne = ctx.n * ctx.e
     dom = ctx.subfield_elements("qn").astype(np.int64)
@@ -178,27 +240,29 @@ def _init_even8(p, e):
     for i in range(4):
         ai = (idx // qn ** (3 - i)) % qn
         rows = ctx.vadd(rows, mono[i][ai])
-    _G["ctx"] = ctx
-    _G["dom"] = dom
-    _G["ltab"] = rows
-    _G["norm"] = ctx.vmul(amb, ctx.frob_table(ne)[amb])
-    _G["pos"] = ctx.element_index("qn")
-    _G["full"] = (1 << qn) - 1
+    return {"ctx": ctx, "dom": dom, "ltab": rows,
+            "norm": ctx.vmul(amb, ctx.frob_table(ne)[amb]),
+            "pos": ctx.element_index("qn"), "full": (1 << qn) - 1}
 
 
-def _scan_delta_even8(delta: int):
-    """All L against one delta, W = L(x) + delta x; returns the number of
-    permutation hits and the first hit whose L is not a scalar multiple of X
-    (such a hit would be a genuine type C witness)."""
-    ctx = _G["ctx"]
-    qn = len(_G["dom"])
+def _even8_check(state, delta: int):
+    """All L against one delta, W = L(x) + delta x: every L is a candidate,
+    every permutation is a hit, and the first hit whose L is not a scalar
+    multiple of X (a genuine type C witness) is the counterexample."""
+    ctx, dom = state["ctx"], state["dom"]
+    qn = len(dom)
     mul_d = ctx.vmul(int(delta), np.arange(ctx.N, dtype=np.int64))
-    w = ctx.vadd(_G["ltab"], mul_d[_G["dom"]][None, :])
-    qv = _G["norm"][w]
-    occ = np.bitwise_or.reduce(1 << _G["pos"][qv], axis=1)
-    hits = np.nonzero(occ == _G["full"])[0]
+    w = ctx.vadd(state["ltab"], mul_d[dom][None, :])
+    qv = state["norm"][w]
+    occ = np.bitwise_or.reduce(1 << state["pos"][qv], axis=1)
+    hits = np.nonzero(occ == state["full"])[0]
     bad = hits[hits % qn ** 3 != 0]      # rows c*qn^3 are L = cX
-    return len(hits), (int(bad[0]) if len(bad) else None)
+    if not len(bad):
+        return len(w), len(hits), None
+    row = int(bad[0])
+    return row + 1, len(hits), {
+        "L_coeffs": [int(dom[(row // qn ** (3 - i)) % qn]) for i in range(4)],
+        "delta": int(delta)}
 
 
 def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
@@ -212,53 +276,24 @@ def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
     Desarguesian spread with kernel F_{q^4} — so the theorem is confirmed
     exactly when every permutation hit is scalar.
     """
-    params = dict(params or {})
-    q = int(params.get("q", 2))
+    params = _read_params(params, q=2)
+    q = int(params["q"])
     p, e = factor_prime_power(q)
     if p != 2:
         raise ValueError("this nonexistence statement needs even q")
-    ctx = build_tower(p, e, 4)
-    ne = ctx.n * ctx.e
     qn = q ** 4
+    if qn > 62:
+        raise ValueError("the scan's occupancy bitmask needs q^4 <= 62")
+    ctx = build_tower(p, e, 4)
     if qn ** 4 * (ctx.N - qn) > 10 ** 8:
         raise ValueError("search space exceeds the desk-scale budget")
-    deltas = [int(x) for x in range(1, ctx.N) if not ctx.in_subfield(x, ne)]
-    per_delta = qn ** 4
-    key = f"no-typec-even8:q={q}"
-    state = _load_state(out, key)
-    start = state["delta_pos"] if state else 0
-    scanned = state["candidates"] if state else 0
-    perm_pairs = state["perm_pairs"] if state else 0
-    elapsed0 = state["seconds"] if state else 0.0
-    t0 = time.time()
-    cex = None
-    since_ckpt = 0
-    pos = start
-    for n_hits, bad in _ordered_map(_scan_delta_even8, deltas[start:], jobs,
-                                    _init_even8, (p, e)):
-        perm_pairs += n_hits
-        if bad is not None:
-            scanned += bad + 1
-            lc = [(bad // qn ** (3 - i)) % qn for i in range(4)]
-            dom = ctx.subfield_elements("qn")
-            cex = {"L_coeffs": [int(dom[c]) for c in lc], "delta": deltas[pos]}
-            break
-        pos += 1
-        scanned += per_delta
-        since_ckpt += per_delta
-        if since_ckpt >= CHECKPOINT_EVERY:
-            _save_state(out, key, delta_pos=pos, candidates=scanned,
-                        perm_pairs=perm_pairs,
-                        seconds=elapsed0 + time.time() - t0)
-            since_ckpt = 0
-    _clear_state(out)
-    return VerdictReport(
-        "no-typec-even8", {"q": q},
-        "counterexample" if cex else "confirmed", cex, scanned,
-        elapsed0 + time.time() - t0,
-        {"polynomials": per_delta, "deltas": len(deltas),
-         "permutation_pairs": perm_pairs,
-         "desarguesian_pairs": perm_pairs if cex is None else None})
+    deltas = _outside_deltas(ctx)
+    return _run_scan(
+        "no-typec-even8", {"q": q}, deltas, _even8_setup, (p, e), _even8_check,
+        lambda hits, cex: {"polynomials": qn ** 4, "deltas": len(deltas),
+                           "permutation_pairs": hits,
+                           "desarguesian_pairs": hits if cex is None else None},
+        jobs, out)
 
 
 # -- even q, n = 3: permutation classification --------------------------------------
@@ -281,27 +316,25 @@ def even3_perm_predicate(ctx: FieldCtx, d0: int, d1: int, delta: int) -> bool:
     return False
 
 
-def _init_even3(p, e):
-    _G["ctx"] = build_tower(p, e, 3)
+def _even3_setup(p, e):
+    ctx = build_tower(p, e, 3)
+    return ctx, _outside_deltas(ctx)
 
 
-def _scan_L_even3(coeffs):
-    """One monic L = X^(q^2) + d1 X^q + d0 X against every delta; returns
-    (first disagreement delta index or None, permutation count)."""
-    ctx = _G["ctx"]
+def _even3_check(state, coeffs):
+    """One monic L = X^(q^2) + d1 X^q + d0 X against every delta up to the
+    first disagreement; the hits are the permutations."""
+    ctx, deltas = state
     d0, d1 = coeffs
-    ne = ctx.n * ctx.e
     L = QPoly(ctx, {0: d0, 1: d1, 2: 1})
     ident = QPoly.identity(ctx)
     perms = 0
-    for di, delta in enumerate(x for x in range(1, ctx.N)
-                               if not ctx.in_subfield(x, ne)):
-        Q = q_from_pair(L, ident, delta)
-        perm = is_permutation_brute(Q)
+    for di, delta in enumerate(deltas):
+        perm = is_permutation_brute(q_from_pair(L, ident, delta))
         perms += perm
         if perm != even3_perm_predicate(ctx, d0, d1, delta):
-            return di, perms
-    return None, perms
+            return di + 1, perms, {"L_coeffs": [d0, d1, 1], "delta": delta}
+    return len(deltas), perms, None
 
 
 def verify_even_n3_classification(params: dict | None = None, *, jobs: int = 1,
@@ -309,36 +342,20 @@ def verify_even_n3_classification(params: dict | None = None, *, jobs: int = 1,
     """For every monic reduced q-polynomial L on F_{q^3} and delta outside
     F_{q^3}: the brute permutation test of (L + delta X)(L + delta^(q^3) X)
     agrees with the coordinate classification predicate."""
-    params = dict(params or {})
-    q = int(params.get("q", 2))
+    params = _read_params(params, q=2)
+    q = int(params["q"])
     p, e = factor_prime_power(q)
     if p != 2:
         raise ValueError("the classification is for even q")
     ctx = build_tower(p, e, 3)
-    ne = ctx.n * ctx.e
     dom = [int(x) for x in ctx.subfield_elements("qn")]
-    deltas = [x for x in range(1, ctx.N) if not ctx.in_subfield(x, ne)]
     combos = list(itertools.product(dom, repeat=2))   # (d0, d1), lex
-    t0 = time.time()
-    scanned = 0
-    perm_pairs = 0
-    cex = None
-    for li, (hit, perms) in zip(
-            range(len(combos)),
-            _ordered_map(_scan_L_even3, combos, jobs, _init_even3, (p, e))):
-        perm_pairs += perms
-        if hit is not None:
-            scanned += hit + 1
-            d0, d1 = combos[li]
-            cex = {"L_coeffs": [d0, d1, 1], "delta": deltas[hit]}
-            break
-        scanned += len(deltas)
-    return VerdictReport(
-        "even3-classification", {"q": q},
-        "counterexample" if cex else "confirmed", cex, scanned,
-        time.time() - t0,
-        {"monic_polynomials": len(combos), "deltas": len(deltas),
-         "permutation_pairs": perm_pairs})
+    n_deltas = len(_outside_deltas(ctx))
+    return _run_scan(
+        "even3-classification", {"q": q}, combos, _even3_setup, (p, e), _even3_check,
+        lambda hits, cex: {"monic_polynomials": len(combos), "deltas": n_deltas,
+                           "permutation_pairs": hits},
+        jobs, out)
 
 
 # -- the Hermite-criterion coefficient ----------------------------------------------
@@ -387,35 +404,60 @@ def hermite_coefficient_check(ctx: FieldCtx, delta: int) -> bool:
     return brute == closed
 
 
+def _hermite_check(ctx, delta):
+    try:
+        okay = hermite_coefficient_check(ctx, delta)
+    except RuntimeError:
+        okay = False
+    return 1, 0, (None if okay else {"delta": delta})
+
+
 def verify_hermite(params: dict | None = None, *, jobs: int = 1,
                    out: str | None = None, **_ignored) -> VerdictReport:
     """Closed form vs brute coefficient for every delta outside F_{q^3}."""
-    params = dict(params or {})
-    q = int(params.get("q", 2))
+    params = _read_params(params, q=2)
+    q = int(params["q"])
     p, e = factor_prime_power(q)
     if p != 2:
         raise ValueError("the coefficient identity is for even q")
-    ctx = build_tower(p, e, 3)
-    ne = ctx.n * ctx.e
-    t0 = time.time()
-    scanned = 0
-    cex = None
-    for delta in (x for x in range(1, ctx.N) if not ctx.in_subfield(x, ne)):
-        try:
-            okay = hermite_coefficient_check(ctx, delta)
-        except RuntimeError:
-            okay = False
-        scanned += 1
-        if not okay:
-            cex = {"delta": delta}
-            break
-    return VerdictReport(
-        "hermite-coefficient", {"q": q},
-        "counterexample" if cex else "confirmed", cex, scanned,
-        time.time() - t0, {})
+    deltas = _outside_deltas(build_tower(p, e, 3))
+    return _run_scan("hermite-coefficient", {"q": q}, deltas, build_tower, (p, e, 3),
+                     _hermite_check, lambda hits, cex: {}, jobs, out)
 
 
 # -- planarity dichotomy for the two-term family -------------------------------------
+
+
+def _planar_setup(p, e, m, k):
+    """Value tables of X^2, X^(1+q^m), X^(2 q^m) and w X^(2 q^k) on F_{q^2m}."""
+    ctx = build_tower(p, e, m)
+    amb = np.arange(ctx.N, dtype=np.int64)
+    w = ctx.least_nonsquare("q2n")
+    x2 = ctx.vmul(amb, amb)
+    return {"ctx": ctx, "w": w, "x2": x2,
+            "xqm1": ctx.vmul(amb, ctx.frob_table(ctx.e * m)[amb]),
+            "x2qm": ctx.frob_table(ctx.e * m)[x2],
+            "wterm": ctx.vmul(w, ctx.frob_table(ctx.e * k)[x2])}
+
+
+def _planar(state, a: int, b: int) -> bool:
+    """Is (a X + b X^(q^m))^2 - w X^(2 q^k) planar?  The scan's fast path;
+    semifield.planar_family_check is its independent reference."""
+    ctx = state["ctx"]
+    vals = ctx.vsub(
+        ctx.vadd(ctx.vadd(ctx.vmul(ctx.mul(a, a), state["x2"]),
+                          ctx.vmul(ctx.mul(2 % ctx.p, ctx.mul(a, b)), state["xqm1"])),
+                 ctx.vmul(ctx.mul(b, b), state["x2qm"])),
+        state["wterm"])
+    counts = np.bincount(vals, minlength=ctx.N)
+    return counts[0] == 1 and bool(np.all((counts[1:] == 0) | (counts[1:] == 2)))
+
+
+def _planar_check(state, pair):
+    a, b = pair
+    if _planar(state, a, b) == (a == 0 or b == 0):
+        return 1, 0, None
+    return 1, 0, {"a": a, "b": b, "w": state["w"]}
 
 
 def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
@@ -426,62 +468,32 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
     Sample mode scans the full ab = 0 boundary plus N seeded random ab != 0
     pairs; full mode scans every (a, b).
     """
-    params = dict(params or {})
-    q = int(params.get("q", 3))
-    m = int(params.get("m", 3))
-    k = int(params.get("k", 1))
-    sample = params.get("sample")
+    params = _read_params(params, q=3, m=3, k=1, sample=None)
+    q, m, k = int(params["q"]), int(params["m"]), int(params["k"])
+    sample = params["sample"]
     p, e = factor_prime_power(q)
     if p == 2:
         raise ValueError("planar functions need odd q")
     if math.gcd(k, m) != 1 or m < 3:
         raise ValueError("need gcd(k, m) = 1 and m >= 3")
+    if sample is not None and int(sample) < 0:
+        raise ValueError(f"sample must be at least 0 (got {sample})")
     ctx = build_tower(p, e, m)
     N = ctx.N
-    amb = np.arange(N, dtype=np.int64)
-    w = ctx.least_nonsquare("q2n")
-    x2 = ctx.vmul(amb, amb)
-    xqm1 = ctx.vmul(amb, ctx.frob_table(ctx.e * m)[amb])   # x^(1+q^m)
-    x2qm = ctx.frob_table(ctx.e * m)[x2]                   # x^(2 q^m)
-    wterm = ctx.vmul(w, ctx.frob_table(ctx.e * k)[x2])     # w x^(2 q^k)
-    two = 2 % p
-
-    def planar(a: int, b: int) -> bool:
-        vals = ctx.vsub(
-            ctx.vadd(ctx.vadd(ctx.vmul(ctx.mul(a, a), x2),
-                              ctx.vmul(ctx.mul(two, ctx.mul(a, b)), xqm1)),
-                     ctx.vmul(ctx.mul(b, b), x2qm)),
-            wterm)
-        counts = np.bincount(vals, minlength=N)
-        return counts[0] == 1 and bool(np.all((counts[1:] == 0) | (counts[1:] == 2)))
-
-    t0 = time.time()
-    scanned = 0
-    cex = None
     if sample is None:        # full scan
         if N * N > 10 ** 6:
             raise ValueError("full scan exceeds the desk-scale budget")
-        for a, b in itertools.product(range(N), range(N)):
-            scanned += 1
-            if planar(a, b) != (a == 0 or b == 0):
-                cex = {"a": a, "b": b, "w": w}
-                break
+        pairs = list(itertools.product(range(N), range(N)))
     else:
-        boundary = [(0, 0)] + [(a, 0) for a in range(1, N)] + \
-                   [(0, b) for b in range(1, N)]
         rng = np.random.default_rng(seed)
-        bulk = [(int(rng.integers(1, N)), int(rng.integers(1, N)))
-                for _ in range(int(sample))]
-        for a, b in itertools.chain(boundary, bulk):
-            scanned += 1
-            if planar(a, b) != (a == 0 or b == 0):
-                cex = {"a": a, "b": b, "w": w}
-                break
-    return VerdictReport(
-        "planar-dichotomy", {"q": q, "m": m, "k": k,
-                             "sample": sample, "seed": seed},
-        "counterexample" if cex else "confirmed", cex, scanned,
-        time.time() - t0, {"w": int(w)})
+        pairs = ([(0, 0)] + [(a, 0) for a in range(1, N)] + [(0, b) for b in range(1, N)]
+                 + [(int(rng.integers(1, N)), int(rng.integers(1, N)))
+                    for _ in range(int(sample))])
+    w = int(ctx.least_nonsquare("q2n"))
+    return _run_scan(
+        "planar-dichotomy", {"q": q, "m": m, "k": k, "sample": sample, "seed": seed},
+        pairs, _planar_setup, (p, e, m, k), _planar_check,
+        lambda hits, cex: {"w": w}, jobs, out)
 
 
 # -- dispatcher and reporting --------------------------------------------------------

@@ -410,6 +410,8 @@ class FieldCtx:
     def vpow(self, A, m: int):
         if m == 0:
             return np.ones(np.shape(A), dtype=np.int64)
+        if m < 0 and np.any(np.asarray(A) == 0):
+            raise ZeroDivisionError("0 to a negative power")
         M = self.N - 1
         # int64: log * (m mod M) can pass 2^31; zeros keep their sentinel
         # 2M and so land in the zero tail of the antilog table

@@ -176,32 +176,44 @@ def assoc_matrix(L: QPoly) -> list[list[Elt]]:
             for i in range(m)]
 
 
-def _rank(ctx: FieldCtx, rows: list[list[Elt]]) -> int:
-    """Rank of a small matrix of field-element encodings, Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank, prow = 0, 0
-    for col in range(ncols):
-        piv = next((r for r in range(prow, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
+def rref(ctx: FieldCtx, M) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a matrix of field-element encodings:
+    (its nonzero rows, their pivot columns).
+
+    The encodings 0..p-1 are the prime field, so F_p matrices work unchanged.
+    """
+    R = np.atleast_2d(np.array(M, dtype=np.int64))
+    pivots: list[int] = []
+    for col in range(R.shape[1]):
+        r = len(pivots)
+        nz = R[r:, col].nonzero()[0]
+        if not nz.size:
             continue
-        rows[prow], rows[piv] = rows[piv], rows[prow]
-        inv = ctx.inv(rows[prow][col])
-        rows[prow] = [ctx.mul(inv, v) for v in rows[prow]]
-        for r in range(len(rows)):
-            if r != prow and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(rows[r], rows[prow])]
-        rank += 1
-        prow += 1
-        if prow == len(rows):
+        if nz[0]:
+            R[[r, r + nz[0]]] = R[[r + nz[0], r]]
+        R[r] = ctx.vmul(ctx.inv(int(R[r, col])), R[r])
+        f = R[:, col].copy()
+        f[r] = 0                  # rows with f = 0, the pivot row among them, stay
+        R = ctx.vsub(R, ctx.vmul(f[:, None], R[r]))
+        pivots.append(col)
+        if len(pivots) == len(R):
             break
-    return rank
+    return R[:len(pivots)], pivots
+
+
+def nullspace(ctx: FieldCtx, M) -> np.ndarray:
+    """Rows spanning {v : M v = 0}, one per free column of rref(M)."""
+    R, pivots = rref(ctx, M)
+    free = [c for c in range(R.shape[1]) if c not in pivots]
+    out = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = ctx.vneg(R[:, free].T)
+    return out
 
 
 def kernel_dim(L: QPoly) -> int:
     """dim over the base field of ker L, via the associated matrix rank."""
-    return L.m - _rank(L.ctx, assoc_matrix(L))
+    return L.m - len(rref(L.ctx, assoc_matrix(L))[1])
 
 
 def kernel_basis(L: QPoly) -> list[Elt]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import Elt, FieldCtx
-from .linpoly import _rank
+from .linpoly import nullspace
 
 
 class DOPoly:
@@ -263,29 +263,11 @@ def radical(S: QuadSpace) -> list[Elt]:
     ctx = S.ctx
     basis = ctx.subfield_basis(S.field_k, "q")
     gram = [[S.bilinear(bi, bj) for bj in basis] for bi in basis]
-    # nullspace of the Gram matrix over F_q by elimination on an augmented copy
-    m = S.dim
-    rows = [list(r) + [1 if t == i else 0 for t in range(m)] for i, r in enumerate(gram)]
-    # eliminate on the first m columns; rows reduced to zero give radical coords
-    lead = 0
-    for col in range(m):
-        piv = next((r for r in range(lead, m) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        inv = ctx.inv(rows[lead][col])
-        rows[lead] = [ctx.mul(inv, v) for v in rows[lead]]
-        for r in range(m):
-            if r != lead and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(rows[r], rows[lead])]
-        lead += 1
     out = []
-    for r in range(lead, m):
-        coords = rows[r][m:]
+    for coords in nullspace(ctx, gram):
         v = 0
         for c, b in zip(coords, basis):
-            v = ctx.add(v, ctx.mul(c, b))
+            v = ctx.add(v, ctx.mul(int(c), b))
         out.append(v)
     S._radical = out
     return out

@@ -17,68 +17,9 @@ from itertools import product
 import numpy as np
 
 from .field import Elt, FieldCtx, ctx_from_json, digits_of
-from .linpoly import QPoly, _rank
+from .linpoly import QPoly, nullspace, rref
 from .quadform import is_permutation_brute, is_permutation_via_rank, permutes_cosets
 from .semifield import is_planar_2to1, q_from_component
-
-
-# -- linear algebra over F_p (digit coordinates) and F_q (encoded entries) -----
-
-
-def _rref_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    M = np.array(M, dtype=np.int64) % p
-    rows, cols = M.shape
-    pivots = []
-    lead = 0
-    for col in range(cols):
-        if lead >= rows:
-            break
-        piv = next((r for r in range(lead, rows) if M[r, col]), None)
-        if piv is None:
-            continue
-        M[[lead, piv]] = M[[piv, lead]]
-        M[lead] = (M[lead] * pow(int(M[lead, col]), p - 2, p)) % p
-        hit = M[:, col] != 0
-        hit[lead] = False
-        M[hit] = (M[hit] - np.outer(M[hit, col], M[lead])) % p
-        pivots.append(col)
-        lead += 1
-    return M, pivots
-
-
-def _nullspace_mod_p(M: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning {v : M v = 0} over F_p."""
-    R, pivots = _rref_mod_p(M, p)
-    cols = R.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    out = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        out[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            out[k, pc] = (-R[r, fc]) % p
-    return out
-
-
-def _rref_fq(ctx: FieldCtx, rows: list[list[Elt]]) -> list[list[Elt]]:
-    """Reduced echelon form over F_q with encoded entries; zero rows dropped."""
-    rows = [list(r) for r in rows]
-    cols = len(rows[0]) if rows else 0
-    out: list[list[Elt]] = []
-    for col in range(cols):
-        piv = next((r for r in rows if r[col] != 0
-                    and all(r[c] == 0 for c in range(col))), None)
-        if piv is None:
-            continue
-        rows.remove(piv)
-        inv = ctx.inv(piv[col])
-        piv = [ctx.mul(inv, v) for v in piv]
-        for group in (rows, out):
-            for i, r in enumerate(group):
-                if r[col] != 0:
-                    f = r[col]
-                    group[i] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(r, piv)]
-        out.append(piv)
-    return out
 
 
 def _pdigit_rows(ctx: FieldCtx, els) -> np.ndarray:
@@ -131,14 +72,13 @@ class Subspace:
         """Canonical reduced-echelon F_q-basis."""
         if self._basis is None:
             d = self.ctx.d
-            coords = [list(self.ctx.coords(int(x), d, "q")) for x in self.elements if x]
-            rref = _rref_fq(self.ctx, coords)
+            coords = [self.ctx.coords(int(x), d, "q") for x in self.elements if x]
             amb = self.ctx.subfield_basis(d, "q")
             out = []
-            for row in rref:
+            for row in rref(self.ctx, coords)[0]:
                 v = 0
                 for c, b in zip(row, amb):
-                    v = self.ctx.add(v, self.ctx.mul(c, b))
+                    v = self.ctx.add(v, self.ctx.mul(int(c), b))
                 out.append(v)
             self._basis = out
         return self._basis
@@ -312,23 +252,23 @@ def kernel_of_spread(S: Spread) -> int:
     for C in S.components:
         fp_basis = [ctx.mul(b, m) for b in C.basis for m in fq_over_fp]
         D = _pdigit_rows(ctx, fp_basis)
-        ann = _nullspace_mod_p(D, p)
+        ann = nullspace(ctx, D)
         for w in D:
             for a in ann:
                 rows.append(np.outer(a, w).reshape(-1) % p)
     M = np.array(rows, dtype=np.int64)
-    _, pivots = _rref_mod_p(M, p)
-    s = d * d - len(pivots)
+    K = nullspace(ctx, M)
+    s = len(K)
     size = p ** s
     if s % ctx.e != 0:
         warnings.warn("kernel size is not a power of q", stacklevel=2)
     if size <= 4096:
-        basis_mats = [v.reshape(d, d) for v in _nullspace_mod_p(M, p)]
+        basis_mats = [v.reshape(d, d) for v in K]
         for coeffs in product(range(p), repeat=len(basis_mats)):
             if not any(coeffs):
                 continue
             T = sum(c * B for c, B in zip(coeffs, basis_mats)) % p
-            if len(_rref_mod_p(T, p)[1]) != d:
+            if len(rref(ctx, T)[1]) != d:
                 warnings.warn("kernel endomorphisms do not form a field",
                               stacklevel=2)
                 break
@@ -441,9 +381,8 @@ def symplectic_check(S: Spread, delta: Elt) -> bool:
         sums = ctx.vadd(els[:, None], els[None, :])
         if not np.array_equal(T[sums], ctx.vadd(T[:, None, :], T[None, :, :])):
             return False
-    gram = [[int(T[x, y]) for y in ctx.subfield_basis(ctx.d, "q")]
-            for x in ctx.subfield_basis(ctx.d, "q")]
-    if _rank(ctx, gram) != 2 * ctx.n:
+    basis = ctx.subfield_basis(ctx.d, "q")
+    if len(rref(ctx, T[np.ix_(basis, basis)])[1]) != 2 * ctx.n:
         return False
     for C in S.components:
         if np.any(T[np.ix_(C.elements, C.elements)]):

@@ -131,3 +131,24 @@ def test_experiment_rejects_jobs_below_1(tmp_path, capsys, jobs):
                  "--jobs", jobs, "--out", str(out)]) == 1
     assert f"--jobs must be at least 1 (got {jobs})" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["no-typec-odd", "--q", "3", "--n", "2", "--sample", "5", "--k", "9"],
+     "unknown parameter(s) k, sample"),
+    (["planar-dichotomy", "--sample", "-5"], "sample must be at least 0"),
+], ids=["unused-params", "negative-sample"])
+def test_experiment_rejects_params(tmp_path, capsys, argv, msg):
+    out = tmp_path / "r.json"
+    assert main(["experiment", *argv, "--out", str(out)]) == 1
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_refuses_corrupt_state(tmp_path, capsys):
+    out = tmp_path / "h.json"
+    (tmp_path / "h.json.state").write_text("{broken")
+    assert main(["experiment", "hermite-coefficient", "--q", "2",
+                 "--out", str(out)]) == 1
+    assert "h.json.state" in capsys.readouterr().err
+    assert not out.exists()

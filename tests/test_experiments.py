@@ -9,10 +9,11 @@ import pytest
 
 import spreadlab.experiments as ex
 from spreadlab import (ExperimentSpec, QPoly, build_tower, even3_admissible,
-                       is_permutation_brute, q_from_pair, run_experiment)
-from spreadlab.experiments import (VerdictReport, _clear_state, _init_even8,
-                                   _load_state, _save_state, even3_perm_predicate,
-                                   report_write, verify_hermite,
+                       is_permutation_brute, planar_family_check, q_from_pair,
+                       run_experiment)
+from spreadlab.experiments import (VerdictReport, _clear_state, _load_state,
+                                   _save_state, even3_perm_predicate, report_write,
+                                   verify_even_n3_classification, verify_hermite,
                                    verify_no_typeC_even_8dim, verify_no_typeC_odd,
                                    verify_planar_dichotomy)
 
@@ -26,12 +27,6 @@ def test_odd_confirmed():
     assert rep.candidates == 648
     assert rep.details == {"polynomials": 81, "deltas": 8}
     assert rep.counterexample is None
-
-
-def test_odd_parallel_matches_serial():
-    one = verify_no_typeC_odd({"q": 3, "n": 2}, jobs=1)
-    two = verify_no_typeC_odd({"q": 3, "n": 2}, jobs=2)
-    assert (one.verdict, one.candidates) == (two.verdict, two.candidates)
 
 
 def test_odd_counterexample_payload(monkeypatch):
@@ -52,6 +47,8 @@ def test_odd_preconditions():
         verify_no_typeC_odd({"q": 3, "n": 3})
     with pytest.raises(ValueError):
         verify_no_typeC_odd({"q": 3, "n": 4})      # 81^4 polynomials: over budget
+    with pytest.raises(ValueError, match=r"unknown parameter\(s\) k, sample"):
+        verify_no_typeC_odd({"q": 3, "n": 2, "sample": 5, "k": 9})
 
 
 # -- even q, n = 3 classification ------------------------------------------------------
@@ -114,9 +111,60 @@ def test_dichotomy_preconditions():
         verify_planar_dichotomy({"q": 3, "m": 3, "k": 3, "sample": 1})
     with pytest.raises(ValueError):
         verify_planar_dichotomy({"q": 3, "m": 4, "k": 1})   # full scan over budget
+    with pytest.raises(ValueError, match="sample must be at least 0"):
+        verify_planar_dichotomy({"q": 3, "m": 3, "k": 1, "sample": -5})
 
 
-# -- 8-dimensional even scan: checkpointing and the vectorized kernel ----------------------
+def test_planar_fast_path_matches_reference():
+    # the scan's precomputed checker against semifield.planar_family_check,
+    # on the whole ab = 0 boundary (planar) and 200 seeded ab != 0 pairs
+    state = ex._planar_setup(3, 1, 3, 1)
+    ctx, w = state["ctx"], state["w"]
+    N = ctx.N
+    rng = np.random.default_rng(11)
+    pairs = ([(0, 0)] + [(a, 0) for a in range(1, N)] + [(0, b) for b in range(1, N)]
+             + [tuple(int(x) for x in rng.integers(1, N, 2)) for _ in range(200)])
+    assert len(pairs) == 1457 + 200
+    for a, b in pairs:
+        assert ex._planar(state, a, b) == planar_family_check(ctx, a, b, w, 1)
+
+
+# -- running scans: ordering, first hits, checkpoints ----------------------------------
+
+
+@pytest.mark.parametrize("verify, params", [
+    (verify_no_typeC_odd, {"q": 3, "n": 2}),
+    (verify_even_n3_classification, {"q": 2}),
+    (verify_hermite, {"q": 2}),
+    (verify_planar_dichotomy, {"q": 3, "m": 3, "k": 1, "sample": 50}),
+], ids=["no-typec-odd", "even3-classification", "hermite-coefficient",
+        "planar-dichotomy"])
+def test_parallel_matches_serial(verify, params):
+    one = verify(params, jobs=1)
+    two = verify(params, jobs=2)
+    assert (one.verdict, one.candidates, one.details, one.counterexample) == \
+        (two.verdict, two.candidates, two.details, two.counterexample)
+
+
+def _fake_setup(size):
+    return size
+
+
+def _fake_check(size, item):
+    # items 3 and 5 hit at their fifth candidate; the others cover size each
+    if item in (3, 5):
+        return 5, 1, {"item": item}
+    return size, 0, None
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_first_hit_accounting(jobs):
+    rep = ex._run_scan("fake", {}, list(range(8)), _fake_setup, (10,), _fake_check,
+                       lambda hits, cex: {"hits": hits}, jobs, None)
+    assert rep.verdict == "counterexample"
+    assert rep.counterexample == {"item": 3}
+    assert rep.candidates == 3 * 10 + 4 + 1
+    assert rep.details == {"hits": 1}
 
 
 def test_state_round_trip(tmp_path):
@@ -129,16 +177,51 @@ def test_state_round_trip(tmp_path):
     _clear_state(out)                       # idempotent
     with open(out + ".state", "w") as fh:
         fh.write("{broken")
-    assert _load_state(out, "k1") is None
+    with pytest.raises(ValueError, match="r.json.state"):
+        _load_state(out, "k1")              # refuse, never silently restart
     os.remove(out + ".state")
+
+
+class _Interrupt(Exception):
+    pass
+
+
+def test_interrupted_scan_resumes(tmp_path, monkeypatch):
+    full = verify_even_n3_classification({"q": 2})
+    out = str(tmp_path / "even3.json")
+    # 56 candidates per item: a checkpoint after every second item
+    monkeypatch.setattr(ex, "CHECKPOINT_EVERY", 100)
+    brute = ex.is_permutation_brute
+    calls, limit = 0, 20 * 56
+
+    def counted(Q):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise _Interrupt
+        return brute(Q)
+
+    monkeypatch.setattr(ex, "is_permutation_brute", counted)
+    with pytest.raises(_Interrupt):             # stops in item 20, after 20 items
+        verify_even_n3_classification({"q": 2}, out=out)
+    assert os.path.exists(out + ".state")
+    calls, limit = 0, float("inf")
+    rep = verify_even_n3_classification({"q": 2}, out=out)
+    assert calls == (64 - 20) * 56              # resumed at item 20
+    assert (rep.verdict, rep.candidates, rep.details) == \
+        (full.verdict, full.candidates, full.details)
+    assert not os.path.exists(out + ".state")
 
 
 def test_even8_resume_completes(tmp_path):
     # resume four deltas from the end of a fabricated checkpoint; totals must
     # line up with the known full-run census
     out = str(tmp_path / "even8.json")
-    _save_state(out, "no-typec-even8:q=2", delta_pos=236,
-                candidates=236 * 65536, perm_pairs=236 * 16, seconds=12.5)
+    ctx = build_tower(2, 1, 4)
+    deltas = [d for d in range(1, ctx.N) if not ctx.in_subfield(d, "qn")]
+    key = ex._state_key("no-typec-even8", {"q": 2}, deltas)
+    _save_state(out, key, pos=236, candidates=236 * 65536, hits=236 * 16,
+                seconds=12.5)
     rep = verify_no_typeC_even_8dim({"q": 2}, out=out)
     assert rep.verdict == "confirmed"
     assert rep.candidates == 240 * 65536
@@ -149,9 +232,8 @@ def test_even8_resume_completes(tmp_path):
 
 
 def test_even8_vectorized_matches_brute():
-    _init_even8(2, 1)
-    ctx = ex._G["ctx"]
-    dom = ex._G["dom"]
+    state = ex._even8_setup(2, 1)
+    ctx, dom = state["ctx"], state["dom"]
     qn = len(dom)
     ident = QPoly.identity(ctx)
     deltas = [d for d in range(1, ctx.N) if not ctx.in_subfield(d, "qn")]
@@ -159,14 +241,12 @@ def test_even8_vectorized_matches_brute():
     rows = [0, 3 * qn ** 3] + [int(r) for r in rng.integers(0, qn ** 4, 10)]
     for row in rows:
         delta = int(rng.choice(deltas))
-        mul_d = ctx.vmul(delta, np.arange(ctx.N, dtype=np.int64))
-        w = ctx.vadd(ex._G["ltab"][row], mul_d[dom])
-        occ = np.bitwise_or.reduce(1 << ex._G["pos"][ex._G["norm"][w]])
-        vec = bool(occ == ex._G["full"])
+        # the check on a one-row L table: one candidate, one hit if it permutes
+        scanned, hits, _ = ex._even8_check(dict(state, ltab=state["ltab"][[row]]), delta)
+        assert scanned == 1
         coeffs = [int(dom[(row // qn ** (3 - i)) % qn]) for i in range(4)]
         Q = q_from_pair(QPoly(ctx, coeffs), ident, delta)
-        assert vec == is_permutation_brute(Q)
-    ex._G.clear()
+        assert (hits == 1) == is_permutation_brute(Q)
 
 
 def test_even8_preconditions():

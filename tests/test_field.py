@@ -291,6 +291,10 @@ def test_vector_kernels_every_pair(tower):
         got = ctx.vpow(dom, m)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, _expect_pow(ref, dom, m))
+        if m < 0:           # zero inputs raise, as pow(0, m) and vinv do
+            for zeros in (every, np.array(0)):
+                with pytest.raises(ZeroDivisionError):
+                    ctx.vpow(zeros, m)
     with pytest.raises(ZeroDivisionError):
         ctx.vinv(every)
 
@@ -320,6 +324,9 @@ def test_scalar_kernels_every_pair(tower):
         dom = every if m >= 0 else units
         np.testing.assert_array_equal([ctx.pow(int(a), m) for a in dom],
                                       _expect_pow(ref, dom, m))
+        if m < 0:
+            with pytest.raises(ZeroDivisionError):
+                ctx.pow(0, m)
     # Python ints in, Python ints out; table reads give Python ints for
     # numpy ints too
     a, b = N - 1, 1
