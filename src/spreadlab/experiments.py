@@ -24,7 +24,7 @@ import numpy as np
 from .field import FieldCtx, build_tower, factor_prime_power
 from .linpoly import QPoly
 from .quadform import DOPoly, is_permutation_brute, permutes_cosets
-from .semifield import is_planar_2to1, q_from_component, q_from_pair
+from .semifield import _two_to_one, q_from_component, q_from_pair
 
 CHECKPOINT_EVERY = 1_000_000
 
@@ -198,7 +198,7 @@ def _odd_check(state, coeffs):
 
 
 def verify_no_typeC_odd(params: dict | None = None, *, jobs: int = 1,
-                        out: str | None = None, **_ignored) -> VerdictReport:
+                        seed: int = 0, out: str | None = None) -> VerdictReport:
     """Exhaustively confirm that no (L, delta) at odd q, even n makes
     Q = (X + delta L)(X + delta^(q^n) L) permute F_{q^n}^* / F_q^*."""
     params = _read_params(params, q=3, n=2)
@@ -266,7 +266,7 @@ def _even8_check(state, delta: int):
 
 
 def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
-                              out: str | None = None, **_ignored) -> VerdictReport:
+                              seed: int = 0, out: str | None = None) -> VerdictReport:
     """No type C spread of F_{q^8} with kernel F_q, q even.
 
     Scans every q-polynomial L on F_{q^4} and every delta outside F_{q^4},
@@ -338,7 +338,7 @@ def _even3_check(state, coeffs):
 
 
 def verify_even_n3_classification(params: dict | None = None, *, jobs: int = 1,
-                                  out: str | None = None, **_ignored) -> VerdictReport:
+                                  seed: int = 0, out: str | None = None) -> VerdictReport:
     """For every monic reduced q-polynomial L on F_{q^3} and delta outside
     F_{q^3}: the brute permutation test of (L + delta X)(L + delta^(q^3) X)
     agrees with the coordinate classification predicate."""
@@ -413,7 +413,7 @@ def _hermite_check(ctx, delta):
 
 
 def verify_hermite(params: dict | None = None, *, jobs: int = 1,
-                   out: str | None = None, **_ignored) -> VerdictReport:
+                   seed: int = 0, out: str | None = None) -> VerdictReport:
     """Closed form vs brute coefficient for every delta outside F_{q^3}."""
     params = _read_params(params, q=2)
     q = int(params["q"])
@@ -449,8 +449,7 @@ def _planar(state, a: int, b: int) -> bool:
                           ctx.vmul(ctx.mul(2 % ctx.p, ctx.mul(a, b)), state["xqm1"])),
                  ctx.vmul(ctx.mul(b, b), state["x2qm"])),
         state["wterm"])
-    counts = np.bincount(vals, minlength=ctx.N)
-    return counts[0] == 1 and bool(np.all((counts[1:] == 0) | (counts[1:] == 2)))
+    return _two_to_one(ctx, vals)
 
 
 def _planar_check(state, pair):
@@ -461,8 +460,7 @@ def _planar_check(state, pair):
 
 
 def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
-                            seed: int = 0, out: str | None = None,
-                            **_ignored) -> VerdictReport:
+                            seed: int = 0, out: str | None = None) -> VerdictReport:
     """(a X + b X^(q^m))^2 - w X^(2 q^k) is planar exactly when ab = 0.
 
     Sample mode scans the full ab = 0 boundary plus N seeded random ab != 0

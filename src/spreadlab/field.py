@@ -24,7 +24,12 @@ ch. 9):
 
 The tables are int32 (encodings stay below the 2^24 table budget); the
 vectorized kernels return int64 arrays, and the scalar kernels read the same
-tables through memoryviews, which return Python ints.
+tables through memoryviews, which return Python ints.  The antilog table is
+built by doubling on the encodings, gamma^(h+i) = gamma^i * gamma^h with the
+second factor a d x d matrix over F_p, in row blocks of _EXP_BLOCK.
+
+to_coords and from_coords are the one map between encodings and coordinates
+over a subfield.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 Elt = int
 
 DEFAULT_TABLE_BUDGET = 1 << 24
+_EXP_BLOCK = 1 << 16          # rows per block while the antilog table is built
 
 
 def _is_prime(m: int) -> bool:
@@ -217,8 +223,6 @@ class FieldCtx:
                 f"p^(2ne) = {self.N} exceeds the table budget {budget}; "
                 "set SPREADLAB_TABLE_BUDGET to override")
         self.defining_poly = tuple(_least_irreducible(p, self.d))
-        self._pvec = np.array([p ** i for i in range(self.d)], dtype=np.int64)
-        self._build_reduction()
         self.gamma = self._find_gamma()
         self._build_exp_log()
         if p != 2:
@@ -231,38 +235,11 @@ class FieldCtx:
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_reduction(self):
-        # digits of X^(d+t) mod f for t = 0..d-2, used by the block multiply
-        p, d, f = self.p, self.d, self.defining_poly
-        red = np.zeros((d - 1, d), dtype=np.int64)
-        cur = [(-c) % p for c in f[:d]]            # X^d mod f
-        red[0] = cur
-        for t in range(1, d - 1):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for j in range(d):
-                    nxt[j] = (nxt[j] - top * f[j]) % p
-            cur = nxt
-            red[t] = cur
-        self._red = red
-
     def _raw_mul(self, a: int, b: int) -> int:
         """Product of two encodings via polynomial arithmetic (pre-table)."""
         p, d = self.p, self.d
-        da, db = digits_of(a, p, d), digits_of(b, p, d)
-        c = [0] * (2 * d - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    c[i + j] = (c[i + j] + ai * bj) % p
-        for t in range(d - 1):
-            hi = c[d + t]
-            if hi:
-                row = self._red[t]
-                for j in range(d):
-                    c[j] = (c[j] + hi * int(row[j])) % p
-        return _undigits(c[:d], p)
+        return _undigits(_poly_mulmod(digits_of(a, p, d), digits_of(b, p, d),
+                                      self.defining_poly, p), p)
 
     def _raw_pow(self, a: int, m: int) -> int:
         out, base = 1, a
@@ -281,39 +258,35 @@ class FieldCtx:
                 return g
         raise RuntimeError("no generator found")  # unreachable
 
-    def _mul_block(self, block: np.ndarray, b_digits) -> np.ndarray:
-        """Multiply a (m, d) digit array by a fixed element, vectorized."""
-        p, d = self.p, self.d
-        m = block.shape[0]
-        conv = np.zeros((m, 2 * d - 1), dtype=np.int64)
-        for j, bj in enumerate(b_digits):
-            if bj:
-                conv[:, j:j + d] += bj * block
-        low = conv[:, :d] + conv[:, d:] @ self._red
-        return low % p
-
     def _build_exp_log(self):
+        # Doubling on the encodings: gamma^(have+i) = gamma^i * gamma^have,
+        # with multiplication by gamma^have as a d x d matrix over F_p whose
+        # row j holds the digits of X^j * gamma^have.  Rows go in blocks of
+        # _EXP_BLOCK, so only a block's digits are ever held at once.
         p, d, N = self.p, self.d, self.N
-        V = np.zeros((N - 1, d), dtype=np.int64)
-        V[0, 0] = 1
+        M = N - 1
+        pvec = p ** np.arange(d, dtype=np.int64)
+        mult = np.array([digits_of(self._raw_mul(p ** j, self.gamma), p, d)
+                         for j in range(d)], dtype=np.int64)
+        table = np.zeros(4 * M + 1, dtype=np.int32)
+        table[0] = 1
         have = 1
-        while have < N - 1:
-            t = min(have, N - 1 - have)
-            g_s = self._raw_pow(self.gamma, have)
-            V[have:have + t] = self._mul_block(V[:t], digits_of(g_s, p, d))
+        while have < M:
+            t = min(have, M - have)
+            for lo in range(0, t, _EXP_BLOCK):
+                hi = min(t, lo + _EXP_BLOCK)
+                digits = table[lo:hi, None] // pvec % p
+                table[have + lo:have + hi] = digits @ mult % p @ pvec
+            mult = mult @ mult % p
             have += t
-        exp = V @ self._pvec
-        del V
+        exp = table[:M]
         if self._raw_mul(int(exp[-1]), self.gamma) != 1:
             raise RuntimeError("exp table construction failed to cycle")
-        M = N - 1
         log = np.full(N, -1, dtype=np.int32)
         log[exp] = np.arange(M, dtype=np.int32)
         if np.any(log[1:] < 0):
             raise RuntimeError("exp table is not a bijection")
         log[0] = 2 * M
-        table = np.zeros(4 * M + 1, dtype=np.int32)
-        table[:M] = exp
         table[M:2 * M] = exp
         table.flags.writeable = False
         log.flags.writeable = False
@@ -568,16 +541,39 @@ class FieldCtx:
             self._span_cache[key] = where
         return self._span_cache[key]
 
+    def to_coords(self, X, tag, over="q") -> np.ndarray:
+        """Coordinates of the encodings X over the smaller field w.r.t.
+        subfield_basis(tag, over), along a new last axis."""
+        k, ko = self.tag_degree(tag), self.tag_degree(over)
+        X = np.asarray(X, dtype=np.int64)
+        ok = (X >= 0) & (X < self.N)            # not an encoding: index -1
+        idx = np.where(ok, self.coord_index(k, ko)[X * ok], -1)
+        if np.any(idx < 0):
+            raise ValueError(f"element {X[idx < 0][0]} is not in the tagged field")
+        qo = self.p ** ko
+        return self.subfield_elements(ko)[idx[..., None] // self._place_values(k, ko) % qo]
+
+    def from_coords(self, C, tag, over="q") -> np.ndarray:
+        """Inverse of to_coords: the encodings whose coordinates lie along the
+        last axis of C."""
+        k, ko = self.tag_degree(tag), self.tag_degree(over)
+        C = np.asarray(C, dtype=np.int64)
+        if C.shape[-1:] != (k // ko,):
+            raise ValueError(f"expected {k // ko} coordinates along the last axis")
+        scalars = self.subfield_elements(ko)
+        digits = np.searchsorted(scalars, C)
+        wrong = scalars.take(digits, mode="clip") != C
+        if np.any(wrong):
+            raise ValueError(f"coordinate {C[wrong][0]} is not in the smaller field")
+        return self.span(self.subfield_basis(k, ko), ko)[digits @ self._place_values(k, ko)]
+
+    def _place_values(self, k: int, ko: int) -> np.ndarray:
+        # span() puts the first basis vector's coefficient most significant
+        return (self.p ** ko) ** np.arange(k // ko - 1, -1, -1, dtype=np.int64)
+
     def coords(self, x: Elt, tag, over="q") -> tuple[Elt, ...]:
         """Coordinates of x over the smaller field w.r.t. subfield_basis."""
-        k, ko = self.tag_degree(tag), self.tag_degree(over)
-        idx = int(self.coord_index(tag, over)[x])
-        if idx < 0:
-            raise ValueError(f"element {x} is not in the tagged field")
-        scalars = self.subfield_elements(ko)
-        qo = len(scalars)
-        m = k // ko
-        return tuple(int(scalars[(idx // qo ** (m - 1 - j)) % qo]) for j in range(m))
+        return tuple(self.to_coords(x, tag, over).tolist())
 
     # -- distinguished elements ----------------------------------------------------------
 

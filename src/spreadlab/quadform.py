@@ -126,13 +126,11 @@ def _canon_table(ctx: FieldCtx, field_k: int) -> np.ndarray:
     nonzero coordinate w.r.t. the fixed basis of the field over F_q."""
     key = ("canon", field_k)
     if key not in ctx._span_cache:
-        dom = ctx.subfield_elements(field_k)
+        units = ctx.subfield_elements(field_k)[1:]
+        C = ctx.to_coords(units, field_k, "q")
+        last = C[np.arange(len(C)), C.shape[1] - 1 - np.argmax(C[:, ::-1] != 0, axis=1)]
         out = np.zeros(ctx.N, dtype=np.int64)
-        for x in dom[1:]:
-            x = int(x)
-            cs = ctx.coords(x, field_k, "q")
-            last = next(c for c in reversed(cs) if c != 0)
-            out[x] = ctx.div(x, last)
+        out[units] = ctx.vmul(units, ctx.vinv(last))
         out.flags.writeable = False
         ctx._span_cache[key] = out
     return ctx._span_cache[key]
@@ -223,21 +221,13 @@ class QuadSpace:
     def from_coords(cls, ctx, coeffs: dict, field_tag="qn") -> "QuadSpace":
         """Coordinate form sum c_ij x_i x_j w.r.t. the fixed basis of V over F_q."""
         field_k = ctx.tag_degree(field_tag)
-        basis = ctx.subfield_basis(field_k, "q")
-        dim = len(basis)
         dom = ctx.subfield_elements(field_k)
-        idx = ctx.coord_index(field_k, "q")
-        scalars = ctx.subfield_elements("q")
-        qo = len(scalars)
-        pos = idx[dom]
-        coord_cols = []
-        for j in range(dim):
-            coord_cols.append(scalars[(pos // qo ** (dim - 1 - j)) % qo])
+        C = ctx.to_coords(dom, field_k, "q")
         out = np.zeros(len(dom), dtype=np.int64)
         for (i, j), c in coeffs.items():
-            if not (0 <= i < dim and 0 <= j < dim):
+            if not (0 <= i < C.shape[1] and 0 <= j < C.shape[1]):
                 raise ValueError("coordinate index out of range")
-            out = ctx.vadd(out, ctx.vmul(int(c), ctx.vmul(coord_cols[i], coord_cols[j])))
+            out = ctx.vadd(out, ctx.vmul(int(c), ctx.vmul(C[:, i], C[:, j])))
         return cls(ctx, out, field_k)
 
     def value(self, x: Elt) -> Elt:
@@ -261,14 +251,11 @@ def radical(S: QuadSpace) -> list[Elt]:
     if S._radical is not None:
         return S._radical
     ctx = S.ctx
-    basis = ctx.subfield_basis(S.field_k, "q")
-    gram = [[S.bilinear(bi, bj) for bj in basis] for bi in basis]
-    out = []
-    for coords in nullspace(ctx, gram):
-        v = 0
-        for c, b in zip(coords, basis):
-            v = ctx.add(v, ctx.mul(int(c), b))
-        out.append(v)
+    basis = np.array(ctx.subfield_basis(S.field_k, "q"), dtype=np.int64)
+    Qb = S.values[S._index[basis]]
+    Qsum = S.values[S._index[ctx.vadd(basis[:, None], basis[None, :])]]
+    gram = ctx.vsub(ctx.vsub(Qsum, Qb[:, None]), Qb[None, :])
+    out = ctx.from_coords(nullspace(ctx, gram), S.field_k, "q").tolist()
     S._radical = out
     return out
 

@@ -62,12 +62,14 @@ def is_planar_2to1(f: DOPoly) -> bool:
     _require_do(f)
     if f.ctx.p == 2:
         raise ValueError("planar functions need odd characteristic")
-    vals = f.values()
-    counts = np.bincount(vals, minlength=f.ctx.N)
-    if counts[0] != 1:
-        return False
+    return _two_to_one(f.ctx, f.values())
+
+
+def _two_to_one(ctx: FieldCtx, vals) -> bool:
+    """Does only 0 take the value 0, and every other value 0 or 2 times?"""
+    counts = np.bincount(vals, minlength=ctx.N)
     rest = counts[1:]
-    return bool(np.all((rest == 0) | (rest == 2)))
+    return bool(counts[0] == 1 and np.all((rest == 0) | (rest == 2)))
 
 
 # -- presemifields ------------------------------------------------------------
@@ -264,14 +266,9 @@ def rtcs_build(spec: RtcsSpec) -> Presemifield:
     xv = ctx.vmul(X[:, None], Y[None, :])
     yu = ctx.vmul(Y[:, None], X[None, :])
     yv = ctx.vmul(Y[:, None], Y[None, :])
-    g_xu = np.zeros_like(xu)
-    f_xu = np.zeros_like(xu)
-    for i, c in enumerate(spec.g.coeffs):
-        if c:
-            g_xu = ctx.vadd(g_xu, ctx.vmul(c, ctx.frob_table(spec.g.base_k * i)[xu]))
-    for i, c in enumerate(spec.f.coeffs):
-        if c:
-            f_xu = ctx.vadd(f_xu, ctx.vmul(c, ctx.frob_table(spec.f.base_k * i)[xu]))
+    at_xu = ctx.element_index(ctx.e)[xu]       # xu lies in F_q
+    g_xu = spec.g.values()[at_xu]
+    f_xu = spec.f.values()[at_xu]
     tpart = ctx.vadd(ctx.vadd(xv, yu), g_xu)
     prod = ctx.vadd(ctx.vmul(tpart, t), ctx.vadd(yv, f_xu))
     pos = ctx.element_index(k2)

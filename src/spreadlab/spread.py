@@ -16,14 +16,10 @@ from itertools import product
 
 import numpy as np
 
-from .field import Elt, FieldCtx, ctx_from_json, digits_of
+from .field import Elt, FieldCtx, ctx_from_json
 from .linpoly import QPoly, nullspace, rref
 from .quadform import is_permutation_brute, is_permutation_via_rank, permutes_cosets
 from .semifield import is_planar_2to1, q_from_component
-
-
-def _pdigit_rows(ctx: FieldCtx, els) -> np.ndarray:
-    return np.array([digits_of(int(x), ctx.p, ctx.d) for x in els], dtype=np.int64)
 
 
 # -- subspaces -------------------------------------------------------------------
@@ -71,16 +67,9 @@ class Subspace:
     def basis(self) -> list[Elt]:
         """Canonical reduced-echelon F_q-basis."""
         if self._basis is None:
-            d = self.ctx.d
-            coords = [self.ctx.coords(int(x), d, "q") for x in self.elements if x]
-            amb = self.ctx.subfield_basis(d, "q")
-            out = []
-            for row in rref(self.ctx, coords)[0]:
-                v = 0
-                for c, b in zip(row, amb):
-                    v = self.ctx.add(v, self.ctx.mul(int(c), b))
-                out.append(v)
-            self._basis = out
+            ctx = self.ctx
+            R = rref(ctx, ctx.to_coords(self.elements[1:], ctx.d, "q"))[0]
+            self._basis = ctx.from_coords(R, ctx.d, "q").tolist()
         return self._basis
 
     def __contains__(self, x: Elt) -> bool:
@@ -117,24 +106,18 @@ def component_from_pair(A: QPoly, B: QPoly, delta: Elt) -> Subspace:
     vals = ctx.vadd(A.values(), ctx.vmul(delta, B.values()))
     if len(np.unique(vals)) != ctx.q ** ctx.n:
         raise ValueError("parametrization is not injective; dimension would drop")
-    W = Subspace(ctx, elements=vals, verify=False)
-    W.dim = ctx.n
-    return W
+    return Subspace(ctx, elements=vals, verify=False)
 
 
 def _scaled(W: Subspace, g: Elt) -> Subspace:
-    out = Subspace(W.ctx, elements=np.sort(W.ctx.vmul(g, W.elements)), verify=False)
-    out.dim = W.dim
-    return out
+    return Subspace(W.ctx, elements=np.sort(W.ctx.vmul(g, W.elements)), verify=False)
 
 
 def _psi_image(W: Subspace, eta: Elt) -> Subspace:
     """psi(z) = eta z^{q^n}, an F_q-linear bijection of the ambient field."""
     ctx = W.ctx
     els = ctx.vmul(eta, ctx.frob_table(ctx.n * ctx.e)[W.elements])
-    out = Subspace(ctx, elements=np.sort(els), verify=False)
-    out.dim = W.dim
-    return out
+    return Subspace(ctx, elements=np.sort(els), verify=False)
 
 
 def orbit(W: Subspace, kind: str, eta: Elt | None = None) -> list[Subspace]:
@@ -240,24 +223,22 @@ def kernel_of_spread(S: Spread) -> int:
     """Order of the field of F_p-linear endomorphisms fixing every component.
 
     Solves the combined linear system T(W_j) <= W_j over F_p and returns
-    p^dim of its solution space; warns if the solution set is not a field or
-    its size is not a power of q.
+    p^dim of its solution space, which it also stores in S.kernel; warns if
+    the solution set is not a field or its size is not a power of q.
     """
     if not isinstance(S, Spread) or not S.verified:
         raise ValueError("kernel is defined for verified spreads")
     ctx = S.ctx
     p, d = ctx.p, ctx.d
-    fq_over_fp = ctx.subfield_basis("q", 1)
+    fq_over_fp = np.array(ctx.subfield_basis("q", 1), dtype=np.int64)
     rows = []
     for C in S.components:
-        fp_basis = [ctx.mul(b, m) for b in C.basis for m in fq_over_fp]
-        D = _pdigit_rows(ctx, fp_basis)
+        fp_basis = ctx.vmul(np.array(C.basis, dtype=np.int64)[:, None], fq_over_fp[None, :])
+        D = ctx.to_coords(fp_basis.reshape(-1), d, "p")
         ann = nullspace(ctx, D)
-        for w in D:
-            for a in ann:
-                rows.append(np.outer(a, w).reshape(-1) % p)
-    M = np.array(rows, dtype=np.int64)
-    K = nullspace(ctx, M)
+        # one row a (x) w per pair (w in D, a in ann), a_i w_j at i * d + j
+        rows.append((ann[None, :, :, None] * D[:, None, None, :]).reshape(-1, d * d) % p)
+    K = nullspace(ctx, np.concatenate(rows))
     s = len(K)
     size = p ** s
     if s % ctx.e != 0:
@@ -272,6 +253,7 @@ def kernel_of_spread(S: Spread) -> int:
                 warnings.warn("kernel endomorphisms do not form a field",
                               stacklevel=2)
                 break
+    S.kernel = size
     return size
 
 
@@ -408,7 +390,6 @@ class KeyLemmaReport:
         self.sides["component_injective"] = injective
         if injective:
             W = Subspace(ctx, elements=vals, verify=False)
-            W.dim = ctx.n
             partial = is_partial_spread(orbit(W, "beta2"))
             full = is_spread(orbit(W, "beta"))
         else:

@@ -51,6 +51,15 @@ def test_odd_preconditions():
         verify_no_typeC_odd({"q": 3, "n": 2, "sample": 5, "k": 9})
 
 
+@pytest.mark.parametrize("verify", [verify_no_typeC_odd, verify_no_typeC_even_8dim,
+                                    verify_even_n3_classification, verify_hermite,
+                                    verify_planar_dichotomy], ids=lambda f: f.__name__)
+def test_misspelt_keyword_is_refused(verify):
+    # "job" for "jobs" must not silently run a serial scan
+    with pytest.raises(TypeError, match="job"):
+        verify(None, job=2)
+
+
 # -- even q, n = 3 classification ------------------------------------------------------
 
 

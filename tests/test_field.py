@@ -1,10 +1,12 @@
 """Field tower construction, special elements, and arithmetic invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spreadlab import build_tower, ctx_from_json, factor_prime_power
-from spreadlab.field import digits_of
+from spreadlab.field import FieldCtx, digits_of
 
 
 def _order(ctx, x):
@@ -180,6 +182,86 @@ def test_coords_round_trip(c313):
         for c, b in zip(cs, basis):
             acc = c313.add(acc, c313.mul(c, b))
         assert acc == x
+
+
+# -- the encoding <-> coordinate map ---------------------------------------------
+#
+# (2,2,3) and (3,2,2) have e > 1, so every basis over F_q there is made of
+# powers of a primitive element rather than the defining-polynomial basis.
+
+COORD_TOWERS = [(3, 1, 1), (7, 1, 1), (2, 1, 3), (5, 1, 2), (3, 1, 3), (7, 1, 2),
+                (2, 2, 3), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("tower", COORD_TOWERS, ids=str)
+@pytest.mark.parametrize("tag", ["q", "qn", "q2n"])
+def test_coordinate_map_round_trip(tower, tag):
+    ctx = build_tower(*tower)
+    dom = ctx.subfield_elements(tag)
+    basis = ctx.subfield_basis(tag, "q")
+    C = ctx.to_coords(dom, tag, "q")
+    assert C.shape == (len(dom), len(basis))
+    assert all(ctx.in_subfield(int(c), "q") for c in np.unique(C))
+    np.testing.assert_array_equal(ctx.from_coords(C, tag, "q"), dom)
+    for x, cs in zip(dom.tolist(), C.tolist()):
+        acc = 0
+        for c, b in zip(cs, basis):
+            acc = ctx.add(acc, ctx.mul(c, b))
+        assert acc == x
+    # leading axes are kept
+    block = dom[:6].reshape(2, 3) if len(dom) >= 6 else dom[:, None]
+    np.testing.assert_array_equal(ctx.to_coords(block, tag, "q"),
+                                  C[:block.size].reshape(block.shape + (len(basis),)))
+
+
+@pytest.mark.parametrize("tower", COORD_TOWERS, ids=str)
+def test_coordinates_over_prime_field_are_digits(tower):
+    ctx = build_tower(*tower)
+    every = np.arange(ctx.N)
+    want = np.array([digits_of(x, ctx.p, ctx.d) for x in range(ctx.N)])
+    np.testing.assert_array_equal(ctx.to_coords(every, ctx.d, "p"), want)
+    np.testing.assert_array_equal(ctx.from_coords(want, ctx.d, "p"), every)
+    assert ctx.coords(ctx.N - 1, ctx.d, "p") == tuple([ctx.p - 1] * ctx.d)
+
+
+@pytest.mark.parametrize("tower", COORD_TOWERS, ids=str)
+@pytest.mark.parametrize("tag", ["q", "qn"])
+def test_coordinate_map_rejects_outside_elements(tower, tag):
+    ctx = build_tower(*tower)
+    inside = ctx.subfield_elements(tag)
+    outside = next(x for x in range(ctx.N) if not ctx.in_subfield(x, tag))
+    for bad in (outside, [int(inside[-1]), outside, 0], np.array([[0], [outside]])):
+        with pytest.raises(ValueError, match=f"element {outside} "):
+            ctx.to_coords(bad, tag, "q")
+    for not_encoding in (-1, ctx.N):
+        with pytest.raises(ValueError, match=f"element {not_encoding} "):
+            ctx.to_coords([0, not_encoding], tag, "q")
+    with pytest.raises(ValueError):
+        ctx.coords(outside, tag, "q")
+    m = ctx.tag_degree("q2n") // ctx.tag_degree("q")
+    # a coordinate outside F_q, and the wrong number of coordinates
+    not_fq = next(x for x in range(ctx.N) if not ctx.in_subfield(x, "q"))
+    with pytest.raises(ValueError, match=f"coordinate {not_fq} "):
+        ctx.from_coords([[0] * m, [not_fq] + [0] * (m - 1)], "q2n", "q")
+    with pytest.raises(ValueError, match="coordinate -1 "):
+        ctx.from_coords([-1] + [0] * (m - 1), "q2n", "q")
+    with pytest.raises(ValueError):
+        ctx.from_coords([0] * (m + 1), "q2n", "q")
+
+
+def test_tower_construction_memory():
+    # FieldCtx directly, not build_tower, so no cached tower is reused.  At
+    # N = 531,441 and d = 12 the tables take about 10.6 MB; the bound leaves
+    # room for one construction block of digits, not for the digits of all
+    # N - 1 powers of gamma at once (8dN bytes, about 51 MB).
+    tracemalloc.start()
+    try:
+        ctx = FieldCtx(3, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.N == 531441
+    assert peak < 48e6, f"construction peaked at {peak / 1e6:.1f} MB"
 
 
 # -- every arithmetic kernel against slow, independent partners ------------------

@@ -158,6 +158,29 @@ def test_coset_representatives_size(c313, c312):
     assert len(coset_representatives(c312, "qn")) == 4
 
 
+def _canon_table_scalar(ctx, field_k):
+    """Reference: element by element, divide x by its last nonzero
+    coordinate from the scalar FieldCtx.coords."""
+    out = np.zeros(ctx.N, dtype=np.int64)
+    for x in ctx.subfield_elements(field_k)[1:].tolist():
+        cs = ctx.coords(x, field_k, "q")
+        last = next(c for c in reversed(cs) if c != 0)
+        out[x] = ctx.div(x, last)
+    return out
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (2, 1, 3), (3, 2, 2)],
+                         ids=str)
+def test_canon_table_matches_scalar_reference(tower):
+    ctx = build_tower(*tower)
+    for field_k in sorted({ctx.e, ctx.n * ctx.e, ctx.d}):
+        want = _canon_table_scalar(ctx, field_k)
+        np.testing.assert_array_equal(_canon_table(ctx, field_k), want)
+        reps = np.unique(want[ctx.subfield_elements(field_k)[1:]]).tolist()
+        assert coset_representatives(ctx, field_k) == reps
+        assert len(reps) == (ctx.p ** field_k - 1) // (ctx.q - 1)
+
+
 def _permutes_cosets_scalar(f):
     """Reference: evaluate f with DOPoly.__call__ at every coset
     representative, the representatives rebuilt from the canonical table."""

@@ -4,6 +4,7 @@ orbit/polynomial correspondence."""
 import numpy as np
 import pytest
 
+import spreadlab.spread as spread_mod
 from spreadlab import (QPoly, Spread, Subspace, build_even_n3, build_typeC,
                        build_typeH, check_key_lemma, component_from_pair,
                        even3_admissible, gcd_condition, is_partial_spread,
@@ -302,6 +303,25 @@ def test_spread_json_round_trip(spread_c313):
     assert len(back.components) == 28
     assert set(back.components) == set(spread_c313.components)
     assert is_spread(back.components)
+
+
+def test_kernel_is_stored_and_not_recomputed(c313, monkeypatch):
+    S = build_typeC(c313, 1, c313.find_deltas()[0])
+    assert S.kernel is None
+    assert kernel_of_spread(S) == S.kernel == 3
+
+    def no_elimination(*args):
+        raise AssertionError("to_json eliminated the kernel system again")
+
+    monkeypatch.setattr(spread_mod, "nullspace", no_elimination)
+    assert S.to_json()["kernel"] == 3
+
+
+def test_kernel_loaded_from_json_is_recomputed(spread_c313):
+    doc = dict(spread_c313.to_json(), kernel=999)
+    S = Spread.from_json(doc)
+    assert S.kernel == 999
+    assert kernel_of_spread(S) == S.kernel == 3
 
 
 def test_kernel_requires_verified(c313, spread_c313):
