@@ -12,8 +12,7 @@ from .linpoly import (QPoly, adjoint, assoc_matrix, compose, kernel_basis,
                       qpoly_scale)
 from .quadform import (DOPoly, QuadSpace, classify_char2, coset_representatives,
                        count_zeros, is_permutation_brute,
-                       is_permutation_via_rank, permutes_cosets,
-                       qspace_from_trace, radical)
+                       is_permutation_via_rank, permutes_cosets, radical)
 from .semifield import (Presemifield, RtcsSpec, is_planar_2to1,
                         is_planar_direct, middle_nucleus,
                         middle_nucleus_elements, normalize, nucleus,
@@ -41,7 +40,7 @@ __all__ = [
     "middle_nucleus_elements", "normalize", "nucleus", "nucleus_elements",
     "orbit", "permutes_cosets", "planar_family_check",
     "planar_to_presemifield", "psi_image_check", "psi_map", "q_from_component",
-    "q_from_pair", "qpoly_add", "qpoly_scale", "qspace_from_trace", "radical",
+    "q_from_pair", "qpoly_add", "qpoly_scale", "radical",
     "report_write", "rtcs_build", "rtcs_check", "run_experiment",
     "symplectic_check", "verify_even_n3_classification", "verify_hermite",
     "verify_no_typeC_even_8dim", "verify_no_typeC_odd",

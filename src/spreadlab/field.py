@@ -29,7 +29,15 @@ built by doubling on the encodings, gamma^(h+i) = gamma^i * gamma^h with the
 second factor a d x d matrix over F_p, in row blocks of _EXP_BLOCK.
 
 to_coords and from_coords are the one map between encodings and coordinates
-over a subfield.
+over a subfield: to_coords reads coord_index, from_coords sums c_j * b_j with
+vmul and vadd.  Subfields and cosets are read off the log table: gamma^i lies
+in F_p^k exactly when (N-1)/(p^k-1) divides i, and two units share an
+F_q^*-coset exactly when their logs agree mod (N-1)/(q-1).
+
+Besides the arithmetic tables, a FieldCtx keeps the Frobenius tables, the
+sorted subfield element lists and, in _index_cache, the element_index and
+coord_index lookups; span is recomputed on every call.  This module alone
+knows their layout: other modules go through the methods.
 """
 
 from __future__ import annotations
@@ -231,7 +239,7 @@ class FieldCtx:
         self.beta = self.pow(self.gamma, (qn - 1) // (self.q - 1))
         self._frob_cache: dict[int, np.ndarray] = {}
         self._subfield_cache: dict[int, np.ndarray] = {}
-        self._span_cache: dict = {}
+        self._index_cache: dict = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -435,6 +443,13 @@ class FieldCtx:
             self._subfield_cache[k] = els
         return self._subfield_cache[k]
 
+    def _outside(self, X: np.ndarray, k: int) -> np.ndarray:
+        """Mask of the entries of X that are not encodings of F_p^k."""
+        bad = (X < 0) | (X >= self.N)
+        if not bad.any() and k < self.d:
+            bad = self.log[X] % ((self.N - 1) // (self.p ** k - 1)) != 0
+        return bad
+
     def subfield_primitive(self, tag) -> Elt:
         """gamma^((N-1)/(p^k-1)): a generator of the tagged subfield's units."""
         k = self.tag_degree(tag)
@@ -468,6 +483,21 @@ class FieldCtx:
         for _ in range(kf // kt):
             out = self.add(out, t)
             t = self.pow(t, s)
+        return out
+
+    def vtrace(self, X, frm="qn", to="q") -> np.ndarray:
+        """trace elementwise on an array of encodings, through frob_table(to)."""
+        kf, kt = self.tag_degree(frm), self.tag_degree(to)
+        if kf % kt != 0:
+            raise ValueError("trace target is not a subfield of the source")
+        X = np.asarray(X, dtype=np.int64)
+        bad = self._outside(X, kf)
+        if np.any(bad):
+            raise ValueError(f"element {X[bad][0]} is not in the source field")
+        out, t = X, X
+        for _ in range(kf // kt - 1):
+            t = self.frob_table(kt)[t]
+            out = self.vadd(out, t)
         return out
 
     def norm(self, x: Elt, frm="qn", to="q") -> Elt:
@@ -504,42 +534,39 @@ class FieldCtx:
     def span(self, basis, over="q") -> np.ndarray:
         """All F-linear combinations of basis, in coordinate-lexicographic order
         (first basis vector's coefficient most significant)."""
-        ko = self.tag_degree(over)
-        key = (tuple(int(b) for b in basis), ko)
-        if key in self._span_cache:
-            return self._span_cache[key]
-        scalars = self.subfield_elements(ko)
+        basis = [int(b) for b in basis]
+        bad = [b for b in basis if not 0 <= b < self.N]
+        if bad:
+            raise ValueError(f"element {bad[0]} is not an encoding in 0..{self.N - 1}")
+        scalars = self.subfield_elements(over)
         out = np.zeros(1, dtype=np.int64)
         for b in basis:
-            mults = self.vmul(scalars, int(b))
-            out = self.vadd(out[:, None], mults[None, :]).reshape(-1)
-        out.flags.writeable = False
-        self._span_cache[key] = out
+            out = self.vadd(out[:, None], self.vmul(scalars, b)[None, :]).reshape(-1)
         return out
 
     def element_index(self, tag) -> np.ndarray:
         """Lookup array: encoding -> position in subfield_elements(tag), -1 outside."""
         k = self.tag_degree(tag)
         key = ("eidx", k)
-        if key not in self._span_cache:
+        if key not in self._index_cache:
             dom = self.subfield_elements(k)
             where = np.full(self.N, -1, dtype=np.int64)
             where[dom] = np.arange(len(dom), dtype=np.int64)
             where.flags.writeable = False
-            self._span_cache[key] = where
-        return self._span_cache[key]
+            self._index_cache[key] = where
+        return self._index_cache[key]
 
     def coord_index(self, tag, over="q") -> np.ndarray:
         """Lookup array: encoding -> position in span(subfield_basis(tag, over))."""
         k, ko = self.tag_degree(tag), self.tag_degree(over)
         key = ("idx", k, ko)
-        if key not in self._span_cache:
+        if key not in self._index_cache:
             sp = self.span(self.subfield_basis(k, over), over)
             where = np.full(self.N, -1, dtype=np.int64)
             where[sp] = np.arange(len(sp), dtype=np.int64)
             where.flags.writeable = False
-            self._span_cache[key] = where
-        return self._span_cache[key]
+            self._index_cache[key] = where
+        return self._index_cache[key]
 
     def to_coords(self, X, tag, over="q") -> np.ndarray:
         """Coordinates of the encodings X over the smaller field w.r.t.
@@ -560,12 +587,14 @@ class FieldCtx:
         C = np.asarray(C, dtype=np.int64)
         if C.shape[-1:] != (k // ko,):
             raise ValueError(f"expected {k // ko} coordinates along the last axis")
-        scalars = self.subfield_elements(ko)
-        digits = np.searchsorted(scalars, C)
-        wrong = scalars.take(digits, mode="clip") != C
+        wrong = self._outside(C, ko)
         if np.any(wrong):
             raise ValueError(f"coordinate {C[wrong][0]} is not in the smaller field")
-        return self.span(self.subfield_basis(k, ko), ko)[digits @ self._place_values(k, ko)]
+        terms = self.vmul(C, np.array(self.subfield_basis(k, ko), dtype=np.int64))
+        out = terms[..., 0]
+        for j in range(1, k // ko):
+            out = self.vadd(out, terms[..., j])
+        return out
 
     def _place_values(self, k: int, ko: int) -> np.ndarray:
         # span() puts the first basis vector's coefficient most significant

@@ -119,40 +119,19 @@ def is_permutation_brute(f: DOPoly) -> bool:
 
 
 # -- F_q^* coset action --------------------------------------------------------
-
-
-def _canon_table(ctx: FieldCtx, field_k: int) -> np.ndarray:
-    """Per-element canonical F_q^*-coset representative: divide by the last
-    nonzero coordinate w.r.t. the fixed basis of the field over F_q."""
-    key = ("canon", field_k)
-    if key not in ctx._span_cache:
-        units = ctx.subfield_elements(field_k)[1:]
-        C = ctx.to_coords(units, field_k, "q")
-        last = C[np.arange(len(C)), C.shape[1] - 1 - np.argmax(C[:, ::-1] != 0, axis=1)]
-        out = np.zeros(ctx.N, dtype=np.int64)
-        out[units] = ctx.vmul(units, ctx.vinv(last))
-        out.flags.writeable = False
-        ctx._span_cache[key] = out
-    return ctx._span_cache[key]
-
-
-def _coset_rep_positions(ctx: FieldCtx, field_k: int) -> np.ndarray:
-    """Positions in ctx.subfield_elements(field_k) of the canonical
-    F_q^*-coset representatives, ascending."""
-    key = ("coset_reps", field_k)
-    if key not in ctx._span_cache:
-        dom = ctx.subfield_elements(field_k)
-        reps = np.unique(_canon_table(ctx, field_k)[dom[1:]])
-        pos = ctx.element_index(field_k)[reps]
-        pos.flags.writeable = False
-        ctx._span_cache[key] = pos
-    return ctx._span_cache[key]
+#
+# F_q^* = <gamma^R> with R = (N-1)/(q-1), so two nonzero elements lie in one
+# F_q^*-coset exactly when their logs agree mod R.
 
 
 def coset_representatives(ctx: FieldCtx, field_k) -> list[Elt]:
-    """Canonical representatives of F_p^field_k^* / F_q^*."""
+    """Representatives of F_p^field_k^* / F_q^*: the gamma-powers with log
+    below R, ascending."""
     k = ctx.tag_degree(field_k)
-    return ctx.subfield_elements(k)[_coset_rep_positions(ctx, k)].tolist()
+    if k % ctx.e != 0:
+        raise ValueError(f"F_p^{k} does not contain F_q")
+    units = ctx.subfield_elements(k)[1:]
+    return units[ctx.log[units] < (ctx.N - 1) // (ctx.q - 1)].tolist()
 
 
 def permutes_cosets(f: DOPoly) -> bool:
@@ -160,17 +139,18 @@ def permutes_cosets(f: DOPoly) -> bool:
 
     Well defined for DO polynomials since f(lambda x) = lambda^2 f(x) for
     lambda in F_q when the grading base contains F_q; any zero value on a
-    nonzero element makes the induced map undefined, hence False.
+    nonzero element makes the induced map undefined, hence False.  A
+    self-map of the finite coset set is a bijection exactly when it is onto.
     """
     _require_do(f)
     ctx = f.ctx
     if f.base_k % ctx.e != 0:
         raise ValueError("coset action needs the grading base to contain F_q")
-    pos = _coset_rep_positions(ctx, f.field_k)
-    vals = f.values()[pos]
+    vals = f.values()[1:]
     if not vals.all():
         return False
-    return len(np.unique(_canon_table(ctx, f.field_k)[vals])) == len(pos)
+    classes = np.unique(ctx.log[vals] % ((ctx.N - 1) // (ctx.q - 1)))
+    return len(classes) == len(vals) // (ctx.q - 1)
 
 
 # -- quadratic spaces ------------------------------------------------------------
@@ -209,13 +189,8 @@ class QuadSpace:
         _require_do(f)
         if not ctx.in_subfield(y, f.field_k):
             raise ValueError("y must lie in the domain field")
-        vals = ctx.vmul(y, f.values())
-        out = np.zeros(len(vals), dtype=np.int64)
-        t = vals
-        for _ in range(f.field_k // ctx.e):
-            out = ctx.vadd(out, t)
-            t = ctx.frob_table(ctx.e)[t]
-        return cls(ctx, out, f.field_k)
+        vals = ctx.vtrace(ctx.vmul(y, f.values()), f.field_k, ctx.e)
+        return cls(ctx, vals, f.field_k)
 
     @classmethod
     def from_coords(cls, ctx, coeffs: dict, field_tag="qn") -> "QuadSpace":
@@ -287,11 +262,6 @@ def classify_char2(S: QuadSpace) -> dict:
         if n0 == q ** (n - 1) + eps * (q - 1) * q ** (r + s - 1):
             return {"type": name, "r": r, "s": s, "rank": 2 * s}
     raise RuntimeError("zero count matches neither nondefective type; invariant broken")
-
-
-def qspace_from_trace(ctx: FieldCtx, f: DOPoly, y: Elt) -> QuadSpace:
-    """Quadratic space x -> tr_{V/F_q}(y * f(x)) on f's domain field."""
-    return QuadSpace.from_trace(ctx, f, y)
 
 
 def is_permutation_via_rank(f: DOPoly) -> bool:

@@ -326,9 +326,7 @@ def q_from_component(L: QPoly, delta: Elt) -> DOPoly:
 
 def zeta_element(ctx: FieldCtx) -> Elt:
     """Least encoding with zeta^(q^m - 1) = -1, m = ctx.n (odd q)."""
-    if ("zeta",) not in ctx._span_cache:
-        ctx._span_cache[("zeta",)] = min(ctx.find_deltas())
-    return ctx._span_cache[("zeta",)]
+    return min(ctx.find_deltas())
 
 
 def psi_map(ctx: FieldCtx, x: Elt, y: Elt) -> tuple[Elt, Elt, Elt]:

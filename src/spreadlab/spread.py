@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import Elt, FieldCtx, ctx_from_json
+from .field import Elt, FieldCtx, ctx_from_json, factor_prime_power
 from .linpoly import QPoly, nullspace, rref
 from .quadform import is_permutation_brute, is_permutation_via_rank, permutes_cosets
 from .semifield import is_planar_2to1, q_from_component
@@ -40,7 +40,7 @@ class Subspace:
         if (elements is None) == (basis is None):
             raise ValueError("give exactly one of elements or basis")
         if basis is not None:
-            elements = ctx.span([int(b) for b in basis], "q")
+            elements = ctx.span(basis, "q")
             verify = False
         els = np.unique(np.asarray(elements, dtype=np.int64))
         size = len(els)
@@ -120,16 +120,9 @@ def _psi_image(W: Subspace, eta: Elt) -> Subspace:
     return Subspace(ctx, elements=np.sort(els), verify=False)
 
 
-def orbit(W: Subspace, kind: str, eta: Elt | None = None) -> list[Subspace]:
-    """Distinct images of W under <beta>, <beta^2>, or the two-orbit union
-    {beta^2-orbit of W} + {beta^2-orbit of psi(W)} for kind "typeH"."""
+def orbit(W: Subspace, kind: str) -> list[Subspace]:
+    """Distinct images of W under <beta> (kind "beta") or <beta^2> ("beta2")."""
     ctx = W.ctx
-    if kind == "typeH":
-        if eta is None:
-            raise ValueError("typeH orbit needs eta")
-        first = orbit(W, "beta2")
-        seen = set(first)
-        return first + [C for C in orbit(_psi_image(W, eta), "beta2") if C not in seen]
     if kind == "beta":
         g = ctx.beta
     elif kind == "beta2":
@@ -167,6 +160,8 @@ def is_partial_spread(components) -> bool:
 def is_spread(components) -> bool:
     """Exactly q^n + 1 components of dimension n covering each nonzero
     ambient vector exactly once."""
+    if not components:
+        raise ValueError("no components")
     ctx = components[0].ctx
     if components[0].dim != ctx.n or len(components) != ctx.q ** ctx.n + 1:
         return False
@@ -352,11 +347,7 @@ def symplectic_check(S: Spread, delta: Elt) -> bool:
     c = ctx.inv(ctx.add(delta, ctx.frob(delta, ne)))
     els = ctx.subfield_elements(ctx.d)       # the whole ambient field, 0..N-1
     M = ctx.vmul(c, ctx.vmul(els[:, None], ctx.frob_table(ne)[els][None, :]))
-    T = np.zeros_like(M)
-    t = M
-    for _ in range(ctx.d // ctx.e):
-        T = ctx.vadd(T, t)
-        t = ctx.frob_table(ctx.e)[t]
+    T = ctx.vtrace(M, ctx.d, ctx.e)
     if np.any(np.diagonal(T)) or not np.array_equal(T, T.T):
         return False
     if ctx.N <= 128:                          # exhaustive bi-additivity
@@ -428,14 +419,9 @@ def check_key_lemma(ctx: FieldCtx, L: QPoly, delta: Elt) -> KeyLemmaReport:
     return KeyLemmaReport(ctx, L, delta)
 
 
-def gcd_condition(q: int, n: int, p: int | None = None, e: int | None = None,
-                  parity: str | None = None) -> bool:
+def gcd_condition(q: int, n: int) -> bool:
     """gcd((q^n+1)/2, ne) = 1 for odd p, gcd(q^n+1, ne) = 1 for p = 2."""
-    if p is None or e is None:
-        from .field import factor_prime_power
-        p, e = factor_prime_power(q)
-    if parity is None:
-        parity = "even" if p == 2 else "odd"
-    if parity == "odd":
-        return math.gcd((q ** n + 1) // 2, n * e) == 1
-    return math.gcd(q ** n + 1, n * e) == 1
+    p, e = factor_prime_power(q)
+    if p == 2:
+        return math.gcd(q ** n + 1, n * e) == 1
+    return math.gcd((q ** n + 1) // 2, n * e) == 1

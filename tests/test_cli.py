@@ -2,8 +2,14 @@
 (0 verified/confirmed, 1 usage or I/O error, 2 mathematical failure)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import spreadlab
 
 import spreadlab.experiments as ex
 from spreadlab.cli import main
@@ -93,6 +99,26 @@ def test_verify_io_errors_exit_1(tmp_path, capsys):
         fh.write("{not json")
     assert main(["verify", garbled]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("corrupt", ["basis-too-large", "basis-negative", "no-components"])
+def test_verify_corrupt_file_exits_1(tmp_path, capsys, corrupt):
+    out = str(tmp_path / "s.json")
+    assert main(["build", "typec", "--p", "3", "--n", "3", "--out", out]) == 0
+    with open(out) as fh:
+        doc = json.load(fh)
+    if corrupt == "no-components":
+        doc["components"] = []
+    else:
+        doc["components"][1][0] = 10 ** 6 if corrupt == "basis-too-large" else -3
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    # as a user runs it, so a traceback would reach stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spreadlab.cli", "verify", out],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_experiment_confirmed(tmp_path, capsys):

@@ -249,6 +249,29 @@ def test_coordinate_map_rejects_outside_elements(tower, tag):
         ctx.from_coords([0] * (m + 1), "q2n", "q")
 
 
+@pytest.mark.parametrize("tower", COORD_TOWERS, ids=str)
+def test_vtrace_matches_scalar_trace(tower):
+    ctx = build_tower(*tower)
+    for frm, to in (("q2n", "qn"), ("q2n", "q"), ("qn", "q")):
+        X = ctx.subfield_elements(frm)
+        want = [ctx.trace(x, frm, to) for x in X.tolist()]
+        assert ctx.vtrace(X, frm, to).tolist() == want
+        # leading axes are kept, 0-d included
+        block = X[:6].reshape(2, 3) if len(X) >= 6 else X[:, None]
+        assert ctx.vtrace(block, frm, to).tolist() == np.reshape(
+            want[:block.size], block.shape).tolist()
+        assert int(ctx.vtrace(X[-1], frm, to)) == want[-1]
+        for not_encoding in (-1, ctx.N):
+            with pytest.raises(ValueError, match=f"element {not_encoding} "):
+                ctx.vtrace([0, not_encoding], frm, to)
+    outside = next(x for x in range(ctx.N) if not ctx.in_subfield(x, "qn"))
+    with pytest.raises(ValueError, match=f"element {outside} "):
+        ctx.vtrace(np.array([[0], [outside]]), "qn", "q")
+    if ctx.n > 1:
+        with pytest.raises(ValueError, match="not a subfield"):
+            ctx.vtrace([0], "q", "qn")
+
+
 def test_tower_construction_memory():
     # FieldCtx directly, not build_tower, so no cached tower is reused.  At
     # N = 531,441 and d = 12 the tables take about 10.6 MB; the bound leaves

@@ -7,7 +7,6 @@ import pytest
 from spreadlab import (DOPoly, QuadSpace, build_tower, classify_char2,
                        coset_representatives, count_zeros, is_permutation_brute,
                        is_permutation_via_rank, permutes_cosets, radical)
-from spreadlab.quadform import _canon_table
 
 
 # -- coordinate forms with hand-checkable zero counts ----------------------------
@@ -160,7 +159,7 @@ def test_coset_representatives_size(c313, c312):
 
 def _canon_table_scalar(ctx, field_k):
     """Reference: element by element, divide x by its last nonzero
-    coordinate from the scalar FieldCtx.coords."""
+    coordinate from the scalar FieldCtx.coords; no discrete logs."""
     out = np.zeros(ctx.N, dtype=np.int64)
     for x in ctx.subfield_elements(field_k)[1:].tolist():
         cs = ctx.coords(x, field_k, "q")
@@ -172,28 +171,33 @@ def _canon_table_scalar(ctx, field_k):
 @pytest.mark.parametrize("tower", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (2, 1, 3), (3, 2, 2)],
                          ids=str)
 def test_canon_table_matches_scalar_reference(tower):
+    # the log-mod-R classes and the canonical-divisor classes are the same
+    # partition of the units, and the representatives meet each class once
     ctx = build_tower(*tower)
+    R = (ctx.N - 1) // (ctx.q - 1)
     for field_k in sorted({ctx.e, ctx.n * ctx.e, ctx.d}):
-        want = _canon_table_scalar(ctx, field_k)
-        np.testing.assert_array_equal(_canon_table(ctx, field_k), want)
-        reps = np.unique(want[ctx.subfield_elements(field_k)[1:]]).tolist()
-        assert coset_representatives(ctx, field_k) == reps
-        assert len(reps) == (ctx.p ** field_k - 1) // (ctx.q - 1)
+        units = ctx.subfield_elements(field_k)[1:]
+        canon = _canon_table_scalar(ctx, field_k)
+        by_log = (ctx.log[units] % R).tolist()
+        pairs = set(zip(canon[units].tolist(), by_log))
+        classes = (ctx.p ** field_k - 1) // (ctx.q - 1)
+        assert len(pairs) == len(set(by_log)) == len(set(canon[units].tolist())) == classes
+        reps = coset_representatives(ctx, field_k)
+        assert reps == sorted(reps) and len(reps) == classes
+        assert len({int(canon[r]) for r in reps}) == classes
 
 
-def _permutes_cosets_scalar(f):
-    """Reference: evaluate f with DOPoly.__call__ at every coset
-    representative, the representatives rebuilt from the canonical table."""
+def _permutes_cosets_scalar(f, canon):
+    """Reference: evaluate f with DOPoly.__call__ at one element of each
+    coset, the cosets taken from the scalar canonical table."""
     ctx = f.ctx
-    tbl = _canon_table(ctx, f.field_k)
-    reps = sorted({int(tbl[int(x)]) for x in ctx.subfield_elements(f.field_k)[1:]})
-    assert coset_representatives(ctx, f.field_k) == reps
+    reps = sorted({int(canon[int(x)]) for x in ctx.subfield_elements(f.field_k)[1:]})
     seen = set()
     for r in reps:
         v = f(r)
         if v == 0:
             return False
-        seen.add(int(tbl[v]))
+        seen.add(int(canon[v]))
     return len(seen) == len(reps)
 
 
@@ -207,10 +211,11 @@ def test_permutes_cosets_matches_scalar_reference(q, n, some_permute):
     forms = [DOPoly(ctx, {(0, 0): 1})] + [
         DOPoly(ctx, {(i, j): int(rng.choice(dom)) for i in range(n) for j in range(i, n)})
         for _ in range(200)]
+    canon = _canon_table_scalar(ctx, ctx.n * ctx.e)
     verdicts = []
     for f in forms:
         verdicts.append(permutes_cosets(f))
-        assert verdicts[-1] == _permutes_cosets_scalar(f), f
+        assert verdicts[-1] == _permutes_cosets_scalar(f, canon), f
     assert any(verdicts) == some_permute and not all(verdicts)
 
 

@@ -1,14 +1,17 @@
 """Spread constructions, their verification, kernels, and the
 orbit/polynomial correspondence."""
 
+import json
+
 import numpy as np
 import pytest
 
 import spreadlab.spread as spread_mod
-from spreadlab import (QPoly, Spread, Subspace, build_even_n3, build_typeC,
+from spreadlab import (DOPoly, FieldCtx, QPoly, Spread, Subspace, build_even_n3, build_typeC,
                        build_typeH, check_key_lemma, component_from_pair,
                        even3_admissible, gcd_condition, is_partial_spread,
-                       is_spread, is_permutation_brute, kernel_of_spread, orbit,
+                       is_spread, is_permutation_brute, is_permutation_via_rank,
+                       kernel_of_spread, orbit,
                        q_from_pair, symplectic_check, build_tower)
 
 
@@ -322,6 +325,30 @@ def test_kernel_loaded_from_json_is_recomputed(spread_c313):
     S = Spread.from_json(doc)
     assert S.kernel == 999
     assert kernel_of_spread(S) == S.kernel == 3
+
+
+def test_index_cache_stays_small():
+    # fresh towers, so lookups made by other tests are not counted; the span
+    # behind each component basis and each radical is not kept
+    ctx = FieldCtx(5, 1, 3)
+    doc = json.loads(json.dumps(build_typeC(ctx, 1, ctx.find_deltas()[0]).to_json()))
+    assert Spread.from_json(doc, ctx).to_json() == doc
+    assert len(ctx._index_cache) <= 2
+    c214 = FieldCtx(2, 1, 4)
+    dom = c214.subfield_elements("qn")
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        coeffs = {(i, j): int(rng.choice(dom)) for i in range(4) for j in range(i, 4)}
+        is_permutation_via_rank(DOPoly(c214, coeffs))
+    assert len(c214._index_cache) <= 2
+
+
+def test_corrupt_bases_and_empty_spreads_are_refused(c313):
+    for bad in (c313.N, 10 ** 6, -1, -3):
+        with pytest.raises(ValueError, match=f"element {bad} is not an encoding"):
+            Subspace(c313, basis=[1, bad])
+    with pytest.raises(ValueError, match="no components"):
+        is_spread([])
 
 
 def test_kernel_requires_verified(c313, spread_c313):
