@@ -8,8 +8,7 @@ from .experiments import (ExperimentSpec, VerdictReport,
                           verify_no_typeC_odd, verify_planar_dichotomy)
 from .field import FieldCtx, build_tower, ctx_from_json, factor_prime_power
 from .linpoly import (QPoly, adjoint, assoc_matrix, compose, kernel_basis,
-                      kernel_dim, is_permutation, linearity_field, qpoly_add,
-                      qpoly_scale)
+                      kernel_dim, is_permutation, linearity_field)
 from .quadform import (DOPoly, QuadSpace, classify_char2, coset_representatives,
                        count_zeros, is_permutation_brute,
                        is_permutation_via_rank, permutes_cosets, radical)
@@ -40,7 +39,7 @@ __all__ = [
     "middle_nucleus_elements", "normalize", "nucleus", "nucleus_elements",
     "orbit", "permutes_cosets", "planar_family_check",
     "planar_to_presemifield", "psi_image_check", "psi_map", "q_from_component",
-    "q_from_pair", "qpoly_add", "qpoly_scale", "radical",
+    "q_from_pair", "radical",
     "report_write", "rtcs_build", "rtcs_check", "run_experiment",
     "symplectic_check", "verify_even_n3_classification", "verify_hermite",
     "verify_no_typeC_even_8dim", "verify_no_typeC_odd",

@@ -212,14 +212,12 @@ class FieldCtx:
     "q2n", or an integer degree k over F_p with k | 2ne.
     """
 
-    def __init__(self, p: int, e: int, n: int, table_budget: int | None = None):
+    def __init__(self, p: int, e: int, n: int):
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if e < 1 or n < 1:
             raise ValueError("e and n must be >= 1")
-        budget = table_budget
-        if budget is None:
-            budget = int(os.environ.get("SPREADLAB_TABLE_BUDGET", DEFAULT_TABLE_BUDGET))
+        budget = int(os.environ.get("SPREADLAB_TABLE_BUDGET", DEFAULT_TABLE_BUDGET))
         self.p = p
         self.e = e
         self.n = n
@@ -664,11 +662,11 @@ class FieldCtx:
 _tower_cache: dict[tuple, FieldCtx] = {}
 
 
-def build_tower(p: int, e: int, n: int, table_budget: int | None = None) -> FieldCtx:
+def build_tower(p: int, e: int, n: int) -> FieldCtx:
     """Construct (and cache) the tower context for F_p < F_p^e < ... < F_p^(2ne)."""
-    key = (p, e, n, table_budget)
+    key = (p, e, n)
     if key not in _tower_cache:
-        _tower_cache[key] = FieldCtx(p, e, n, table_budget)
+        _tower_cache[key] = FieldCtx(p, e, n)
     return _tower_cache[key]
 
 

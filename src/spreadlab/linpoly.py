@@ -141,18 +141,6 @@ def compose(L: QPoly, M: QPoly) -> QPoly:
     return QPoly(ctx, out, L.field_k, L.base_k)
 
 
-def qpoly_add(L: QPoly, M: QPoly) -> QPoly:
-    L._same_shape(M)
-    ctx = L.ctx
-    return QPoly(ctx, [ctx.add(a, b) for a, b in zip(L.coeffs, M.coeffs)],
-                 L.field_k, L.base_k)
-
-
-def qpoly_scale(L: QPoly, c: Elt) -> QPoly:
-    ctx = L.ctx
-    return QPoly(ctx, [ctx.mul(c, a) for a in L.coeffs], L.field_k, L.base_k)
-
-
 def adjoint(L: QPoly) -> QPoly:
     """The adjoint sum d_i^(s^(m-i)) X^(s^(m-i)); satisfies the trace-pairing
     identity tr(u * L(v)) = tr(adjoint(L)(u) * v)."""

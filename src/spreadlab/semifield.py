@@ -334,7 +334,11 @@ def psi_map(ctx: FieldCtx, x: Elt, y: Elt) -> tuple[Elt, Elt, Elt]:
     and return (x1 y1, x0 y0, x0 y1 + x1 y0)."""
     if ctx.p == 2:
         raise ValueError("the pair map needs odd q")
-    z = zeta_element(ctx)
+    return _psi(ctx, zeta_element(ctx), x, y)
+
+
+def _psi(ctx: FieldCtx, z: Elt, x: Elt, y: Elt) -> tuple[Elt, Elt, Elt]:
+    """psi_map with zeta = z given, so a caller looping over pairs finds it once."""
     qm = ctx.q ** ctx.n
     inv2 = ctx.inv(ctx.add(1, 1))
     out = []
@@ -354,11 +358,12 @@ def psi_image_check(ctx: FieldCtx) -> bool:
     only by pairs with x = 0 or y = 0."""
     if ctx.p == 2:
         raise ValueError("the pair map needs odd q")
+    z = zeta_element(ctx)
     image = set()
     zero_ok = True
     for x in range(ctx.N):
         for y in range(ctx.N):
-            t = psi_map(ctx, x, y)
+            t = _psi(ctx, z, x, y)
             image.add(t)
             if t == (0, 0, 0) and not (x == 0 or y == 0):
                 zero_ok = False

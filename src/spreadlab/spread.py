@@ -104,20 +104,18 @@ def component_from_pair(A: QPoly, B: QPoly, delta: Elt) -> Subspace:
     if ctx.in_subfield(delta, ne):
         raise ValueError("delta must lie outside F_{q^n}")
     vals = ctx.vadd(A.values(), ctx.vmul(delta, B.values()))
-    if len(np.unique(vals)) != ctx.q ** ctx.n:
+    W = Subspace(ctx, elements=vals, verify=False)
+    if W.dim != ctx.n:
         raise ValueError("parametrization is not injective; dimension would drop")
-    return Subspace(ctx, elements=vals, verify=False)
+    return W
 
 
-def _scaled(W: Subspace, g: Elt) -> Subspace:
-    return Subspace(W.ctx, elements=np.sort(W.ctx.vmul(g, W.elements)), verify=False)
-
-
-def _psi_image(W: Subspace, eta: Elt) -> Subspace:
-    """psi(z) = eta z^{q^n}, an F_q-linear bijection of the ambient field."""
+def _image(W: Subspace, g: Elt, k: int = 0) -> np.ndarray:
+    """Sorted elements g x^(p^k), x in W: the image of W under an F_q-linear
+    bijection, in the form of Subspace.elements (compare via .tobytes())."""
     ctx = W.ctx
-    els = ctx.vmul(eta, ctx.frob_table(ctx.n * ctx.e)[W.elements])
-    return Subspace(ctx, elements=np.sort(els), verify=False)
+    els = ctx.frob_table(k)[W.elements] if k else W.elements
+    return np.sort(ctx.vmul(g, els))
 
 
 def orbit(W: Subspace, kind: str) -> list[Subspace]:
@@ -130,11 +128,11 @@ def orbit(W: Subspace, kind: str) -> list[Subspace]:
     else:
         raise ValueError(f"unknown orbit kind {kind!r}")
     out = [W]
-    cur = _scaled(W, g)
-    while cur != W:
-        out.append(cur)
-        cur = _scaled(cur, g)
-    return out
+    while True:
+        els = _image(out[-1], g)
+        if els.tobytes() == W._key:
+            return out
+        out.append(Subspace(ctx, elements=els, verify=False))
 
 
 def _coverage(components) -> np.ndarray:
@@ -289,24 +287,30 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
         raise ValueError("eta must be a nonsquare")
     W = component_from_pair(QPoly.identity(ctx), QPoly.monomial(ctx, k, 1), delta)
     half = (qn + 1) // 2
+    # psi(z) = eta z^(q^n), an F_q-linear bijection of the ambient field
+    ne = ctx.n * ctx.e
     first = orbit(W, "beta2")
-    second = orbit(_psi_image(W, eta), "beta2")
+    second = orbit(Subspace(ctx, elements=_image(W, eta, ne), verify=False), "beta2")
     comps = first + second
     if len(first) != half or len(second) != half or not is_spread(comps):
         raise RuntimeError("two-orbit union failed spread verification")
     # transitivity of the group generated by beta^2 and psi on the components
     b2 = ctx.mul(ctx.beta, ctx.beta)
-    comp_set = set(comps)
-    reached = {W}
-    frontier = [W]
+    index = {C._key: i for i, C in enumerate(comps)}
+    moves = []
+    for C in comps:
+        imgs = [index.get(_image(C, b2).tobytes()),
+                index.get(_image(C, eta, ne).tobytes())]
+        if None in imgs:
+            raise RuntimeError("group action leaves the component set")
+        moves.append(imgs)
+    reached = {0}
+    frontier = [0]
     while frontier:
-        C = frontier.pop()
-        for img in (_scaled(C, b2), _psi_image(C, eta)):
-            if img not in comp_set:
-                raise RuntimeError("group action leaves the component set")
-            if img not in reached:
-                reached.add(img)
-                frontier.append(img)
+        for j in moves[frontier.pop()]:
+            if j not in reached:
+                reached.add(j)
+                frontier.append(j)
     if len(reached) != len(comps):
         raise RuntimeError("<beta^2, psi> is not transitive on components")
     return Spread(ctx, comps, "typeH", verified=True)
@@ -375,16 +379,12 @@ class KeyLemmaReport:
         self.sides: dict[str, bool] = {}
         self.clauses: dict[str, bool] = {}
         Q = q_from_component(L, delta)
-        vals = ctx.vadd(L.ctx.subfield_elements("qn"),
-                        ctx.vmul(delta, L.values()))
-        injective = len(np.unique(vals)) == ctx.q ** ctx.n
-        self.sides["component_injective"] = injective
-        if injective:
-            W = Subspace(ctx, elements=vals, verify=False)
-            partial = is_partial_spread(orbit(W, "beta2"))
-            full = is_spread(orbit(W, "beta"))
-        else:
-            partial = full = False
+        # always injective: x + delta L(x) = 0 with x != 0 would put
+        # delta = -x/L(x) in F_{q^n}
+        W = component_from_pair(QPoly.identity(ctx), L, delta)
+        self.sides["component_injective"] = True
+        partial = is_partial_spread(orbit(W, "beta2"))
+        full = is_spread(orbit(W, "beta"))
         self.sides["beta2_partial_spread"] = partial
         self.sides["beta_spread"] = full
         if ctx.p != 2:

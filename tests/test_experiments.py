@@ -251,11 +251,50 @@ def test_even8_vectorized_matches_brute():
     for row in rows:
         delta = int(rng.choice(deltas))
         # the check on a one-row L table: one candidate, one hit if it permutes
-        scanned, hits, _ = ex._even8_check(dict(state, ltab=state["ltab"][[row]]), delta)
+        one = dict(state, ltab=state["ltab"][[row]], coeffs=state["coeffs"][[row]])
+        scanned, hits, _ = ex._even8_check(one, delta)
         assert scanned == 1
         coeffs = [int(dom[(row // qn ** (3 - i)) % qn]) for i in range(4)]
         Q = q_from_pair(QPoly(ctx, coeffs), ident, delta)
         assert (hits == 1) == is_permutation_brute(Q)
+
+
+def _even8_bitmask_hits(state, delta):
+    """Reference: the scan's former occupancy test.  Each row ORs one bit per
+    Q-value (by its position in F_{q^4}) into an int64, so it needs q^4 <= 62;
+    a row permutes F_{q^4} when all q^4 bits are set."""
+    ctx, dom = state["ctx"], state["dom"]
+    pos = ctx.element_index("qn")
+    w = ctx.vadd(state["ltab"], ctx.vmul(int(delta), dom)[None, :])
+    occ = np.bitwise_or.reduce(1 << pos[state["norm"][w]], axis=1)
+    return np.nonzero(occ == (1 << len(dom)) - 1)[0]
+
+
+def test_even8_row_sort_matches_bitmask():
+    state = ex._even8_setup(2, 1)
+    ctx, dom, coeffs = state["ctx"], state["dom"], state["coeffs"]
+    qn = len(dom)
+    rows = np.arange(qn ** 4)
+    # the coefficient block is the lexicographic order the row index encodes
+    for i in range(4):
+        assert np.array_equal(coeffs[:, i], dom[(rows // qn ** (3 - i)) % qn])
+    deltas = [d for d in range(1, ctx.N) if not ctx.in_subfield(d, "qn")]
+    rng = np.random.default_rng(29)
+    for delta in rng.choice(deltas, 4, replace=False):
+        want = _even8_bitmask_hits(state, delta)
+        assert len(want) == 16 and not coeffs[want, 1:].any()     # L = a0 X
+        assert ex._even8_check(state, delta) == (qn ** 4, 16, None)
+        # every reference hit is a hit and no other row is
+        hit = np.zeros(qn ** 4, dtype=bool)
+        hit[want] = True
+        for block, n_hits in ((hit, 16), (~hit, 0)):
+            sub = dict(state, ltab=state["ltab"][block], coeffs=coeffs[block])
+            assert ex._even8_check(sub, delta) == (block.sum(), n_hits, None)
+        # a hit whose row is marked non-scalar is reported as the counterexample
+        marked = coeffs.copy()
+        marked[:, 1] = 1
+        assert ex._even8_check(dict(state, coeffs=marked), delta) == (
+            want[0] + 1, 16, {"L_coeffs": marked[want[0]].tolist(), "delta": int(delta)})
 
 
 def test_even8_preconditions():

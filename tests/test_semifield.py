@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from spreadlab import (DOPoly, QPoly, RtcsSpec, is_planar_2to1, is_planar_direct,
-                       middle_nucleus, normalize, nucleus, nucleus_elements,
+                       middle_nucleus, middle_nucleus_elements, normalize,
+                       nucleus, nucleus_elements,
                        planar_family_check, planar_to_presemifield, psi_image_check,
                        psi_map, q_from_component, q_from_pair, rtcs_build,
                        rtcs_check, zeta_element)
@@ -140,6 +141,13 @@ def test_dickson_q9_proper_semifield(c321):
     # field of sigma, so this plane is not Desarguesian
     assert middle_nucleus(S) == 9
     assert nucleus(S) == 3
+
+
+def test_dickson_q9_nucleus_elements(c321):
+    # element by element: the middle nucleus is F_q and the nucleus F_p
+    S = rtcs_build(_dickson(c321, 1))
+    assert sorted(middle_nucleus_elements(S)) == sorted(c321.subfield_elements("q").tolist())
+    assert sorted(nucleus_elements(S)) == sorted(c321.subfield_elements("p").tolist())
 
 
 def test_rtcs_check_failures(c311):

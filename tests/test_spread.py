@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import spreadlab.spread as spread_mod
-from spreadlab import (DOPoly, FieldCtx, QPoly, Spread, Subspace, build_even_n3, build_typeC,
+from spreadlab import (DOPoly, FieldCtx, KeyLemmaReport, QPoly, Spread, Subspace,
+                       build_even_n3, build_typeC,
                        build_typeH, check_key_lemma, component_from_pair,
                        even3_admissible, gcd_condition, is_partial_spread,
                        is_spread, is_permutation_brute, is_permutation_via_rank,
@@ -94,6 +95,19 @@ def test_orbit_sizes(c313):
         orbit(W, "gamma")
 
 
+@pytest.mark.parametrize("tower", [(3, 1, 3), (5, 1, 3)])
+def test_orbit_is_the_power_images(tower):
+    # the i-th component is g^i W, computed here with scalar arithmetic
+    ctx = build_tower(*tower)
+    W = component_from_pair(QPoly.identity(ctx), QPoly.monomial(ctx, 1),
+                            ctx.find_deltas()[0])
+    for kind, g in (("beta", ctx.beta), ("beta2", ctx.mul(ctx.beta, ctx.beta))):
+        comps = orbit(W, kind)
+        for i, C in enumerate(comps):
+            gi = ctx.pow(g, i)
+            assert C.elements.tolist() == sorted(ctx.mul(gi, int(x)) for x in W.elements)
+
+
 def test_is_spread_rejects_duplicates(spread_c313):
     comps = spread_c313.components
     assert not is_spread(comps[:-1] + [comps[0]])
@@ -138,6 +152,37 @@ def test_build_typeH(c313):
     assert len(S.components) == 28
     assert is_spread(S.components)
     assert kernel_of_spread(S) == 3
+
+
+def test_build_typeH_second_orbit_starts_at_psi_image(c313):
+    # psi(z) = eta z^(q^n), computed here with scalar arithmetic
+    delta, eta = c313.find_deltas()[0], c313.find_etas(1)[0]
+    S = build_typeH(c313, 1, delta, eta)
+    W, ne = S.components[0], c313.n * c313.e
+    want = sorted(c313.mul(eta, c313.frob(int(x), ne)) for x in W.elements)
+    assert S.components[len(S) // 2].elements.tolist() == want
+
+
+@pytest.mark.parametrize("fake_psi, message", [
+    (lambda W, els: els[:-1], "leaves the component set"),
+    (lambda W, els: W.elements, "not transitive"),
+])
+def test_build_typeH_group_check(c313, monkeypatch, fake_psi, message):
+    # the first psi-image seeds the second orbit; fake only the later ones,
+    # which the transitivity check computes
+    real = spread_mod._image
+    seeded = []
+
+    def image(W, g, k=0):
+        if k and seeded:
+            return fake_psi(W, real(W, g, k))
+        if k:
+            seeded.append(W)
+        return real(W, g, k)
+
+    monkeypatch.setattr(spread_mod, "_image", image)
+    with pytest.raises(RuntimeError, match=message):
+        build_typeH(c313, 1, c313.find_deltas()[0], c313.find_etas(1)[0])
 
 
 def test_build_typeH_guards(c313, c312):
@@ -226,6 +271,15 @@ def test_key_lemma_even(c213, even3_deltas):
     rep = check_key_lemma(c213, QPoly.trace_poly(c213), c213.inv(even3_deltas[0]))
     assert rep.ok
     assert rep.sides["beta_spread"] and rep.sides["permutation"]
+
+
+def test_key_lemma_report_desarguesian(c313):
+    # L = 0: W = F_{q^n}, its beta-orbit is the Desarguesian spread, Q = X^2
+    rep = KeyLemmaReport(c313, QPoly.zero(c313), c313.find_deltas()[0])
+    assert rep.ok
+    assert rep.sides == dict.fromkeys(["component_injective", "beta2_partial_spread",
+                                       "beta_spread", "planar", "coset_permutation"], True)
+    assert repr(rep).startswith("KeyLemmaReport(ok=True")
 
 
 def test_key_lemma_guards(c313):
