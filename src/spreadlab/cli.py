@@ -163,7 +163,7 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify, "experiment": _cmd_experiment}
     try:
         return handlers[args.cmd](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -223,35 +223,68 @@ def verify_no_typeC_odd(params: dict | None = None, *, jobs: int = 1,
 # -- no type C spread, even q, 8-dimensional ambient space --------------------------
 
 
+def _even8_rows(ctx, ltab, dom, norm, delta):
+    """One bool per row of the L-value table ltab: does
+    Q(x) = (L(x) + delta x)^(1+q^4) permute F_{q^4}?  A row of Q-values is
+    a permutation when its sorted values are distinct."""
+    w = ctx.vadd(ltab, ctx.vmul(int(delta), dom)[None, :])
+    qv = np.sort(norm[w], axis=1)
+    return (qv[:, 1:] != qv[:, :-1]).all(axis=1)
+
+
 def _even8_setup(p, e):
+    """The coefficient rows and the permutation verdict of every L at the
+    least delta0 outside F_{q^4}; _even8_hits reads every other delta off it."""
     ctx = build_tower(p, e, 4)
     ne = ctx.n * ctx.e
     dom = ctx.subfield_elements("qn").astype(np.int64)
+    qn = len(dom)
     amb = np.arange(ctx.N, dtype=np.int64)
     # every coefficient row (a0, a1, a2, a3), in lexicographic order
-    coeffs = dom[np.indices((len(dom),) * 4).reshape(4, -1).T]
-    # L-value table: row r holds sum_i coeffs[r, i] x^(q^i) over x in dom
-    ltab = np.zeros((len(coeffs), len(dom)), dtype=np.int64)
+    coeffs = dom[np.indices((qn,) * 4).reshape(4, -1).T]
+    # L-value table in the same row order: the outer sum of the monomial
+    # tables a x^(q^i) (row a, column x)
+    ltab = np.zeros((1, qn), dtype=np.int64)
     for i in range(4):
-        pw = ctx.frob_table(ctx.e * i)[dom]
-        ltab = ctx.vadd(ltab, ctx.vmul(coeffs[:, i, None], pw[None, :]))
+        mono = ctx.vmul(dom[:, None], ctx.frob_table(ctx.e * i)[dom][None, :])
+        ltab = ctx.vadd(ltab[:, None, :], mono[None, :, :]).reshape(-1, qn)
     # int32 Q-values: the row sort then moves half the bytes
     norm = ctx.vmul(amb, ctx.frob_table(ne)[amb]).astype(np.int32)
-    return {"ctx": ctx, "dom": dom, "coeffs": coeffs, "ltab": ltab, "norm": norm}
+    d0 = _outside_deltas(ctx)[0]
+    base = _even8_rows(ctx, ltab, dom, norm, d0).reshape((qn,) * 4)
+    return {"ctx": ctx, "dom": dom, "coeffs": coeffs, "norm": norm, "d0": d0,
+            "base": base}
+
+
+def _even8_hits(state, delta: int) -> np.ndarray:
+    """The permutation verdict of every L at delta, in coefficient-row order.
+
+    delta = b + c delta0 with c = (delta + delta^(q^4)) / (delta0 + delta0^(q^4))
+    and b = delta + c delta0 in F_{q^4}.  At x = c^-1 y, L(x) + delta x is
+    L~(y) + delta0 y with a~0 = (a0 + b) c^-1 and a~i = ai c^(-q^i), and
+    y -> c^-1 y permutes F_{q^4}, so L permutes at delta exactly when L~
+    does at delta0.  L -> L~ is a bijection of each coefficient position."""
+    ctx, dom, d0 = state["ctx"], state["dom"], state["d0"]
+    ne = ctx.n * ctx.e
+    c = ctx.div(ctx.add(delta, ctx.frob(delta, ne)), ctx.add(d0, ctx.frob(d0, ne)))
+    b = ctx.add(delta, ctx.mul(c, d0))
+    ci = ctx.inv(c)
+    pos = ctx.element_index("qn")
+    idx = [pos[ctx.vmul(ctx.vadd(dom, b), ci)]]
+    idx += [pos[ctx.vmul(dom, ctx.frob(ci, ctx.e * i))] for i in range(1, 4)]
+    return state["base"][np.ix_(*idx)].reshape(-1)
 
 
 def _even8_check(state, delta: int):
     """All L against one delta, W = L(x) + delta x: every L is a candidate,
     every permutation is a hit, and the first hit whose L is not a scalar
     multiple of X (a genuine type C witness) is the counterexample."""
-    ctx, coeffs = state["ctx"], state["coeffs"]
-    w = ctx.vadd(state["ltab"], ctx.vmul(int(delta), state["dom"])[None, :])
-    # a row of Q-values is a permutation when its sorted values are distinct
-    qv = np.sort(state["norm"][w], axis=1)
-    hits = np.nonzero((qv[:, 1:] != qv[:, :-1]).all(axis=1))[0]
+    coeffs = state["coeffs"]
+    hit = _even8_hits(state, int(delta))
+    hits = np.flatnonzero(hit)
     bad = hits[coeffs[hits, 1:].any(axis=1)]      # a1 = a2 = a3 = 0 is L = a0 X
     if not len(bad):
-        return len(w), len(hits), None
+        return len(hit), len(hits), None
     row = int(bad[0])
     return row + 1, len(hits), {"L_coeffs": coeffs[row].tolist(), "delta": int(delta)}
 
@@ -500,6 +533,11 @@ def run_experiment(spec: ExperimentSpec) -> VerdictReport:
         raise ValueError(f"unknown experiment {spec.name!r}; "
                          f"known: {', '.join(sorted(_EXPERIMENTS))}")
     fn = _EXPERIMENTS[spec.name]
+    # refuse before the scan, not at its first checkpoint or its report
+    folder = os.path.dirname(spec.out or "")
+    if folder and not os.path.isdir(folder):
+        raise ValueError(f"cannot write the report {spec.out}: "
+                         f"no directory {folder}")
     report = fn(spec.params, jobs=spec.jobs, seed=spec.seed, out=spec.out)
     if spec.out:
         report_write(report, spec.out)

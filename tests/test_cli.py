@@ -178,3 +178,27 @@ def test_experiment_refuses_corrupt_state(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert "h.json.state" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_experiment_refuses_missing_report_dir(tmp_path, capsys, monkeypatch):
+    # refused before the scan starts, with the path named and no traceback
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(ex, "_run_scan", no_scan)
+    out = tmp_path / "missing" / "x.json"
+    assert main(["experiment", "hermite-coefficient", "--q", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+    assert not out.parent.exists()
+
+
+def test_experiment_report_io_error_exits_1(tmp_path, capsys):
+    # a report path that is a directory fails when the report is written
+    out = tmp_path / "taken.json"
+    out.mkdir()
+    assert main(["experiment", "hermite-coefficient", "--q", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err

@@ -240,9 +240,25 @@ def test_even8_resume_completes(tmp_path):
     assert not os.path.exists(out + ".state")
 
 
+def _even8_ltab(state):
+    """The L-value table of the scan's coefficient rows, built column by
+    column from the coefficient block (not as the setup builds it)."""
+    ctx, dom, coeffs = state["ctx"], state["dom"], state["coeffs"]
+    ltab = np.zeros((len(coeffs), len(dom)), dtype=np.int64)
+    for i in range(4):
+        pw = ctx.frob_table(ctx.e * i)[dom]
+        ltab = ctx.vadd(ltab, ctx.vmul(coeffs[:, i, None], pw[None, :]))
+    return ltab
+
+
+def _even8_rows(state, ltab, delta):
+    return ex._even8_rows(state["ctx"], ltab, state["dom"], state["norm"], delta)
+
+
 def test_even8_vectorized_matches_brute():
     state = ex._even8_setup(2, 1)
     ctx, dom = state["ctx"], state["dom"]
+    ltab = _even8_ltab(state)
     qn = len(dom)
     ident = QPoly.identity(ctx)
     deltas = [d for d in range(1, ctx.N) if not ctx.in_subfield(d, "qn")]
@@ -250,22 +266,21 @@ def test_even8_vectorized_matches_brute():
     rows = [0, 3 * qn ** 3] + [int(r) for r in rng.integers(0, qn ** 4, 10)]
     for row in rows:
         delta = int(rng.choice(deltas))
-        # the check on a one-row L table: one candidate, one hit if it permutes
-        one = dict(state, ltab=state["ltab"][[row]], coeffs=state["coeffs"][[row]])
-        scanned, hits, _ = ex._even8_check(one, delta)
-        assert scanned == 1
+        # the row sort on a one-row L table: one verdict, True if it permutes
+        one = _even8_rows(state, ltab[[row]], delta)
+        assert one.shape == (1,)
         coeffs = [int(dom[(row // qn ** (3 - i)) % qn]) for i in range(4)]
         Q = q_from_pair(QPoly(ctx, coeffs), ident, delta)
-        assert (hits == 1) == is_permutation_brute(Q)
+        assert bool(one[0]) == is_permutation_brute(Q)
 
 
-def _even8_bitmask_hits(state, delta):
+def _even8_bitmask_hits(state, ltab, delta):
     """Reference: the scan's former occupancy test.  Each row ORs one bit per
     Q-value (by its position in F_{q^4}) into an int64, so it needs q^4 <= 62;
     a row permutes F_{q^4} when all q^4 bits are set."""
     ctx, dom = state["ctx"], state["dom"]
     pos = ctx.element_index("qn")
-    w = ctx.vadd(state["ltab"], ctx.vmul(int(delta), dom)[None, :])
+    w = ctx.vadd(ltab, ctx.vmul(int(delta), dom)[None, :])
     occ = np.bitwise_or.reduce(1 << pos[state["norm"][w]], axis=1)
     return np.nonzero(occ == (1 << len(dom)) - 1)[0]
 
@@ -273,6 +288,7 @@ def _even8_bitmask_hits(state, delta):
 def test_even8_row_sort_matches_bitmask():
     state = ex._even8_setup(2, 1)
     ctx, dom, coeffs = state["ctx"], state["dom"], state["coeffs"]
+    ltab = _even8_ltab(state)
     qn = len(dom)
     rows = np.arange(qn ** 4)
     # the coefficient block is the lexicographic order the row index encodes
@@ -281,20 +297,70 @@ def test_even8_row_sort_matches_bitmask():
     deltas = [d for d in range(1, ctx.N) if not ctx.in_subfield(d, "qn")]
     rng = np.random.default_rng(29)
     for delta in rng.choice(deltas, 4, replace=False):
-        want = _even8_bitmask_hits(state, delta)
+        want = _even8_bitmask_hits(state, ltab, delta)
         assert len(want) == 16 and not coeffs[want, 1:].any()     # L = a0 X
         assert ex._even8_check(state, delta) == (qn ** 4, 16, None)
         # every reference hit is a hit and no other row is
         hit = np.zeros(qn ** 4, dtype=bool)
         hit[want] = True
         for block, n_hits in ((hit, 16), (~hit, 0)):
-            sub = dict(state, ltab=state["ltab"][block], coeffs=coeffs[block])
-            assert ex._even8_check(sub, delta) == (block.sum(), n_hits, None)
+            sub = _even8_rows(state, ltab[block], delta)
+            assert (len(sub), int(sub.sum())) == (block.sum(), n_hits)
         # a hit whose row is marked non-scalar is reported as the counterexample
         marked = coeffs.copy()
         marked[:, 1] = 1
         assert ex._even8_check(dict(state, coeffs=marked), delta) == (
             want[0] + 1, 16, {"L_coeffs": marked[want[0]].tolist(), "delta": int(delta)})
+
+
+def test_even8_reparametrized_hits_match_row_sort():
+    # every delta read off the delta0 table through delta = b + c delta0,
+    # against the row sort at that delta itself: all 15,728,640 verdicts
+    state = ex._even8_setup(2, 1)
+    ltab = _even8_ltab(state)
+    deltas = ex._outside_deltas(state["ctx"])
+    assert len(deltas) == 240 and state["d0"] == deltas[0]
+    for delta in deltas:
+        assert np.array_equal(ex._even8_hits(state, delta),
+                              _even8_rows(state, ltab, delta)), delta
+
+
+def test_even8_counterexample_off_delta0():
+    # with every row marked non-scalar, the first hit at delta != delta0 is
+    # the row sort's first hit at that delta
+    state = ex._even8_setup(2, 1)
+    ltab = _even8_ltab(state)
+    marked = state["coeffs"].copy()
+    marked[:, 1] = 1
+    deltas = ex._outside_deltas(state["ctx"])
+    rng = np.random.default_rng(31)
+    for delta in rng.choice(deltas[1:], 8, replace=False):
+        first = int(np.flatnonzero(_even8_rows(state, ltab, delta))[0])
+        assert ex._even8_check(dict(state, coeffs=marked), delta) == (
+            first + 1, 16, {"L_coeffs": marked[first].tolist(), "delta": int(delta)})
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_even8_sorts_once_per_scan(tmp_path, monkeypatch, jobs):
+    # setup, and with it the only row sort, runs once in the parent; forked
+    # workers read the inherited table and never sort again
+    log = tmp_path / "calls"
+    setup, rows = ex._even8_setup, ex._even8_rows
+
+    def logged(name, fn):
+        def wrapper(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ex, "_even8_setup", logged("setup", setup))
+    monkeypatch.setattr(ex, "_even8_rows", logged("rows", rows))
+    rep = verify_no_typeC_even_8dim({"q": 2}, jobs=jobs)
+    assert (rep.verdict, rep.candidates) == ("confirmed", 15728640)
+    assert rep.details["permutation_pairs"] == rep.details["desarguesian_pairs"] == 3840
+    assert log.read_text().splitlines() == [f"setup {os.getpid()}",
+                                            f"rows {os.getpid()}"]
 
 
 def test_even8_preconditions():
