@@ -24,7 +24,7 @@ import numpy as np
 from .field import FieldCtx, build_tower, factor_prime_power
 from .linpoly import QPoly
 from .quadform import DOPoly, is_permutation_brute, permutes_cosets
-from .semifield import _two_to_one, q_from_component, q_from_pair
+from .semifield import _two_to_one, q_from_pair
 
 CHECKPOINT_EVERY = 1_000_000
 
@@ -184,15 +184,17 @@ def _outside_deltas(ctx: FieldCtx) -> list[int]:
 
 def _odd_setup(p, e, n):
     ctx = build_tower(p, e, n)
-    return ctx, ctx.find_deltas()
+    return ctx, ctx.find_deltas(), QPoly.identity(ctx)
 
 
 def _odd_check(state, coeffs):
-    """One q-polynomial L against every admissible delta, up to the first hit."""
-    ctx, deltas = state
+    """One q-polynomial L against every admissible delta, up to the first hit.
+    q_from_pair(ident, L, d) is q_from_component(L, d); sharing ident and L
+    over the deltas builds each of their value tables once."""
+    ctx, deltas, ident = state
     L = QPoly(ctx, list(coeffs))
     for di, d in enumerate(deltas):
-        if permutes_cosets(q_from_component(L, int(d))):
+        if permutes_cosets(q_from_pair(ident, L, int(d))):
             return di + 1, 1, {"L_coeffs": list(coeffs), "delta": int(d)}
     return len(deltas), 0, None
 
@@ -340,16 +342,15 @@ def even3_perm_predicate(ctx: FieldCtx, d0: int, d1: int, delta: int) -> bool:
 
 def _even3_setup(p, e):
     ctx = build_tower(p, e, 3)
-    return ctx, _outside_deltas(ctx)
+    return ctx, _outside_deltas(ctx), QPoly.identity(ctx)
 
 
 def _even3_check(state, coeffs):
     """One monic L = X^(q^2) + d1 X^q + d0 X against every delta up to the
     first disagreement; the hits are the permutations."""
-    ctx, deltas = state
+    ctx, deltas, ident = state
     d0, d1 = coeffs
     L = QPoly(ctx, {0: d0, 1: d1, 2: 1})
-    ident = QPoly.identity(ctx)
     perms = 0
     for di, delta in enumerate(deltas):
         perm = is_permutation_brute(q_from_pair(L, ident, delta))
@@ -396,6 +397,32 @@ def _poly_mul_cyclic(ctx: FieldCtx, f: dict, g: dict, qn: int) -> dict:
     return {ex: c for ex, c in out.items() if c}
 
 
+def _poly_square_cyclic(ctx: FieldCtx, f: dict, qn: int) -> dict:
+    """f^2 modulo X^(q^n) - X in characteristic 2: each coefficient squared,
+    each exponent doubled and folded as in _poly_mul_cyclic.  Since q^n - 1
+    is odd, doubling is one-to-one on reduced exponents: no terms merge."""
+    out: dict[int, int] = {}
+    for ex, c in f.items():
+        ex *= 2
+        while ex >= qn:
+            ex -= qn - 1
+        out[ex] = ctx.mul(c, c)
+    return out
+
+
+def _hermite_power(ctx: FieldCtx, s: int, t: int) -> dict:
+    """Q^(q^2-1) mod X^(q^3) - X for Q = X^(2q) + s X^(q+1) + t X^2, fully
+    expanded: q^2 - 1 = sum_{k<2e} 2^k, so Q^(q^2-1) = prod_{k<2e} Q^(2^k),
+    each factor the square of the one before."""
+    q = ctx.q
+    qn = q ** 3
+    factor = acc = {2 * q: 1, q + 1: s, 2: t}
+    for _ in range(2 * ctx.e - 1):
+        factor = _poly_square_cyclic(ctx, factor, qn)
+        acc = _poly_mul_cyclic(ctx, acc, factor, qn)
+    return acc
+
+
 def hermite_coefficient_check(ctx: FieldCtx, delta: int) -> bool:
     """Coefficient of X^(q^3-1) in ((X^q + delta X)(X^q + delta^(q^3) X))^(q^2-1)
     reduced mod X^(q^3) - X, compared against the closed form
@@ -407,14 +434,9 @@ def hermite_coefficient_check(ctx: FieldCtx, delta: int) -> bool:
     if ctx.in_subfield(delta, ne):
         raise ValueError("delta must lie outside F_{q^3}")
     q = ctx.q
-    qn = q ** 3
     s = ctx.add(delta, ctx.frob(delta, ne))
     t = ctx.mul(delta, ctx.frob(delta, ne))
-    Qp = {2 * q: 1, q + 1: s, 2: t}
-    acc = {0: 1}
-    for _ in range(q * q - 1):
-        acc = _poly_mul_cyclic(ctx, acc, Qp, qn)
-    brute = acc.get(qn - 1, 0)
+    brute = _hermite_power(ctx, s, t).get(q ** 3 - 1, 0)
     inv_s2 = ctx.inv(ctx.mul(s, s))
     total = 0
     for ell in range(ctx.e):
@@ -538,6 +560,9 @@ def run_experiment(spec: ExperimentSpec) -> VerdictReport:
     if folder and not os.path.isdir(folder):
         raise ValueError(f"cannot write the report {spec.out}: "
                          f"no directory {folder}")
+    if spec.out and os.path.isdir(spec.out):
+        raise ValueError(f"cannot write the report {spec.out}: "
+                         "it is a directory")
     report = fn(spec.params, jobs=spec.jobs, seed=spec.seed, out=spec.out)
     if spec.out:
         report_write(report, spec.out)

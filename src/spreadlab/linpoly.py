@@ -18,10 +18,11 @@ from .field import Elt, FieldCtx
 class QPoly:
     """sum_i coeffs[i] * X^(s^i) with s = p^base_k, acting on F_p^field_k."""
 
-    __slots__ = ("ctx", "field_k", "base_k", "coeffs")
+    __slots__ = ("ctx", "field_k", "base_k", "coeffs", "_vals")
 
     def __init__(self, ctx: FieldCtx, coeffs, field_tag="qn", base_tag="q"):
         self.ctx = ctx
+        self._vals = None
         self.field_k = ctx.tag_degree(field_tag)
         self.base_k = ctx.tag_degree(base_tag)
         if self.field_k % self.base_k != 0:
@@ -56,8 +57,7 @@ class QPoly:
     @classmethod
     def trace_poly(cls, ctx, field_tag="qn", base_tag="q"):
         """The relative trace as a linearized polynomial (all coefficients 1)."""
-        self = cls(ctx, {}, field_tag, base_tag)
-        m = self.field_k // self.base_k
+        m = ctx.tag_degree(field_tag) // ctx.tag_degree(base_tag)
         return cls(ctx, {i: 1 for i in range(m)}, field_tag, base_tag)
 
     # -- basic structure ---------------------------------------------------------
@@ -103,14 +103,18 @@ class QPoly:
         return out
 
     def values(self) -> np.ndarray:
-        """Value table aligned with ctx.subfield_elements(field_k)."""
-        ctx = self.ctx
-        dom = ctx.subfield_elements(self.field_k)
-        out = np.zeros(len(dom), dtype=np.int64)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out = ctx.vadd(out, ctx.vmul(c, ctx.frob_table(self.base_k * i)[dom]))
-        return out
+        """Value table aligned with ctx.subfield_elements(field_k); computed on
+        the first call, then the same read-only array on every call."""
+        if self._vals is None:
+            ctx = self.ctx
+            dom = ctx.subfield_elements(self.field_k)
+            out = np.zeros(len(dom), dtype=np.int64)
+            for i, c in enumerate(self.coeffs):
+                if c:
+                    out = ctx.vadd(out, ctx.vmul(c, ctx.frob_table(self.base_k * i)[dom]))
+            out.flags.writeable = False
+            self._vals = out
+        return self._vals
 
     # -- serialization ------------------------------------------------------------------
 

@@ -18,10 +18,11 @@ from .linpoly import nullspace
 class DOPoly:
     """sum c_ij X^(s^i + s^j), i <= j, s = p^base_k, on F_p^field_k."""
 
-    __slots__ = ("ctx", "field_k", "base_k", "coeffs")
+    __slots__ = ("ctx", "field_k", "base_k", "coeffs", "_vals")
 
     def __init__(self, ctx: FieldCtx, coeffs, field_tag="qn", base_tag="q"):
         self.ctx = ctx
+        self._vals = None
         self.field_k = ctx.tag_degree(field_tag)
         self.base_k = ctx.tag_degree(base_tag)
         if self.field_k % self.base_k != 0:
@@ -76,15 +77,22 @@ class DOPoly:
         return out
 
     def values(self) -> np.ndarray:
-        """Value table aligned with ctx.subfield_elements(field_k)."""
-        ctx = self.ctx
-        dom = ctx.subfield_elements(self.field_k)
-        out = np.zeros(len(dom), dtype=np.int64)
-        for i, j, c in self.coeffs:
-            fi = ctx.frob_table(self.base_k * i)[dom]
-            fj = ctx.frob_table(self.base_k * j)[dom]
-            out = ctx.vadd(out, ctx.vmul(c, ctx.vmul(fi, fj)))
-        return out
+        """Value table aligned with ctx.subfield_elements(field_k); computed on
+        the first call, then the same read-only array on every call."""
+        if self._vals is None:
+            ctx = self.ctx
+            dom = ctx.subfield_elements(self.field_k)
+            out = None
+            for i, j, c in self.coeffs:
+                fi = ctx.frob_table(self.base_k * i)[dom]
+                fj = ctx.frob_table(self.base_k * j)[dom]
+                term = ctx.vmul(c, ctx.vmul(fi, fj))
+                out = term if out is None else ctx.vadd(out, term)
+            if out is None:
+                out = np.zeros(len(dom), dtype=np.int64)
+            out.flags.writeable = False
+            self._vals = out
+        return self._vals
 
     def to_json(self) -> dict:
         if self.base_k == 1:

@@ -286,7 +286,9 @@ def q_from_pair(A: QPoly, B: QPoly, delta: Elt) -> DOPoly:
 
     delta must lie outside the domain field so the two factors are genuinely
     conjugate; the result has all coefficients in the domain field and its
-    values agree with the defining product everywhere (checked).
+    values agree with the defining product everywhere (checked: the result's
+    table is computed from its own coefficients, so the checked table is the
+    one it keeps).
     """
     A._same_shape(B)
     ctx = A.ctx

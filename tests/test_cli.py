@@ -194,11 +194,31 @@ def test_experiment_refuses_missing_report_dir(tmp_path, capsys, monkeypatch):
     assert not out.parent.exists()
 
 
-def test_experiment_report_io_error_exits_1(tmp_path, capsys):
-    # a report path that is a directory fails when the report is written
+def test_experiment_refuses_report_path_that_is_a_directory(tmp_path, capsys,
+                                                           monkeypatch):
+    # refused before the scan starts, with the path named and no traceback
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(ex, "_run_scan", no_scan)
     out = tmp_path / "taken.json"
     out.mkdir()
     assert main(["experiment", "hermite-coefficient", "--q", "2",
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(out) in err
+    assert "Traceback" not in err
+
+
+def test_experiment_report_io_error_exits_1(tmp_path, capsys, monkeypatch):
+    # an OSError while the report is written exits 1 with an error line
+    def denied(report, path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(ex, "report_write", denied)
+    out = tmp_path / "r.json"
+    assert main(["experiment", "hermite-coefficient", "--q", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert "Traceback" not in err

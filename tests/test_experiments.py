@@ -101,6 +101,49 @@ def test_hermite_guards(c213, c313):
         ex.hermite_coefficient_check(c313, c313.find_deltas()[0])   # odd q
 
 
+def _hermite_power_sequential(ctx, delta):
+    """Reference expansion: Q^(q^2-1) as q^2 - 1 successive products with Q."""
+    ne, q = ctx.n * ctx.e, ctx.q
+    dconj = ctx.frob(delta, ne)
+    Q = {2 * q: 1, q + 1: ctx.add(delta, dconj), 2: ctx.mul(delta, dconj)}
+    acc = {0: 1}
+    for _ in range(q * q - 1):
+        acc = ex._poly_mul_cyclic(ctx, acc, Q, q ** 3)
+    return acc
+
+
+@pytest.mark.parametrize("e, sample", [(1, None), (2, None), (3, 200)])
+def test_hermite_squaring_matches_sequential_product(e, sample):
+    ctx = build_tower(2, e, 3)
+    deltas = ex._outside_deltas(ctx)
+    if sample is not None:
+        rng = np.random.default_rng(43)
+        deltas = [int(d) for d in rng.choice(deltas, sample, replace=False)]
+    ne = ctx.n * ctx.e
+    for d in deltas:
+        dconj = ctx.frob(d, ne)
+        got = ex._hermite_power(ctx, ctx.add(d, dconj), ctx.mul(d, dconj))
+        assert got == _hermite_power_sequential(ctx, d), d
+
+
+def test_candidate_scans_call_the_predicate_per_candidate(monkeypatch):
+    # the value tables are shared, but each candidate still gets its own
+    # predicate call
+    calls = {"permutes_cosets": 0, "is_permutation_brute": 0}
+
+    def counted(fn):
+        def wrapper(f):
+            calls[fn.__name__] += 1
+            return fn(f)
+        return wrapper
+
+    monkeypatch.setattr(ex, "permutes_cosets", counted(ex.permutes_cosets))
+    monkeypatch.setattr(ex, "is_permutation_brute", counted(ex.is_permutation_brute))
+    assert verify_no_typeC_odd({"q": 3, "n": 2}).candidates == 648
+    assert verify_even_n3_classification({"q": 2}).candidates == 3584
+    assert calls == {"permutes_cosets": 648, "is_permutation_brute": 3584}
+
+
 # -- planarity dichotomy -----------------------------------------------------------------
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from spreadlab import (QPoly, adjoint, assoc_matrix, compose, is_permutation,
-                       kernel_basis, kernel_dim, linearity_field)
+from spreadlab import (QPoly, adjoint, assoc_matrix, build_tower, compose,
+                       is_permutation, kernel_basis, kernel_dim, linearity_field)
 
 
 def _rand_qpoly(ctx, rng):
@@ -189,3 +189,22 @@ def test_qpoly_json_round_trip(c313):
     doc = L.to_json()
     back = QPoly.from_json(c313, doc)
     assert back.coeffs == L.coeffs
+
+
+@pytest.mark.parametrize("pen", [(3, 1, 2), (5, 1, 2), (2, 1, 3)], ids=str)
+def test_values_computed_once_and_read_only(pen):
+    ctx = build_tower(*pen)
+    rng = np.random.default_rng(41)
+    dom = ctx.subfield_elements("qn")
+    for _ in range(4):
+        L = _rand_qpoly(ctx, rng)
+        vals = L.values()
+        assert L.values() is vals
+        with pytest.raises(ValueError):
+            vals[0] = 1
+        fresh = QPoly(ctx, L.coeffs)
+        # the stored table is not part of the polynomial's identity
+        assert L == fresh and hash(L) == hash(fresh)
+        assert L.to_json() == {"coeffs": list(L.coeffs)}
+        assert np.array_equal(vals, fresh.values())
+        assert vals.tolist() == [L(int(x)) for x in dom]

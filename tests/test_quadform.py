@@ -255,3 +255,27 @@ def test_quadspace_rejects_bad_tables(c213):
     vals[3] = out
     with pytest.raises(ValueError):
         QuadSpace(c213, vals, "qn")        # values must land in F_q
+
+
+@pytest.mark.parametrize("pen", [(3, 1, 2), (5, 1, 2), (2, 1, 3)], ids=str)
+def test_values_computed_once_and_read_only(pen):
+    ctx = build_tower(*pen)
+    rng = np.random.default_rng(42)
+    dom = ctx.subfield_elements("qn")
+    for _ in range(4):
+        f = DOPoly(ctx, {(i, j): int(rng.choice(dom))
+                         for i in range(ctx.n) for j in range(i, ctx.n)})
+        vals = f.values()
+        assert f.values() is vals
+        with pytest.raises(ValueError):
+            vals[0] = 1
+        fresh = DOPoly(ctx, f.coeffs)
+        # the stored table is not part of the polynomial's identity
+        assert f == fresh and hash(f) == hash(fresh)
+        assert DOPoly.from_json(ctx, f.to_json()) == f
+        assert np.array_equal(vals, fresh.values())
+        assert vals.tolist() == [f(int(x)) for x in dom]
+    empty = DOPoly(ctx, {})
+    assert empty.values().dtype == np.int64
+    assert empty.values().tolist() == [0] * len(dom)
+    assert not empty.values().flags.writeable

@@ -10,6 +10,7 @@ from spreadlab import (DOPoly, QPoly, RtcsSpec, is_planar_2to1, is_planar_direct
                        planar_family_check, planar_to_presemifield, psi_image_check,
                        psi_map, q_from_component, q_from_pair, rtcs_build,
                        rtcs_check, zeta_element)
+import spreadlab.semifield as semifield
 from spreadlab.semifield import Presemifield
 
 
@@ -210,6 +211,23 @@ def test_q_from_pair_values(c313):
             lhs = c313.mul(c313.add(A(x), c313.mul(delta, B(x))),
                            c313.add(A(x), c313.mul(dconj, B(x))))
             assert Q(x) == lhs
+
+
+def test_q_from_pair_checks_its_expansion(c313, monkeypatch):
+    # one expanded coefficient perturbed while the product side is left as
+    # it is: the check compares the result's own table with the product
+    A, B = QPoly.identity(c313), QPoly.monomial(c313, 1, 2)
+    delta = c313.find_deltas()[0]
+    q_from_pair(A, B, delta)
+    real = semifield.DOPoly
+
+    def perturbed(ctx, terms, *tags):
+        i, j, c = terms[0]
+        return real(ctx, [(i, j, ctx.add(c, 1)), *terms[1:]], *tags)
+
+    monkeypatch.setattr(semifield, "DOPoly", perturbed)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        q_from_pair(A, B, delta)
 
 
 def test_q_from_pair_rejects_inside_delta(c313):
