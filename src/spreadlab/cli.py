@@ -85,7 +85,6 @@ def _cmd_build(args) -> int:
     if kind == "even3" and n != 3:
         raise ValueError("even3 spreads live in F_{q^6}; --n must be 3")
     ctx = build_tower(args.p, args.e, n)
-    ne = ctx.n * ctx.e
     if kind == "typec":
         delta = args.delta if args.delta is not None else ctx.find_deltas()[0]
         S = build_typeC(ctx, args.i, delta)
@@ -97,9 +96,7 @@ def _cmd_build(args) -> int:
         if args.delta is not None:
             delta = args.delta
         else:
-            delta = next(d for d in range(1, ctx.N)
-                         if not ctx.in_subfield(d, ne)
-                         and even3_admissible(ctx, d))
+            delta = next(d for d in range(1, ctx.N) if even3_admissible(ctx, d))
         S = build_even_n3(ctx, delta)
     doc = S.to_json()
     out = args.out or f"{kind}-spread.json"

@@ -23,7 +23,7 @@ import numpy as np
 
 from .field import FieldCtx, build_tower, factor_prime_power
 from .linpoly import QPoly
-from .quadform import DOPoly, is_permutation_brute, permutes_cosets
+from .quadform import is_permutation_brute, permutes_cosets
 from .semifield import _two_to_one, q_from_pair
 
 CHECKPOINT_EVERY = 1_000_000
@@ -175,8 +175,7 @@ def _read_params(params: dict | None, **defaults) -> dict:
 
 def _outside_deltas(ctx: FieldCtx) -> list[int]:
     """The deltas of the even-q scans: every element outside F_{q^n}."""
-    ne = ctx.n * ctx.e
-    return [x for x in range(1, ctx.N) if not ctx.in_subfield(x, ne)]
+    return np.flatnonzero(ctx.element_index(ctx.n * ctx.e) < 0).tolist()
 
 
 # -- no type C spread, odd q, n even ----------------------------------------------
@@ -384,49 +383,28 @@ def verify_even_n3_classification(params: dict | None = None, *, jobs: int = 1,
 # -- the Hermite-criterion coefficient ----------------------------------------------
 
 
-def _poly_mul_cyclic(ctx: FieldCtx, f: dict, g: dict, qn: int) -> dict:
-    """Product of reduced polynomials modulo X^(q^n) - X (exponents folded
-    into 0..q^n-1, nonzero exponents staying nonzero)."""
-    out: dict[int, int] = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            ex = e1 + e2
-            while ex >= qn:
-                ex -= qn - 1
-            out[ex] = ctx.add(out.get(ex, 0), ctx.mul(c1, c2))
-    return {ex: c for ex, c in out.items() if c}
-
-
-def _poly_square_cyclic(ctx: FieldCtx, f: dict, qn: int) -> dict:
-    """f^2 modulo X^(q^n) - X in characteristic 2: each coefficient squared,
-    each exponent doubled and folded as in _poly_mul_cyclic.  Since q^n - 1
-    is odd, doubling is one-to-one on reduced exponents: no terms merge."""
-    out: dict[int, int] = {}
-    for ex, c in f.items():
-        ex *= 2
-        while ex >= qn:
-            ex -= qn - 1
-        out[ex] = ctx.mul(c, c)
-    return out
-
-
-def _hermite_power(ctx: FieldCtx, s: int, t: int) -> dict:
-    """Q^(q^2-1) mod X^(q^3) - X for Q = X^(2q) + s X^(q+1) + t X^2, fully
-    expanded: q^2 - 1 = sum_{k<2e} 2^k, so Q^(q^2-1) = prod_{k<2e} Q^(2^k),
-    each factor the square of the one before."""
-    q = ctx.q
-    qn = q ** 3
-    factor = acc = {2 * q: 1, q + 1: s, 2: t}
-    for _ in range(2 * ctx.e - 1):
-        factor = _poly_square_cyclic(ctx, factor, qn)
-        acc = _poly_mul_cyclic(ctx, acc, factor, qn)
-    return acc
+def _hermite_brute(ctx: FieldCtx, delta: int) -> int:
+    """Coefficient of X^(q^3-1) in Q^(q^2-1) mod X^(q^3) - X, read off the
+    values: sum_{x in F_{q^3}} x^j is -1 when j > 0 and (q^3 - 1) | j, else
+    0, so sum_x g(x) = -g_{q^3-1} for every g reduced mod X^(q^3) - X (and
+    -1 = 1 in characteristic 2)."""
+    X = ctx.subfield_elements("qn")
+    Xq = ctx.frob_table(ctx.e)[X]
+    dconj = ctx.frob(delta, ctx.n * ctx.e)
+    Q = ctx.vmul(ctx.vadd(Xq, ctx.vmul(delta, X)), ctx.vadd(Xq, ctx.vmul(dconj, X)))
+    g = ctx.vpow(Q, ctx.q ** 2 - 1)
+    while len(g) > 1:                  # q^3 is a power of 2: sum by halving
+        h = len(g) // 2
+        g = ctx.vadd(g[:h], g[h:])
+    return int(g[0])
 
 
 def hermite_coefficient_check(ctx: FieldCtx, delta: int) -> bool:
     """Coefficient of X^(q^3-1) in ((X^q + delta X)(X^q + delta^(q^3) X))^(q^2-1)
     reduced mod X^(q^3) - X, compared against the closed form
-    s^(q^2+q-1) * sum_l (t s^-2)^(2^l q); raises if the value is zero (it
+    s^(q^2+q-1) * sum_l (t s^-2)^(2^l q).  The coefficient is computed
+    independently of the closed form, as the sum of Q(x)^(q^2-1) over
+    x in F_{q^3} (Hermite's power-sum identity); raises if it is zero (it
     certifies Q is not a permutation, so it must not vanish)."""
     if ctx.p != 2 or ctx.n != 3:
         raise ValueError("the coefficient identity is for even q with n = 3")
@@ -436,7 +414,7 @@ def hermite_coefficient_check(ctx: FieldCtx, delta: int) -> bool:
     q = ctx.q
     s = ctx.add(delta, ctx.frob(delta, ne))
     t = ctx.mul(delta, ctx.frob(delta, ne))
-    brute = _hermite_power(ctx, s, t).get(q ** 3 - 1, 0)
+    brute = _hermite_brute(ctx, delta)
     inv_s2 = ctx.inv(ctx.mul(s, s))
     total = 0
     for ell in range(ctx.e):

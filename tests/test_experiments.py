@@ -101,29 +101,51 @@ def test_hermite_guards(c213, c313):
         ex.hermite_coefficient_check(c313, c313.find_deltas()[0])   # odd q
 
 
-def _hermite_power_sequential(ctx, delta):
-    """Reference expansion: Q^(q^2-1) as q^2 - 1 successive products with Q."""
+def _poly_mul_cyclic(ctx, f, g, qn):
+    """Product of reduced polynomials (exponent -> coefficient dicts) modulo
+    X^(q^n) - X: exponents fold into 0..q^n-1, nonzero ones staying nonzero."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            ex = e1 + e2
+            while ex >= qn:
+                ex -= qn - 1
+            out[ex] = ctx.add(out.get(ex, 0), ctx.mul(c1, c2))
+    return {ex: c for ex, c in out.items() if c}
+
+
+def _hermite_coefficient_sequential(ctx, delta):
+    """Reference: the X^(q^3-1) coefficient of Q^(q^2-1) mod X^(q^3) - X,
+    expanded as q^2 - 1 successive products with Q."""
     ne, q = ctx.n * ctx.e, ctx.q
     dconj = ctx.frob(delta, ne)
     Q = {2 * q: 1, q + 1: ctx.add(delta, dconj), 2: ctx.mul(delta, dconj)}
     acc = {0: 1}
     for _ in range(q * q - 1):
-        acc = ex._poly_mul_cyclic(ctx, acc, Q, q ** 3)
-    return acc
+        acc = _poly_mul_cyclic(ctx, acc, Q, q ** 3)
+    return acc.get(q ** 3 - 1, 0)
 
 
 @pytest.mark.parametrize("e, sample", [(1, None), (2, None), (3, 200)])
-def test_hermite_squaring_matches_sequential_product(e, sample):
+def test_hermite_value_sum_matches_sequential_product(e, sample):
     ctx = build_tower(2, e, 3)
     deltas = ex._outside_deltas(ctx)
     if sample is not None:
         rng = np.random.default_rng(43)
         deltas = [int(d) for d in rng.choice(deltas, sample, replace=False)]
-    ne = ctx.n * ctx.e
     for d in deltas:
-        dconj = ctx.frob(d, ne)
-        got = ex._hermite_power(ctx, ctx.add(d, dconj), ctx.mul(d, dconj))
-        assert got == _hermite_power_sequential(ctx, d), d
+        assert ex._hermite_brute(ctx, d) == _hermite_coefficient_sequential(ctx, d), d
+
+
+def test_hermite_vanished_coefficient_is_a_counterexample(monkeypatch, c213):
+    monkeypatch.setattr(ex, "_hermite_brute", lambda ctx, delta: 0)
+    first = ex._outside_deltas(c213)[0]
+    with pytest.raises(RuntimeError, match="coefficient vanished"):
+        ex.hermite_coefficient_check(c213, first)
+    rep = verify_hermite({"q": 2})
+    assert rep.verdict == "counterexample" and rep.exit_code == 2
+    assert rep.candidates == 1
+    assert rep.counterexample == {"delta": first}
 
 
 def test_candidate_scans_call_the_predicate_per_candidate(monkeypatch):

@@ -1,7 +1,9 @@
 """field.py alone owns the layout of a FieldCtx's tables and caches: no
 other library module reads or writes a ctx._ attribute.  Every exported
-name is used by a test or a demo."""
+name is used by a test or a demo, and every name a library module imports
+is used in that module."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -25,3 +27,23 @@ def test_every_export_is_used_in_tests_or_demos():
     unused = [name for name in spreadlab.__all__
               if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert not unused, unused
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export; from __future__ switches on features
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}"
+                       for name in bound if name not in used]
+    assert not unused, "\n".join(unused)

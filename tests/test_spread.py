@@ -342,13 +342,19 @@ def test_subspace_json_round_trip(c313):
     assert back == W
 
 
-def test_subspace_validation(c213):
+def test_subspace_validation(c213, c321):
     with pytest.raises(ValueError):
         Subspace(c213, elements=[0, 1, 2])          # not a subspace (size 3)
     with pytest.raises(ValueError):
         Subspace(c213, elements=[0, 1], basis=[1])  # both args
     with pytest.raises(ValueError):
         Subspace(c213)                              # neither arg
+    with pytest.raises(ValueError, match="not closed under addition"):
+        Subspace(c213, elements=[0, 1, 2, 4])
+    # the F_3-span of 1 and X in F_81: an additive group of size q = 9 that
+    # F_9 does not preserve
+    with pytest.raises(ValueError, match="not closed under F_q-scalars"):
+        Subspace(c321, elements=list(range(9)))
 
 
 def test_spread_json_round_trip(spread_c313):
