@@ -24,9 +24,18 @@ ch. 9):
 
 The tables are int32 (encodings stay below the 2^24 table budget); the
 vectorized kernels return int64 arrays, and the scalar kernels read the same
-tables through memoryviews, which return Python ints.  The antilog table is
-built by doubling on the encodings, gamma^(h+i) = gamma^i * gamma^h with the
-second factor a d x d matrix over F_p, in row blocks of _EXP_BLOCK.
+tables through memoryviews, which return Python ints.
+
+Construction uses one representation: an element u of F_p[X]/(f) acts as
+the d x d matrix M_u over F_p whose row j holds the digits of X^j * u, and
+_mat_pow raises such a matrix to a power mod p.  The defining polynomial f
+passes Rabin's test (SIAM J. Comput. 9, 1980) on its companion matrix C:
+C^(p^d) = C, and for each prime l | d the element X^(p^(d/l)) - X is a unit,
+checked as (C^(p^(d/l)) - C)^(p^d - 1) = I in place of a gcd.  gamma is the
+least g >= 2 with M_g^((N-1)/l) != I for every prime l | N-1.  The antilog
+table is then built by doubling on the encodings, gamma^(h+i) = gamma^i *
+gamma^h with the second factor M_(gamma^h), in row blocks of _EXP_BLOCK; it
+must cycle back to 1 and hit every unit once.
 
 to_coords and from_coords are the one map between encodings and coordinates
 over a subfield: to_coords reads coord_index, from_coords sums c_j * b_j with
@@ -44,14 +53,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
 # An element of the ambient field is just its integer encoding.
 Elt = int
 
-DEFAULT_TABLE_BUDGET = 1 << 24
+TABLE_BUDGET = 1 << 24         # largest ambient field size p^(2ne)
 _EXP_BLOCK = 1 << 16          # rows per block while the antilog table is built
 
 
@@ -71,13 +79,15 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     p = 2
-    while q % p != 0:
+    while p * p <= q and q % p != 0:
         p += 1
+    if p * p > q:
+        return q, 1                  # no factor up to sqrt(q): q is prime
     e, m = 0, q
     while m % p == 0:
         m //= p
         e += 1
-    if m != 1 or not _is_prime(p):
+    if m != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, e
 
@@ -104,91 +114,51 @@ def digits_of(x: int, p: int, d: int) -> list[int]:
     return out
 
 
-def _undigits(ds, p: int) -> int:
-    x = 0
-    for c in reversed(ds):
-        x = x * p + int(c)
-    return x
-
-
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_p, used only during construction
+# construction: an element u of F_p[X]/(f) acts as its multiplication matrix
+# M_u over F_p, whose row j holds the digits of X^j * u
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_sub(a, b, p):
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(max(len(a), len(b)))]
-    return _poly_trim(out)
-
-
-def _poly_mulmod(a, b, f, p):
-    # f monic; deg a, deg b < deg f
-    if not a or not b:
-        return []
+def _companion(f, p: int) -> np.ndarray:
+    """M_X for the monic f: row j holds the digits of X^(j+1) mod f."""
     d = len(f) - 1
-    c = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                c[i + j] = (c[i + j] + ai * bj) % p
-    for k in range(len(c) - 1, d - 1, -1):
-        ck = c[k]
-        if ck:
-            c[k] = 0
-            for j in range(d):
-                c[k - d + j] = (c[k - d + j] - ck * f[j]) % p
-    return _poly_trim(c)
+    C = np.eye(d, k=1, dtype=np.int64)
+    C[-1] = [-c % p for c in f[:-1]]
+    return C
 
 
-def _poly_powmod(a, m: int, f, p):
-    out = [1]
-    base = list(a)
+def _mult_matrix(u: int, C: np.ndarray, p: int) -> np.ndarray:
+    """M_u = sum_k u_k C^k for the encoding u: row j is row j-1 times C."""
+    rows = [np.array(digits_of(u, p, len(C)), dtype=np.int64)]
+    for _ in range(len(C) - 1):
+        rows.append(rows[-1] @ C % p)
+    return np.array(rows)
+
+
+def _mat_pow(M: np.ndarray, m: int, p: int) -> np.ndarray:
+    """M^m mod p for m >= 0, by square and multiply."""
+    out = np.eye(len(M), dtype=np.int64)
     while m:
         if m & 1:
-            out = _poly_mulmod(out, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
+            out = out @ M % p
+        M = M @ M % p
         m >>= 1
     return out
 
 
-def _poly_mod(a, b, p):
-    # remainder of a by nonzero b
-    a = _poly_trim([c % p for c in list(a)])
-    inv_lead = pow(b[-1] % p, p - 2, p)
-    db = len(b) - 1
-    while a and len(a) - 1 >= db:
-        coef = (a[-1] * inv_lead) % p
-        off = len(a) - 1 - db
-        for j in range(len(b)):
-            a[off + j] = (a[off + j] - coef * b[j]) % p
-        _poly_trim(a)
-    return a
-
-
-def _poly_gcd(a, b, p):
-    a = _poly_trim([c % p for c in list(a)])
-    b = _poly_trim([c % p for c in list(b)])
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
 def _is_irreducible(f, p: int) -> bool:
+    # Rabin's test.  Once X^(p^d) = X mod f, f is squarefree with factor
+    # degrees dividing d, so F_p[X]/(f) is a product of fields F_p^k with
+    # k | d, and X^(p^(d/l)) - X is prime to f exactly when its
+    # (p^d - 1)-th power is 1.
     d = len(f) - 1
-    x = [0, 1]
-    if _poly_sub(_poly_powmod(x, p ** d, f, p), x, p):
+    C = _companion(f, p)
+    if not np.array_equal(_mat_pow(C, p ** d, p), C):
         return False
-    for ell in prime_factors(d):
-        g = _poly_gcd(f, _poly_sub(_poly_powmod(x, p ** (d // ell), f, p), x, p), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    one = np.eye(d, dtype=np.int64)
+    return all(np.array_equal(_mat_pow((_mat_pow(C, p ** (d // ell), p) - C) % p,
+                                       p ** d - 1, p), one)
+               for ell in prime_factors(d))
 
 
 def _least_irreducible(p: int, d: int) -> list[int]:
@@ -213,24 +183,21 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, e: int, n: int):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if e < 1 or n < 1:
             raise ValueError("e and n must be >= 1")
-        budget = int(os.environ.get("SPREADLAB_TABLE_BUDGET", DEFAULT_TABLE_BUDGET))
+        self.d = 2 * n * e                 # degree of the ambient field over F_p
+        self.N = p ** self.d               # ambient field size
+        if self.N > TABLE_BUDGET:
+            raise ValueError(f"p^(2ne) = {self.N} exceeds the table budget {TABLE_BUDGET}")
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.e = e
         self.n = n
         self.q = p ** e
-        self.d = 2 * n * e                 # degree of the ambient field over F_p
-        self.N = p ** self.d               # ambient field size
-        if self.N > budget:
-            raise ValueError(
-                f"p^(2ne) = {self.N} exceeds the table budget {budget}; "
-                "set SPREADLAB_TABLE_BUDGET to override")
         self.defining_poly = tuple(_least_irreducible(p, self.d))
-        self.gamma = self._find_gamma()
-        self._build_exp_log()
+        self.gamma, mult = self._find_gamma()
+        self._build_exp_log(mult)
         if p != 2:
             self._build_split_add()
         qn = self.q ** n
@@ -241,39 +208,29 @@ class FieldCtx:
 
     # -- construction helpers -------------------------------------------------
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Product of two encodings via polynomial arithmetic (pre-table)."""
-        p, d = self.p, self.d
-        return _undigits(_poly_mulmod(digits_of(a, p, d), digits_of(b, p, d),
-                                      self.defining_poly, p), p)
-
-    def _raw_pow(self, a: int, m: int) -> int:
-        out, base = 1, a
-        while m:
-            if m & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            m >>= 1
-        return out
-
-    def _find_gamma(self) -> int:
-        order = self.N - 1
+    def _find_gamma(self) -> tuple[int, np.ndarray]:
+        """The least primitive encoding and its multiplication matrix."""
+        p, order = self.p, self.N - 1
+        C = _companion(self.defining_poly, p)
+        one = np.eye(self.d, dtype=np.int64)
         primes = prime_factors(order)
         for g in range(2, self.N):
-            if all(self._raw_pow(g, order // ell) != 1 for ell in primes):
-                return g
+            mult = _mult_matrix(g, C, p)
+            if not any(np.array_equal(_mat_pow(mult, order // ell, p), one)
+                       for ell in primes):
+                return g, mult
         raise RuntimeError("no generator found")  # unreachable
 
-    def _build_exp_log(self):
+    def _build_exp_log(self, mult: np.ndarray):
         # Doubling on the encodings: gamma^(have+i) = gamma^i * gamma^have,
         # with multiplication by gamma^have as a d x d matrix over F_p whose
-        # row j holds the digits of X^j * gamma^have.  Rows go in blocks of
-        # _EXP_BLOCK, so only a block's digits are ever held at once.
+        # row j holds the digits of X^j * gamma^have; mult starts as that of
+        # gamma.  Rows go in blocks of _EXP_BLOCK, so only a block's digits
+        # are ever held at once.
         p, d, N = self.p, self.d, self.N
         M = N - 1
         pvec = p ** np.arange(d, dtype=np.int64)
-        mult = np.array([digits_of(self._raw_mul(p ** j, self.gamma), p, d)
-                         for j in range(d)], dtype=np.int64)
+        gamma_mult = mult
         table = np.zeros(4 * M + 1, dtype=np.int32)
         table[0] = 1
         have = 1
@@ -286,7 +243,7 @@ class FieldCtx:
             mult = mult @ mult % p
             have += t
         exp = table[:M]
-        if self._raw_mul(int(exp[-1]), self.gamma) != 1:
+        if (digits_of(int(exp[-1]), p, d) @ gamma_mult % p @ pvec) != 1:
             raise RuntimeError("exp table construction failed to cycle")
         log = np.full(N, -1, dtype=np.int32)
         log[exp] = np.arange(M, dtype=np.int32)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from spreadlab import build_tower, ctx_from_json, factor_prime_power
-from spreadlab.field import FieldCtx, digits_of
+from spreadlab.field import (FieldCtx, _companion, _is_irreducible, _mat_pow,
+                             _mult_matrix, digits_of)
 
 
 def _order(ctx, x):
@@ -134,11 +135,12 @@ def test_trace_transitivity(c313):
         assert c313.trace(x, "q2n", "q") == c313.trace(inner, "qn", "q")
 
 
-def test_budget_guard(monkeypatch):
-    monkeypatch.setenv("SPREADLAB_TABLE_BUDGET", "10")
-    with pytest.raises(ValueError):
-        build_tower(7, 1, 1)
-    monkeypatch.delenv("SPREADLAB_TABLE_BUDGET")
+def test_budget_guard():
+    with pytest.raises(ValueError, match="table budget"):
+        build_tower(2, 1, 13)                 # 2^26 > 2^24
+    # a prime whose square is refused before any trial division
+    with pytest.raises(ValueError, match="table budget"):
+        build_tower(100000000000031, 1, 1)
     ctx = build_tower(7, 1, 1)
     assert ctx.N == 49
 
@@ -160,6 +162,9 @@ def test_factor_prime_power():
     assert factor_prime_power(32) == (2, 5)
     with pytest.raises(ValueError):
         factor_prime_power(12)
+    assert factor_prime_power(1_000_000_007) == (1_000_000_007, 1)
+    with pytest.raises(ValueError):
+        factor_prime_power(10007 * 10009)
 
 
 def test_element_index(c313):
@@ -287,11 +292,69 @@ def test_tower_construction_memory():
     assert peak < 48e6, f"construction peaked at {peak / 1e6:.1f} MB"
 
 
+def test_exp_table_rejects_a_non_primitive_generator():
+    # gamma^3 has order 5 in F_16: its 15 powers cycle back to 1, but they
+    # cover only 5 units, so only the bijection check can refuse them
+    ctx = FieldCtx(2, 1, 2)
+    g3 = ctx.pow(ctx.gamma, 3)
+    assert ctx.pow(g3, 5) == 1
+    with pytest.raises(RuntimeError, match="not a bijection"):
+        ctx._build_exp_log(_mult_matrix(g3, _companion(ctx.defining_poly, 2), 2))
+
+
+# -- tower construction against sympy's galoistools -------------------------------
+
+
+def _dense(coeffs):
+    """Low-first coefficients as a sympy dense list: high first, no leading zeros."""
+    out = [int(c) for c in reversed(coeffs)]
+    while out and out[0] == 0:
+        out.pop(0)
+    return out
+
+
+def test_irreducibility_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    gt, ZZ = sympy.polys.galoistools, sympy.ZZ
+    checked = 0
+    for p, top in ((2, 10), (3, 6), (5, 4), (7, 3)):
+        for d in range(1, top + 1):
+            for k in range(p ** d):
+                f = digits_of(k, p, d) + [1]
+                assert _is_irreducible(f, p) == gt.gf_irreducible_p(_dense(f), p, ZZ), (p, f)
+                checked += 1
+    assert checked == 4317
+
+
+def test_canonical_towers_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    gt, ZZ = sympy.polys.galoistools, sympy.ZZ
+    towers = [(p, d) for d in range(2, 17, 2) for p in sympy.primerange(2, 257)
+              if p ** d <= 1 << 16]
+    assert len(towers) == 70
+    for p, d in towers:
+        ctx = FieldCtx(p, 1, d // 2)          # not build_tower: keep no cache
+        f = ctx.defining_poly
+        assert gt.gf_irreducible_p(_dense(f), p, ZZ), (p, d)
+        index = sum(c * p ** i for i, c in enumerate(f[:-1]))
+        assert not any(gt.gf_irreducible_p(_dense(digits_of(k, p, d) + [1]), p, ZZ)
+                       for k in range(index)), (p, d)
+        order = p ** d - 1
+        primes = sympy.primefactors(order)
+
+        def primitive(g):
+            return all(gt.gf_pow_mod(_dense(digits_of(g, p, d)), order // ell,
+                                     _dense(f), p, ZZ) != [1] for ell in primes)
+
+        assert primitive(ctx.gamma), (p, d)
+        assert not any(primitive(g) for g in range(2, ctx.gamma)), (p, d)
+
+
 # -- every arithmetic kernel against slow, independent partners ------------------
 #
 # The reference adds digitwise (digits_of) and multiplies schoolbook-style
-# modulo the defining polynomial; it is itself checked against the pre-table
-# polynomial arithmetic FieldCtx._raw_mul / _raw_pow.  (7,1,2), with 2401
+# modulo the defining polynomial; it is itself checked against the F_p
+# multiplication matrices that construct the tower.  (7,1,2), with 2401
 # elements, lies above the 1024 elements up to which add once had its own
 # full table.
 
@@ -367,16 +430,20 @@ def _expect_pow(ref, a, m):
 
 
 def test_reference_matches_raw_polynomial_arithmetic(tower):
+    # a * b = digits(a) M_b and a^m = e_0 M_a^m, with M_u the construction's
+    # matrix of multiplication by u
     ctx, ref = tower
-    N = ctx.N
+    p, N = ctx.p, ctx.N
+    C = _companion(ctx.defining_poly, p)
     rng = np.random.default_rng(N)
     pairs = rng.integers(0, N, (400, 2))
     pairs[:20, 0] = 0
     for a, b in pairs.tolist():
-        assert int(ref.mul(a, b)) == ctx._raw_mul(a, b)
+        assert int(ref.mul(a, b)) == ref.D[a] @ _mult_matrix(b, C, p) % p @ ref.pw
     for a in rng.integers(1, N, 10).tolist():
+        Ma = _mult_matrix(a, C, p)
         for m in (m for m in _exponents(N) if m >= 0):
-            assert int(ref.pow(a, m)) == ctx._raw_pow(a, m)
+            assert int(ref.pow(a, m)) == _mat_pow(Ma, m, p)[0] @ ref.pw
 
 
 def test_vector_kernels_every_pair(tower):
