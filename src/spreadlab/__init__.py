@@ -17,8 +17,8 @@ from .semifield import (Presemifield, RtcsSpec, is_planar_2to1,
                         middle_nucleus_elements, normalize, nucleus,
                         nucleus_elements, planar_family_check,
                         planar_to_presemifield, psi_image_check, psi_map,
-                        q_from_component, q_from_pair, rtcs_build, rtcs_check,
-                        zeta_element)
+                        q_from_component, q_from_pair, q_from_pairs,
+                        rtcs_build, rtcs_check, zeta_element)
 from .spread import (KeyLemmaReport, Spread, Subspace, build_even_n3,
                      build_typeC, build_typeH, check_key_lemma,
                      component_from_pair, even3_admissible, gcd_condition,
@@ -39,7 +39,7 @@ __all__ = [
     "middle_nucleus_elements", "normalize", "nucleus", "nucleus_elements",
     "orbit", "permutes_cosets", "planar_family_check",
     "planar_to_presemifield", "psi_image_check", "psi_map", "q_from_component",
-    "q_from_pair", "radical",
+    "q_from_pair", "q_from_pairs", "radical",
     "report_write", "rtcs_build", "rtcs_check", "run_experiment",
     "symplectic_check", "verify_even_n3_classification", "verify_hermite",
     "verify_no_typeC_even_8dim", "verify_no_typeC_odd",

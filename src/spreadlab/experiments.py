@@ -24,7 +24,7 @@ import numpy as np
 from .field import FieldCtx, build_tower, factor_prime_power
 from .linpoly import QPoly
 from .quadform import is_permutation_brute, permutes_cosets
-from .semifield import _two_to_one, q_from_pair
+from .semifield import _two_to_one, q_from_pairs
 
 CHECKPOINT_EVERY = 1_000_000
 
@@ -188,12 +188,12 @@ def _odd_setup(p, e, n):
 
 def _odd_check(state, coeffs):
     """One q-polynomial L against every admissible delta, up to the first hit.
-    q_from_pair(ident, L, d) is q_from_component(L, d); sharing ident and L
-    over the deltas builds each of their value tables once."""
+    q_from_pairs(ident, L, deltas) gives q_from_component(L, d) for every d
+    from one checked table; each is then tested on its own."""
     ctx, deltas, ident = state
     L = QPoly(ctx, list(coeffs))
-    for di, d in enumerate(deltas):
-        if permutes_cosets(q_from_pair(ident, L, int(d))):
+    for di, (d, Q) in enumerate(zip(deltas, q_from_pairs(ident, L, deltas))):
+        if permutes_cosets(Q):
             return di + 1, 1, {"L_coeffs": list(coeffs), "delta": int(d)}
     return len(deltas), 0, None
 
@@ -346,13 +346,15 @@ def _even3_setup(p, e):
 
 def _even3_check(state, coeffs):
     """One monic L = X^(q^2) + d1 X^q + d0 X against every delta up to the
-    first disagreement; the hits are the permutations."""
+    first disagreement; the hits are the permutations.  The products
+    (L + delta X)(L + delta^(q^3) X) of all deltas come from one
+    q_from_pairs call; each is then tested on its own."""
     ctx, deltas, ident = state
     d0, d1 = coeffs
     L = QPoly(ctx, {0: d0, 1: d1, 2: 1})
     perms = 0
-    for di, delta in enumerate(deltas):
-        perm = is_permutation_brute(q_from_pair(L, ident, delta))
+    for di, (delta, Q) in enumerate(zip(deltas, q_from_pairs(L, ident, deltas))):
+        perm = is_permutation_brute(Q)
         perms += perm
         if perm != even3_perm_predicate(ctx, d0, d1, delta):
             return di + 1, perms, {"L_coeffs": [d0, d1, 1], "delta": delta}
@@ -369,6 +371,8 @@ def verify_even_n3_classification(params: dict | None = None, *, jobs: int = 1,
     p, e = factor_prime_power(q)
     if p != 2:
         raise ValueError("the classification is for even q")
+    if q ** 6 * (q ** 6 - q ** 3) > 10 ** 8:       # (d0, d1) pairs times deltas
+        raise ValueError("search space exceeds the desk-scale budget")
     ctx = build_tower(p, e, 3)
     dom = [int(x) for x in ctx.subfield_elements("qn")]
     combos = list(itertools.product(dom, repeat=2))   # (d0, d1), lex

@@ -209,12 +209,15 @@ class FieldCtx:
     # -- construction helpers -------------------------------------------------
 
     def _find_gamma(self) -> tuple[int, np.ndarray]:
-        """The least primitive encoding and its multiplication matrix."""
+        """The least primitive encoding and its multiplication matrix.
+
+        The search starts at p: the encodings below p are F_p, whose units
+        have order dividing p - 1 < N - 1 since d >= 2."""
         p, order = self.p, self.N - 1
         C = _companion(self.defining_poly, p)
         one = np.eye(self.d, dtype=np.int64)
         primes = prime_factors(order)
-        for g in range(2, self.N):
+        for g in range(p, self.N):
             mult = _mult_matrix(g, C, p)
             if not any(np.array_equal(_mat_pow(mult, order // ell, p), one)
                        for ell in primes):

@@ -80,18 +80,7 @@ class DOPoly:
         """Value table aligned with ctx.subfield_elements(field_k); computed on
         the first call, then the same read-only array on every call."""
         if self._vals is None:
-            ctx = self.ctx
-            dom = ctx.subfield_elements(self.field_k)
-            out = None
-            for i, j, c in self.coeffs:
-                fi = ctx.frob_table(self.base_k * i)[dom]
-                fj = ctx.frob_table(self.base_k * j)[dom]
-                term = ctx.vmul(c, ctx.vmul(fi, fj))
-                out = term if out is None else ctx.vadd(out, term)
-            if out is None:
-                out = np.zeros(len(dom), dtype=np.int64)
-            out.flags.writeable = False
-            self._vals = out
+            _set_values(self, _value_rows(self.ctx, self.field_k, self.base_k, [self])[0])
         return self._vals
 
     def to_json(self) -> dict:
@@ -111,6 +100,37 @@ class DOPoly:
         base = doc["base"]
         field = doc.get("field", "qn")
         return cls(ctx, [(t["i"], t["j"], t["c"]) for t in doc["coeffs"]], field, base)
+
+
+def _value_rows(ctx: FieldCtx, field_k: int, base_k: int, polys) -> np.ndarray:
+    """The value tables of DO polynomials on F_p^field_k graded by
+    F_p^base_k, one row each, from their own coefficients:
+    sum over (i, j) of the coefficient column times x^(s^i) x^(s^j)."""
+    dom = ctx.subfield_elements(field_k)
+    keys = sorted({(i, j) for f in polys for i, j, _ in f.coeffs})
+    if not keys:
+        return np.zeros((len(polys), len(dom)), dtype=np.int64)
+    col = {key: r for r, key in enumerate(keys)}
+    own = np.zeros((len(keys), len(polys)), dtype=np.int64)
+    for k, f in enumerate(polys):
+        for i, j, c in f.coeffs:
+            own[col[i, j], k] = c
+    powers = {i: ctx.frob_table(base_k * i)[dom] for key in keys for i in key}
+    mono = ctx.vmul(np.stack([powers[i] for i, _ in keys]),
+                    np.stack([powers[j] for _, j in keys]))
+    terms = ctx.vmul(own[:, :, None], mono[:, None, :])
+    rows = terms[0]
+    for term in terms[1:]:
+        rows = ctx.vadd(rows, term)
+    return rows
+
+
+def _set_values(f: DOPoly, vals: np.ndarray) -> None:
+    """Give f the value table vals, which must be the table f's coefficients
+    give (as _value_rows computes it); kept read-only."""
+    vals = vals.view()
+    vals.flags.writeable = False
+    f._vals = vals
 
 
 def _require_do(f) -> DOPoly:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .field import Elt, FieldCtx
 from .linpoly import QPoly
-from .quadform import DOPoly, _require_do
+from .quadform import DOPoly, _require_do, _set_values, _value_rows
 
 
 def _value_table(f, ctx, field_tag):
@@ -281,40 +281,52 @@ def rtcs_build(spec: RtcsSpec) -> Presemifield:
 # -- products of conjugate linear factors -----------------------------------------
 
 
-def q_from_pair(A: QPoly, B: QPoly, delta: Elt) -> DOPoly:
-    """DO polynomial (A(X) + delta B(X)) * (A(X) + delta^(q^n) B(X)).
+def q_from_pairs(A: QPoly, B: QPoly, deltas) -> list[DOPoly]:
+    """The DO polynomials (A(X) + d B(X)) * (A(X) + d^(q^n) B(X)), one per d
+    in deltas, in order.
 
-    delta must lie outside the domain field so the two factors are genuinely
-    conjugate; the result has all coefficients in the domain field and its
-    values agree with the defining product everywhere (checked: the result's
-    table is computed from its own coefficients, so the checked table is the
-    one it keeps).
+    Every d must lie outside the domain field so the two factors are
+    genuinely conjugate; each result then has all coefficients in the domain
+    field.  With s = d + d^(q^n) and w = d d^(q^n) in the domain field, the
+    product is A^2 + s AB + w B^2, so the three coefficient blocks are
+    expanded once and only s and w change with d.  The value tables of all
+    results are computed together from the results' own coefficients, as
+    one (len(deltas), q^n) table, and compared with the defining product in
+    one check; each result keeps its checked row as its value table.
     """
     A._same_shape(B)
     ctx = A.ctx
-    if ctx.in_subfield(delta, A.field_k):
+    d = np.asarray(deltas, dtype=np.int64)
+    dconj = ctx.vpow(d, ctx.p ** A.field_k)
+    if np.any(dconj == d):
         raise ValueError("delta must lie outside the domain field")
-    dconj = ctx.pow(delta, ctx.p ** A.field_k)
-    ssum = ctx.add(delta, dconj)
-    wprod = ctx.mul(delta, dconj)
-    terms = []
-    ac = A.coeffs
-    bc = B.coeffs
-    m = A.m
-    for i in range(m):
-        for j in range(m):
-            if ac[i] and ac[j]:
-                terms.append((i, j, ctx.mul(ac[i], ac[j])))
-            if ac[i] and bc[j] and ssum:
-                terms.append((i, j, ctx.mul(ssum, ctx.mul(ac[i], bc[j]))))
-            if bc[i] and bc[j] and wprod:
-                terms.append((i, j, ctx.mul(wprod, ctx.mul(bc[i], bc[j]))))
-    f = DOPoly(ctx, terms, A.field_k, A.base_k)
+    # the coefficient of X^(s^i + s^j), i <= j, in A^2, AB and B^2: the
+    # products of the (i, j) and (j, i) coefficient pairs, summed
+    keys = [(i, j) for i in range(A.m) for j in range(i, A.m)]
+    iu, ju = np.array(keys).T
+    a, b = np.array(A.coeffs), np.array(B.coeffs)
+    outer = ctx.vmul(np.stack([a, a, b])[:, :, None], np.stack([a, b, b])[:, None, :])
+    aa, ab, bb = ctx.vadd(outer[:, iu, ju], np.where(iu < ju, outer[:, ju, iu], 0))
+    s, w = ctx.vadd(d, dconj), ctx.vmul(d, dconj)
+    coeffs = ctx.vadd(aa, ctx.vadd(ctx.vmul(s[:, None], ab), ctx.vmul(w[:, None], bb)))
+    polys = [DOPoly(ctx, [(i, j, c) for (i, j), c in zip(keys, row) if c],
+                    A.field_k, A.base_k)
+             for row in coeffs.tolist()]
+    table = _value_rows(ctx, A.field_k, A.base_k, polys)
     va, vb = A.values(), B.values()
-    lhs = ctx.vmul(ctx.vadd(va, ctx.vmul(delta, vb)), ctx.vadd(va, ctx.vmul(dconj, vb)))
-    if not np.array_equal(f.values(), lhs):
+    lhs = ctx.vmul(ctx.vadd(va, ctx.vmul(d[:, None], vb)),
+                   ctx.vadd(va, ctx.vmul(dconj[:, None], vb)))
+    if not np.array_equal(table, lhs):
         raise RuntimeError("DO expansion disagrees with the defining product")
-    return f
+    for f, row in zip(polys, table):
+        _set_values(f, row)
+    return polys
+
+
+def q_from_pair(A: QPoly, B: QPoly, delta: Elt) -> DOPoly:
+    """DO polynomial (A(X) + delta B(X)) * (A(X) + delta^(q^n) B(X)): the
+    one-delta case of q_from_pairs, with the same refusal and check."""
+    return q_from_pairs(A, B, [delta])[0]
 
 
 def q_from_component(L: QPoly, delta: Elt) -> DOPoly:

@@ -150,6 +150,15 @@ def test_experiment_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_experiment_over_budget_exits_1(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    assert main(["experiment", "even3-classification", "--q", "8",
+                 "--out", str(out)]) == 1
+    assert ("error: search space exceeds the desk-scale budget"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_experiment_rejects_jobs_below_1(tmp_path, capsys, jobs):
     out = tmp_path / "j.json"

@@ -81,6 +81,26 @@ def test_classification_predicate_at_trace(c213):
     assert len(marked) == 8
 
 
+def test_classification_budget(monkeypatch):
+    # q = 8 is about 6.9e10 candidates: refused before any tower or list
+    monkeypatch.setattr(ex, "build_tower", None)
+    with pytest.raises(ValueError, match="desk-scale budget"):
+        verify_even_n3_classification({"q": 8})
+
+
+def test_classification_q4_within_budget(monkeypatch):
+    # q = 4 is 16,515,072 candidates and reaches the scan
+    seen = {}
+
+    def fake_scan(name, params, items, *rest):
+        seen.update(name=name, items=len(items))
+        return "scanned"
+
+    monkeypatch.setattr(ex, "_run_scan", fake_scan)
+    assert verify_even_n3_classification({"q": 4}) == "scanned"
+    assert seen == {"name": "even3-classification", "items": 64 ** 2}
+
+
 # -- Hermite coefficient ---------------------------------------------------------------
 
 

@@ -1,15 +1,17 @@
 """Planar functions, the presemifields they generate, and rank two
 commutative semifields (RTCS)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from spreadlab import (DOPoly, QPoly, RtcsSpec, is_planar_2to1, is_planar_direct,
-                       middle_nucleus, middle_nucleus_elements, normalize,
-                       nucleus, nucleus_elements,
+from spreadlab import (DOPoly, QPoly, RtcsSpec, build_tower, is_planar_2to1,
+                       is_planar_direct, middle_nucleus, middle_nucleus_elements,
+                       normalize, nucleus, nucleus_elements,
                        planar_family_check, planar_to_presemifield, psi_image_check,
-                       psi_map, q_from_component, q_from_pair, rtcs_build,
-                       rtcs_check, zeta_element)
+                       psi_map, q_from_component, q_from_pair, q_from_pairs,
+                       rtcs_build, rtcs_check, zeta_element)
 import spreadlab.semifield as semifield
 from spreadlab.semifield import Presemifield
 
@@ -233,6 +235,74 @@ def test_q_from_pair_checks_its_expansion(c313, monkeypatch):
 def test_q_from_pair_rejects_inside_delta(c313):
     with pytest.raises(ValueError):
         q_from_component(QPoly.monomial(c313, 1), 1)
+
+
+def _scalar_product(ctx, A, B, delta, x):
+    """(A(x) + delta B(x)) (A(x) + delta^(q^n) B(x)) by scalar arithmetic."""
+    dconj = ctx.frob(delta, ctx.n * ctx.e)
+    a, b = A(x), B(x)
+    return ctx.mul(ctx.add(a, ctx.mul(delta, b)), ctx.add(a, ctx.mul(dconj, b)))
+
+
+@pytest.mark.parametrize("scan", ["odd-3-2", "even3-2"])
+def test_q_from_pairs_matches_scalar_partners(scan):
+    # every (L, delta) of the odd (3,2) and the even3 q = 2 scan: each batch
+    # table equals the result's own scalar evaluation and the scalar product
+    if scan == "odd-3-2":
+        ctx = build_tower(3, 1, 2)
+        deltas = ctx.find_deltas()
+        dom = [int(x) for x in ctx.subfield_elements("qn")]
+        pairs = [(QPoly.identity(ctx), QPoly(ctx, list(c)))
+                 for c in itertools.product(dom, repeat=2)]
+    else:
+        ctx = build_tower(2, 1, 3)
+        deltas = [d for d in range(ctx.N) if not ctx.in_subfield(d, "qn")]
+        dom = [int(x) for x in ctx.subfield_elements("qn")]
+        pairs = [(QPoly(ctx, {0: d0, 1: d1, 2: 1}), QPoly.identity(ctx))
+                 for d0, d1 in itertools.product(dom, repeat=2)]
+    checked = 0
+    for A, B in pairs:
+        for delta, Q in zip(deltas, q_from_pairs(A, B, deltas)):
+            vals = Q.values()
+            assert not vals.flags.writeable
+            assert vals.tolist() == [Q(x) for x in dom]
+            assert vals.tolist() == [_scalar_product(ctx, A, B, delta, x) for x in dom]
+            checked += 1
+    assert checked == (648 if scan == "odd-3-2" else 3584)
+
+
+def test_q_from_pairs_checks_every_expansion(monkeypatch):
+    # one expansion perturbed in the middle of a 24-delta batch
+    ctx = build_tower(5, 1, 2)
+    deltas = ctx.find_deltas()
+    assert len(deltas) == 24
+    A, B = QPoly.identity(ctx), QPoly(ctx, [2, 3])
+    q_from_pairs(A, B, deltas)
+    real = semifield.DOPoly
+    made = []
+
+    def perturbed(ctx, terms, *tags):
+        made.append(terms)
+        if len(made) == 12:
+            i, j, c = terms[0]
+            terms = [(i, j, ctx.add(c, 1)), *terms[1:]]
+        return real(ctx, terms, *tags)
+
+    monkeypatch.setattr(semifield, "DOPoly", perturbed)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        q_from_pairs(A, B, deltas)
+    assert len(made) == 24
+
+
+@pytest.mark.parametrize("inside", [0, 1, "primitive"])
+def test_q_from_pairs_rejects_inside_delta_anywhere(c312, inside):
+    if inside == "primitive":
+        inside = c312.subfield_primitive("qn")
+    deltas = c312.find_deltas()
+    A, B = QPoly.identity(c312), QPoly.monomial(c312, 1)
+    for k in range(len(deltas) + 1):
+        with pytest.raises(ValueError, match="outside the domain field"):
+            q_from_pairs(A, B, [*deltas[:k], inside, *deltas[k:]])
 
 
 # -- the pair decomposition map ------------------------------------------------------------
