@@ -25,6 +25,22 @@ from .semifield import is_planar_2to1, q_from_component
 # -- subspaces -------------------------------------------------------------------
 
 
+_BLOCK = 1 << 16          # elements per block of an orbit or image table
+
+
+def _subspace_dim(ctx: FieldCtx, rows: np.ndarray) -> int:
+    """Common dimension of the rows of a table, each the element set of an
+    F_q-subspace: width q^dim, first column 0, each row strictly increasing."""
+    size = rows.shape[1]
+    dim = 0
+    while ctx.q ** dim < size:
+        dim += 1
+    if (ctx.q ** dim != size or (rows[:, 0] != 0).any()
+            or (np.diff(rows, axis=1) <= 0).any()):
+        raise ValueError("element set is not an F_q-subspace")
+    return dim
+
+
 class Subspace:
     """F_q-subspace of the ambient field, stored as its full element set.
 
@@ -36,19 +52,13 @@ class Subspace:
     __slots__ = ("ctx", "elements", "dim", "_basis", "_key")
 
     def __init__(self, ctx: FieldCtx, elements=None, basis=None, verify=True):
-        self.ctx = ctx
         if (elements is None) == (basis is None):
             raise ValueError("give exactly one of elements or basis")
         if basis is not None:
             elements = ctx.span(basis, "q")
             verify = False
         els = np.unique(np.asarray(elements, dtype=np.int64))
-        size = len(els)
-        dim = 0
-        while ctx.q ** dim < size:
-            dim += 1
-        if ctx.q ** dim != size or (size and els[0] != 0):
-            raise ValueError("element set is not an F_q-subspace")
+        dim = _subspace_dim(ctx, els[None, :])
         if verify:
             mask = np.zeros(ctx.N, dtype=bool)
             mask[els] = True
@@ -58,10 +68,23 @@ class Subspace:
             if not mask[ctx.vmul(els[:, None], scal[None, :])].all():
                 raise ValueError("element set is not closed under F_q-scalars")
         els.flags.writeable = False
+        self._set(ctx, els, dim)
+
+    def _set(self, ctx: FieldCtx, els: np.ndarray, dim: int) -> Subspace:
+        self.ctx = ctx
         self.elements = els
         self.dim = dim
         self._basis: list[Elt] | None = None
         self._key = els.tobytes()
+        return self
+
+    @classmethod
+    def _rows(cls, ctx: FieldCtx, table: np.ndarray) -> list[Subspace]:
+        """One Subspace per row of a table of sorted element sets, each a
+        read-only view of the table, after the checks of verify=False."""
+        dim = _subspace_dim(ctx, table)
+        table.flags.writeable = False
+        return [cls.__new__(cls)._set(ctx, row, dim) for row in table]
 
     @property
     def basis(self) -> list[Elt]:
@@ -110,16 +133,24 @@ def component_from_pair(A: QPoly, B: QPoly, delta: Elt) -> Subspace:
     return W
 
 
-def _image(W: Subspace, g: Elt, k: int = 0) -> np.ndarray:
-    """Sorted elements g x^(p^k), x in W: the image of W under an F_q-linear
-    bijection, in the form of Subspace.elements (compare via .tobytes())."""
-    ctx = W.ctx
-    els = ctx.frob_table(k)[W.elements] if k else W.elements
-    return np.sort(ctx.vmul(g, els))
+def _images(ctx: FieldCtx, table: np.ndarray, g, k: int = 0) -> np.ndarray:
+    """Each row's image {g x^(p^k)} under an F_q-linear bijection, sorted as
+    Subspace.elements (compare via .tobytes()); g is one element or a column
+    of one multiplier per row."""
+    els = ctx.frob_table(k)[table] if k else table
+    return np.sort(ctx.vmul(g, els), axis=1)
 
 
 def orbit(W: Subspace, kind: str) -> list[Subspace]:
-    """Distinct images of W under <beta> (kind "beta") or <beta^2> ("beta2")."""
+    """Distinct images of W under <g>, g = beta (kind "beta") or beta^2
+    ("beta2"); the i-th component is g^i W.
+
+    F_q^* fixes the F_q-subspace W, so the orbit length divides M, the order
+    of g modulo F_q^*: M = R / gcd(R, log g) with R = (N - 1)/(q - 1), that
+    is q^n + 1 for beta and (q^n + 1)/gcd(2, q^n + 1) for beta^2.  Rows
+    g^j W, j = 0..M, are computed in blocks of rows, and the orbit ends at
+    the first row j >= 1 equal to W.
+    """
     ctx = W.ctx
     if kind == "beta":
         g = ctx.beta
@@ -127,12 +158,19 @@ def orbit(W: Subspace, kind: str) -> list[Subspace]:
         g = ctx.mul(ctx.beta, ctx.beta)
     else:
         raise ValueError(f"unknown orbit kind {kind!r}")
-    out = [W]
-    while True:
-        els = _image(out[-1], g)
-        if els.tobytes() == W._key:
-            return out
-        out.append(Subspace(ctx, elements=els, verify=False))
+    R = (ctx.N - 1) // (ctx.q - 1)
+    log_g = int(ctx.log[g])
+    M = R // math.gcd(R, log_g)
+    rows = max(1, _BLOCK // W.elements.size)
+    out: list[Subspace] = []
+    for lo in range(0, M + 1, rows):
+        j = np.arange(lo, min(lo + rows, M + 1), dtype=np.int64)
+        T = _images(ctx, W.elements[None, :], ctx.exp[j * log_g % (ctx.N - 1)][:, None])
+        back = np.flatnonzero((T == W.elements).all(axis=1) & (j >= 1))
+        if len(back):
+            return out + Subspace._rows(ctx, T[:back[0]])
+        out += Subspace._rows(ctx, T)
+    raise RuntimeError("orbit did not close within the order of g modulo F_q^*")
 
 
 def _coverage(components) -> np.ndarray:
@@ -144,10 +182,8 @@ def _coverage(components) -> np.ndarray:
         raise ValueError(f"components of mixed dimensions {sorted(dims)}")
     if any(C.ctx != ctx for C in components):
         raise ValueError("components from different towers")
-    counts = np.zeros(ctx.N, dtype=np.int64)
-    for C in components:
-        counts[C.elements[1:]] += 1
-    return counts
+    return np.bincount(np.concatenate([C.elements[1:] for C in components]),
+                       minlength=ctx.N)
 
 
 def is_partial_spread(components) -> bool:
@@ -290,7 +326,8 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
     # psi(z) = eta z^(q^n), an F_q-linear bijection of the ambient field
     ne = ctx.n * ctx.e
     first = orbit(W, "beta2")
-    second = orbit(Subspace(ctx, elements=_image(W, eta, ne), verify=False), "beta2")
+    second = orbit(Subspace._rows(ctx, _images(ctx, W.elements[None, :], eta, ne))[0],
+                   "beta2")
     comps = first + second
     if len(first) != half or len(second) != half or not is_spread(comps):
         raise RuntimeError("two-orbit union failed spread verification")
@@ -298,12 +335,14 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
     b2 = ctx.mul(ctx.beta, ctx.beta)
     index = {C._key: i for i, C in enumerate(comps)}
     moves = []
-    for C in comps:
-        imgs = [index.get(_image(C, b2).tobytes()),
-                index.get(_image(C, eta, ne).tobytes())]
-        if None in imgs:
-            raise RuntimeError("group action leaves the component set")
-        moves.append(imgs)
+    rows = max(1, _BLOCK // W.elements.size)
+    for lo in range(0, len(comps), rows):
+        T = np.stack([C.elements for C in comps[lo:lo + rows]])
+        for b2_img, psi_img in zip(_images(ctx, T, b2), _images(ctx, T, eta, ne)):
+            imgs = [index.get(b2_img.tobytes()), index.get(psi_img.tobytes())]
+            if None in imgs:
+                raise RuntimeError("group action leaves the component set")
+            moves.append(imgs)
     reached = {0}
     frontier = [0]
     while frontier:

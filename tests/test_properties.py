@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from spreadlab import QPoly, build_tower, q_from_pair, q_from_pairs
+import spreadlab.spread as spread_mod
+from spreadlab import QPoly, Subspace, build_tower, orbit, q_from_pair, q_from_pairs
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -39,3 +40,48 @@ def test_q_from_pairs_agrees_pointwise_and_per_delta(case):
         one = q_from_pair(A, B, delta)
         assert one == Q
         assert np.array_equal(one.values(), Q.values())
+
+
+# (3,1,2) adds short orbits: an F_9-line of F_81 closes after 5 of M = 10 rows
+ORBIT_TOWERS = [(3, 1, 3), (5, 1, 3), (2, 1, 3), (2, 2, 3), (3, 1, 2)]
+
+
+@st.composite
+def subspaces_and_kinds(draw):
+    """A random n-dimensional F_q-subspace W, an orbit kind, and the rows
+    per block of the orbit table (None: the library's own block size)."""
+    ctx = build_tower(*draw(st.sampled_from(ORBIT_TOWERS)))
+    units = st.integers(1, ctx.N - 1)
+    W = Subspace(ctx, basis=draw(st.lists(units, min_size=ctx.n, max_size=ctx.n)))
+    hypothesis.assume(W.dim == ctx.n)
+    kind = draw(st.sampled_from(["beta", "beta2"]))
+    return W, kind, draw(st.sampled_from([1, 2, 3, 7, 13, None]))
+
+
+def scalar_orbit(W, g):
+    """g^i W for i = 0, 1, ... until the first return to W, with ctx.mul."""
+    ctx = W.ctx
+    start = sorted(int(x) for x in W.elements)
+    out, cur = [start], start
+    while True:
+        cur = sorted(ctx.mul(g, x) for x in cur)
+        if cur == start:
+            return out
+        out.append(cur)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(subspaces_and_kinds())
+def test_orbit_matches_the_scalar_orbit(case):
+    W, kind, rows = case
+    ctx = W.ctx
+    g = ctx.beta if kind == "beta" else ctx.mul(ctx.beta, ctx.beta)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(spread_mod, "_BLOCK", rows * W.elements.size)
+        comps = orbit(W, kind)
+    assert [C.elements.tolist() for C in comps] == scalar_orbit(W, g)
+    assert all(not C.elements.flags.writeable and C.dim == ctx.n for C in comps)
+    # M, the order of g modulo F_q^*, found by scalar powers
+    M = next(m for m in range(1, ctx.N) if ctx.in_subfield(ctx.pow(g, m), "q"))
+    assert M % len(comps) == 0

@@ -108,6 +108,62 @@ def test_orbit_is_the_power_images(tower):
             assert C.elements.tolist() == sorted(ctx.mul(gi, int(x)) for x in W.elements)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 10])
+def test_orbit_blocks_cross_and_close_at_the_bound(c513, monkeypatch, rows):
+    # beta at (5,3): M = q^n + 1 = 126 rows close the orbit; with 7 rows per
+    # block row 126 opens a block of its own, with 1 or 10 it does not
+    W = component_from_pair(QPoly.identity(c513), QPoly.monomial(c513, 1),
+                            c513.find_deltas()[0])
+    want = [C.elements.tobytes() for C in orbit(W, "beta")]
+    monkeypatch.setattr(spread_mod, "_BLOCK", rows * W.elements.size)
+    assert [C.elements.tobytes() for C in orbit(W, "beta")] == want
+    assert len(want) == 126
+
+
+def test_orbit_closes_before_the_bound(c312):
+    # F_{q^n} is fixed by the elements of order 2(q - 1) in <beta>, so at
+    # (3,2) its beta-orbit has (q^2 + 1)/2 = 5 of the M = 10 rows
+    W = Subspace(c312, elements=c312.subfield_elements("qn"))
+    comps = orbit(W, "beta")
+    assert len(comps) == 5
+    for i, C in enumerate(comps):
+        gi = c312.pow(c312.beta, i)
+        assert C.elements.tolist() == sorted(c312.mul(gi, int(x)) for x in W.elements)
+
+
+def test_orbit_that_does_not_close_is_an_error(c313, monkeypatch):
+    # multiply every row's power of beta by gamma, which lies outside
+    # <beta> F_q^*: no row up to M returns to W
+    W = component_from_pair(QPoly.identity(c313), QPoly.monomial(c313, 1),
+                            c313.find_deltas()[0])
+    real = spread_mod._images
+    monkeypatch.setattr(spread_mod, "_images", lambda ctx, table, g, k=0:
+                        real(ctx, table, ctx.vmul(g, ctx.gamma), k))
+    with pytest.raises(RuntimeError, match="did not close"):
+        orbit(W, "beta")
+
+
+def test_row_table_checks_like_unverified_subspace(c313):
+    W = component_from_pair(QPoly.identity(c313), QPoly.monomial(c313, 1),
+                            c313.find_deltas()[0])
+    els = W.elements
+    outside = int(np.setdiff1d(np.arange(c313.N), els)[-1])
+    duplicated = np.concatenate([els[:-1], els[-2:-1]])
+    shifted = np.concatenate([els[1:], [outside]])    # sorted, first column not 0
+    for bad in (duplicated, shifted, els[:-1]):
+        with pytest.raises(ValueError, match="not an F_q-subspace"):
+            Subspace(c313, elements=bad, verify=False)
+    unsorted = els.copy()
+    unsorted[[1, 2]] = unsorted[[2, 1]]
+    for table in (np.stack([els, unsorted]), duplicated[None, :], shifted[None, :],
+                  els[None, :-1]):
+        with pytest.raises(ValueError, match="not an F_q-subspace"):
+            Subspace._rows(c313, table)
+    rows = Subspace._rows(c313, np.stack([els, els]))
+    assert rows == [W, W] and all(R.dim == 3 for R in rows)
+    assert not rows[0].elements.flags.writeable and rows[0].elements.base is not None
+
+
 def test_is_spread_rejects_duplicates(spread_c313):
     comps = spread_c313.components
     assert not is_spread(comps[:-1] + [comps[0]])
@@ -164,23 +220,23 @@ def test_build_typeH_second_orbit_starts_at_psi_image(c313):
 
 
 @pytest.mark.parametrize("fake_psi, message", [
-    (lambda W, els: els[:-1], "leaves the component set"),
-    (lambda W, els: W.elements, "not transitive"),
+    (lambda table, imgs: imgs[:, :-1], "leaves the component set"),
+    (lambda table, imgs: table, "not transitive"),
 ])
 def test_build_typeH_group_check(c313, monkeypatch, fake_psi, message):
-    # the first psi-image seeds the second orbit; fake only the later ones,
-    # which the transitivity check computes
-    real = spread_mod._image
+    # the first psi-image (a one-row table) seeds the second orbit; fake only
+    # the later ones, which the transitivity check computes for all components
+    real = spread_mod._images
     seeded = []
 
-    def image(W, g, k=0):
+    def images(ctx, table, g, k=0):
         if k and seeded:
-            return fake_psi(W, real(W, g, k))
+            return fake_psi(table, real(ctx, table, g, k))
         if k:
-            seeded.append(W)
-        return real(W, g, k)
+            seeded.append(table)
+        return real(ctx, table, g, k)
 
-    monkeypatch.setattr(spread_mod, "_image", image)
+    monkeypatch.setattr(spread_mod, "_images", images)
     with pytest.raises(RuntimeError, match=message):
         build_typeH(c313, 1, c313.find_deltas()[0], c313.find_etas(1)[0])
 
