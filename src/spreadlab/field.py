@@ -64,35 +64,24 @@ _EXP_BLOCK = 1 << 16          # rows per block while the antilog table is built
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 1
-    return True
+    return prime_factors(m) == [m]
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^e with p prime, or raise ValueError."""
-    if q < 2:
+    primes = prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q and q % p != 0:
-        p += 1
-    if p * p > q:
-        return q, 1                  # no factor up to sqrt(q): q is prime
-    e, m = 0, q
-    while m % p == 0:
-        m //= p
+    p, e = primes[0], 0
+    while q > 1:
+        q //= p
         e += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
     return p, e
 
 
 def prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of m, ascending (none for m < 2), by trial
+    division that stops once f^2 exceeds what is left of m."""
     out = []
     f = 2
     while f * f <= m:
@@ -386,7 +375,10 @@ class FieldCtx:
         return self.p ** self.tag_degree(tag)
 
     def in_subfield(self, x: Elt, tag) -> bool:
-        return self.pow(x, self.subfield_size(tag)) == x
+        """Is x an encoding of the tagged subfield?  The rule of _outside:
+        0 <= x < N and (N-1)/(p^k-1) divides log x (log 0 = 2(N-1) does)."""
+        k = self.tag_degree(tag)
+        return 0 <= x < self.N and self._logv[x] % ((self.N - 1) // (self.p ** k - 1)) == 0
 
     def subfield_elements(self, tag) -> np.ndarray:
         """All encodings of the tagged subfield, sorted ascending."""
@@ -416,9 +408,9 @@ class FieldCtx:
     def subfield_basis(self, tag, over) -> list[Elt]:
         """Deterministic basis of one tower field over a smaller one.
 
-        The ambient field over F_q with e = 1 uses the defining-polynomial
-        power basis; every other pair uses powers of the canonical primitive
-        element of the larger field.
+        The ambient field over F_p uses the defining-polynomial power basis;
+        every other pair uses powers of the canonical primitive element of
+        the larger field.
         """
         k, ko = self.tag_degree(tag), self.tag_degree(over)
         if k % ko != 0:

@@ -15,29 +15,83 @@ import numpy as np
 from .field import Elt, FieldCtx
 
 
-class QPoly:
-    """sum_i coeffs[i] * X^(s^i) with s = p^base_k, acting on F_p^field_k."""
+class _GradedPoly:
+    """A polynomial on F_p^field_k graded by s = p^base_k, compared by its
+    canonical coefficients, with a value table computed once.
+
+    QPoly and DOPoly fold their coefficients into canonical form and compute
+    their tables; this core owns the shape and coefficient checks, equality
+    and the read-only value cache.
+    """
 
     __slots__ = ("ctx", "field_k", "base_k", "coeffs", "_vals")
 
-    def __init__(self, ctx: FieldCtx, coeffs, field_tag="qn", base_tag="q"):
+    def _shape(self, ctx: FieldCtx, field_tag, base_tag) -> int:
+        """Set the context and the two degrees; return the relative degree m."""
         self.ctx = ctx
         self._vals = None
         self.field_k = ctx.tag_degree(field_tag)
         self.base_k = ctx.tag_degree(base_tag)
         if self.field_k % self.base_k != 0:
-            raise ValueError("base field does not divide the domain field")
-        m = self.field_k // self.base_k
+            raise ValueError("grading base field does not divide the domain field")
+        return self.m
+
+    def _coeff(self, c) -> Elt:
+        c = int(c)
+        if not self.ctx.in_subfield(c, self.field_k):
+            raise ValueError(f"coefficient {c} is not in the domain field")
+        return c
+
+    @property
+    def m(self) -> int:
+        """Relative degree of the domain over the grading base field."""
+        return self.field_k // self.base_k
+
+    @property
+    def s(self) -> int:
+        """Size of the grading base field."""
+        return self.ctx.p ** self.base_k
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and (self.ctx, self.field_k, self.base_k, self.coeffs)
+                == (other.ctx, other.field_k, other.base_k, other.coeffs))
+
+    def __hash__(self):
+        return hash((self.ctx, self.field_k, self.base_k, self.coeffs))
+
+    def __repr__(self):
+        return (f"{type(self).__name__}({list(self.coeffs)}, "
+                f"field_k={self.field_k}, base_k={self.base_k})")
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def _cache(self, table) -> np.ndarray:
+        """The value table, aligned with ctx.subfield_elements(field_k): the
+        kept one, else table() kept read-only.  table must give the table of
+        this polynomial's own coefficients."""
+        if self._vals is None:
+            vals = table().view()
+            vals.flags.writeable = False
+            self._vals = vals
+        return self._vals
+
+
+class QPoly(_GradedPoly):
+    """sum_i coeffs[i] * X^(s^i) with s = p^base_k, acting on F_p^field_k."""
+
+    __slots__ = ()
+
+    def __init__(self, ctx: FieldCtx, coeffs, field_tag="qn", base_tag="q"):
+        m = self._shape(ctx, field_tag, base_tag)
         folded = [0] * m
         if isinstance(coeffs, dict):
             items = coeffs.items()
         else:
             items = enumerate(coeffs)
         for i, c in items:
-            c = int(c)
-            if not ctx.in_subfield(c, self.field_k):
-                raise ValueError(f"coefficient {c} is not in the domain field")
-            folded[i % m] = ctx.add(folded[i % m], c)
+            folded[i % m] = ctx.add(folded[i % m], self._coeff(c))
         self.coeffs = tuple(folded)
 
     # -- constructors ----------------------------------------------------------
@@ -62,33 +116,9 @@ class QPoly:
 
     # -- basic structure ---------------------------------------------------------
 
-    @property
-    def m(self) -> int:
-        """Relative degree of the domain over the grading base field."""
-        return self.field_k // self.base_k
-
-    @property
-    def s(self) -> int:
-        """Size of the grading base field."""
-        return self.ctx.p ** self.base_k
-
     def _same_shape(self, other: "QPoly"):
         if (self.ctx, self.field_k, self.base_k) != (other.ctx, other.field_k, other.base_k):
             raise ValueError("polynomials live on different fields")
-
-    def __eq__(self, other):
-        return (isinstance(other, QPoly)
-                and (self.ctx, self.field_k, self.base_k, self.coeffs)
-                == (other.ctx, other.field_k, other.base_k, other.coeffs))
-
-    def __hash__(self):
-        return hash((self.ctx, self.field_k, self.base_k, self.coeffs))
-
-    def __repr__(self):
-        return f"QPoly({list(self.coeffs)}, field_k={self.field_k}, base_k={self.base_k})"
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     # -- evaluation ------------------------------------------------------------------
 
@@ -105,16 +135,15 @@ class QPoly:
     def values(self) -> np.ndarray:
         """Value table aligned with ctx.subfield_elements(field_k); computed on
         the first call, then the same read-only array on every call."""
-        if self._vals is None:
+        def table():
             ctx = self.ctx
             dom = ctx.subfield_elements(self.field_k)
             out = np.zeros(len(dom), dtype=np.int64)
             for i, c in enumerate(self.coeffs):
                 if c:
                     out = ctx.vadd(out, ctx.vmul(c, ctx.frob_table(self.base_k * i)[dom]))
-            out.flags.writeable = False
-            self._vals = out
-        return self._vals
+            return out
+        return self._cache(table)
 
     # -- serialization ------------------------------------------------------------------
 

@@ -12,59 +12,29 @@ from __future__ import annotations
 import numpy as np
 
 from .field import Elt, FieldCtx
-from .linpoly import nullspace
+from .linpoly import _GradedPoly, nullspace
 
 
-class DOPoly:
+class DOPoly(_GradedPoly):
     """sum c_ij X^(s^i + s^j), i <= j, s = p^base_k, on F_p^field_k."""
 
-    __slots__ = ("ctx", "field_k", "base_k", "coeffs", "_vals")
+    __slots__ = ()
 
     def __init__(self, ctx: FieldCtx, coeffs, field_tag="qn", base_tag="q"):
-        self.ctx = ctx
-        self._vals = None
-        self.field_k = ctx.tag_degree(field_tag)
-        self.base_k = ctx.tag_degree(base_tag)
-        if self.field_k % self.base_k != 0:
-            raise ValueError("grading base field does not divide the domain field")
-        m = self.field_k // self.base_k
+        m = self._shape(ctx, field_tag, base_tag)
         folded: dict[tuple[int, int], int] = {}
         if isinstance(coeffs, dict):
             items = [(i, j, c) for (i, j), c in coeffs.items()]
         else:
             items = [(i, j, c) for (i, j, c) in coeffs]
         for i, j, c in items:
-            c = int(c)
-            if not ctx.in_subfield(c, self.field_k):
-                raise ValueError(f"coefficient {c} is not in the domain field")
+            c = self._coeff(c)
             i, j = i % m, j % m
             if i > j:
                 i, j = j, i
             key = (i, j)
             folded[key] = ctx.add(folded.get(key, 0), c)
         self.coeffs = tuple(sorted((i, j, c) for (i, j), c in folded.items() if c))
-
-    @property
-    def m(self) -> int:
-        return self.field_k // self.base_k
-
-    @property
-    def s(self) -> int:
-        return self.ctx.p ** self.base_k
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, DOPoly)
-                and (self.ctx, self.field_k, self.base_k, self.coeffs)
-                == (other.ctx, other.field_k, other.base_k, other.coeffs))
-
-    def __hash__(self):
-        return hash((self.ctx, self.field_k, self.base_k, self.coeffs))
-
-    def __repr__(self):
-        return f"DOPoly({list(self.coeffs)}, field_k={self.field_k}, base_k={self.base_k})"
 
     def __call__(self, x: Elt) -> Elt:
         ctx = self.ctx
@@ -79,9 +49,7 @@ class DOPoly:
     def values(self) -> np.ndarray:
         """Value table aligned with ctx.subfield_elements(field_k); computed on
         the first call, then the same read-only array on every call."""
-        if self._vals is None:
-            _set_values(self, _value_rows(self.ctx, self.field_k, self.base_k, [self])[0])
-        return self._vals
+        return self._cache(lambda: _value_rows(self.ctx, self.field_k, self.base_k, [self])[0])
 
     def to_json(self) -> dict:
         if self.base_k == 1:
@@ -123,14 +91,6 @@ def _value_rows(ctx: FieldCtx, field_k: int, base_k: int, polys) -> np.ndarray:
     for term in terms[1:]:
         rows = ctx.vadd(rows, term)
     return rows
-
-
-def _set_values(f: DOPoly, vals: np.ndarray) -> None:
-    """Give f the value table vals, which must be the table f's coefficients
-    give (as _value_rows computes it); kept read-only."""
-    vals = vals.view()
-    vals.flags.writeable = False
-    f._vals = vals
 
 
 def _require_do(f) -> DOPoly:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .field import Elt, FieldCtx
 from .linpoly import QPoly
-from .quadform import DOPoly, _require_do, _set_values, _value_rows
+from .quadform import DOPoly, _require_do, _value_rows
 
 
 def _value_table(f, ctx, field_tag):
@@ -319,7 +319,7 @@ def q_from_pairs(A: QPoly, B: QPoly, deltas) -> list[DOPoly]:
     if not np.array_equal(table, lhs):
         raise RuntimeError("DO expansion disagrees with the defining product")
     for f, row in zip(polys, table):
-        _set_values(f, row)
+        f._cache(lambda: row)
     return polys
 
 

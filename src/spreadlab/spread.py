@@ -5,7 +5,8 @@ F_q-subspaces covering every nonzero vector of F_{q^{2n}} exactly once; it
 coordinatizes a translation plane whose kernel is the field of F_p-linear
 endomorphisms fixing every component.  Components here arise as images
 {A(x) + delta B(x)} of linearized-polynomial pairs, and whole spreads as
-orbits of one component under powers of beta.
+orbits of components under powers of beta: one beta-orbit for type C and
+the even n = 3 family, the union of two beta^2-orbits for type H.
 """
 
 from __future__ import annotations
@@ -182,8 +183,13 @@ def _coverage(components) -> np.ndarray:
         raise ValueError(f"components of mixed dimensions {sorted(dims)}")
     if any(C.ctx != ctx for C in components):
         raise ValueError("components from different towers")
-    return np.bincount(np.concatenate([C.elements[1:] for C in components]),
-                       minlength=ctx.N)
+    # a component's elements are distinct, so one fancy-index += counts each
+    # once without a copy of all components; 0 lies in every one, uncounted
+    counts = np.zeros(ctx.N, dtype=np.int32)
+    for C in components:
+        counts[C.elements] += 1
+    counts[0] = 0
+    return counts
 
 
 def is_partial_spread(components) -> bool:
@@ -289,7 +295,13 @@ def kernel_of_spread(S: Spread) -> int:
 # -- the named constructions -------------------------------------------------------
 
 
+def _check_element(ctx: FieldCtx, name: str, x) -> None:
+    if not ctx.in_subfield(x, "q2n"):
+        raise ValueError(f"{name} = {x} is not an element encoding in 0..{ctx.N - 1}")
+
+
 def _check_delta(ctx: FieldCtx, delta: Elt) -> None:
+    _check_element(ctx, "delta", delta)
     qn = ctx.q ** ctx.n
     if ctx.pow(delta, qn - 1) != ctx.neg(1):
         raise ValueError("delta must satisfy delta^(q^n - 1) = -1")
@@ -316,6 +328,7 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
     if not (1 <= k <= ctx.n - 1) or math.gcd(k, ctx.n) != 1:
         raise ValueError("need 1 <= k <= n-1 with gcd(k, n) = 1")
     _check_delta(ctx, delta)
+    _check_element(ctx, "eta", eta)
     qn = ctx.q ** ctx.n
     if ctx.pow(eta, (1 + qn) * (ctx.q ** k - 1)) != 1:
         raise ValueError("eta must satisfy eta^((1+q^n)(q^k-1)) = 1")
@@ -358,7 +371,7 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
 def even3_admissible(ctx: FieldCtx, delta: Elt) -> bool:
     """delta in F_{q^6} \\ F_{q^3} with delta^-1 + delta^-q^3 in F_q^*."""
     ne = ctx.n * ctx.e
-    if delta == 0 or ctx.in_subfield(delta, ne):
+    if not ctx.in_subfield(delta, "q2n") or ctx.in_subfield(delta, ne):
         return False
     dinv = ctx.inv(delta)
     c = ctx.add(dinv, ctx.frob(dinv, ne))
@@ -369,6 +382,7 @@ def build_even_n3(ctx: FieldCtx, delta: Elt) -> Spread:
     """Orbit of W = {tr(x) + delta x : x in F_{q^3}} under beta, even q."""
     if ctx.p != 2 or ctx.n != 3:
         raise ValueError("this construction needs even q and n = 3")
+    _check_element(ctx, "delta", delta)
     if ctx.in_subfield(delta, ctx.n * ctx.e):
         raise ValueError("delta must lie outside F_{q^3}")
     if not even3_admissible(ctx, delta):

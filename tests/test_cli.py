@@ -121,6 +121,23 @@ def test_verify_corrupt_file_exits_1(tmp_path, capsys, corrupt):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["typec", "--p", "3", "--n", "3", "--delta", "-717"], "delta"),
+    (["typec", "--p", "3", "--n", "3", "--delta", "1000000"], "delta"),
+    (["typeh", "--p", "3", "--n", "3", "--eta", "99999"], "eta"),
+    (["even3", "--p", "2", "--delta", "5000"], "delta"),
+], ids=["typec-negative", "typec-large", "typeh-eta", "even3-large"])
+def test_build_refuses_non_encodings(tmp_path, argv, name):
+    # -717 would wrap to a valid element under negative indexing
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spreadlab.cli", "build", *argv,
+                           "--out", str(tmp_path / "s.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert f"error: {name} = " in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_experiment_confirmed(tmp_path, capsys):
     out = str(tmp_path / "odd.json")
     code = main(["experiment", "no-typec-odd", "--q", "3", "--n", "2",

@@ -148,6 +148,8 @@ def test_budget_guard():
 def test_rejects_nonprime():
     with pytest.raises(ValueError):
         build_tower(6, 1, 1)
+    with pytest.raises(ValueError, match="not prime"):
+        build_tower(4, 1, 1)
 
 
 def test_json_round_trip(c312):
@@ -165,6 +167,21 @@ def test_factor_prime_power():
     assert factor_prime_power(1_000_000_007) == (1_000_000_007, 1)
     with pytest.raises(ValueError):
         factor_prime_power(10007 * 10009)
+    for q in (1, 0):
+        with pytest.raises(ValueError):
+            factor_prime_power(q)
+
+
+@pytest.mark.parametrize("tower", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 1, 3)], ids=str)
+def test_in_subfield_matches_the_power_rule(tower):
+    ctx = build_tower(*tower)
+    for k in range(1, ctx.d + 1):
+        if ctx.d % k:
+            continue
+        for x in range(ctx.N):
+            assert ctx.in_subfield(x, k) == (ctx.pow(x, ctx.p ** k) == x), (x, k)
+        for x in (-1, -ctx.N + 1, ctx.N, 10 ** 6):
+            assert not ctx.in_subfield(x, k)
 
 
 def test_element_index(c313):

@@ -1,5 +1,6 @@
 """field.py alone owns the layout of a FieldCtx's tables and caches: no
-other library module reads or writes a ctx._ attribute.  Every exported
+other library module reads or writes a ctx._ attribute.  Likewise
+linpoly.py alone knows how a polynomial keeps its value table.  Every exported
 name is used by a test or a demo, and every name a library module imports
 is used in that module."""
 
@@ -18,6 +19,14 @@ def test_only_field_touches_private_ctx_attributes():
                  for path in sorted(SRC.glob("*.py")) if path.name != "field.py"
                  for i, line in enumerate(path.read_text().splitlines(), 1)
                  if "ctx._" in line]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_only_linpoly_touches_the_value_cache():
+    offenders = [f"{path.name}:{i}: {line.strip()}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "linpoly.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if "._vals" in line]
     assert not offenders, "\n".join(offenders)
 
 

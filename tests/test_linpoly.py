@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spreadlab import (QPoly, adjoint, assoc_matrix, build_tower, compose,
+from spreadlab import (DOPoly, QPoly, adjoint, assoc_matrix, build_tower, compose,
                        is_permutation, kernel_basis, kernel_dim, linearity_field)
 
 
@@ -38,6 +38,29 @@ def test_eval_rejects_outside_domain(c313):
     outside = next(x for x in range(c313.N) if not c313.in_subfield(x, "qn"))
     with pytest.raises(ValueError):
         L(outside)
+
+
+@pytest.mark.parametrize("bad", [10 ** 6, -1, 729])
+def test_coefficients_must_be_domain_encodings(c313, bad):
+    for make in (lambda c: QPoly(c313, [c]), lambda c: DOPoly(c313, {(0, 1): c})):
+        with pytest.raises(ValueError, match="not in the domain field"):
+            make(bad)
+
+
+def test_qpoly_and_dopoly_share_one_core(c313):
+    # equal canonical coefficients never make a QPoly equal a DOPoly
+    L, f = QPoly.zero(c313), DOPoly(c313, {})
+    assert L.is_zero() and f.is_zero()
+    assert L != f and f != L
+    assert not QPoly.identity(c313).is_zero() and not DOPoly(c313, {(0, 0): 1}).is_zero()
+    assert repr(QPoly.monomial(c313, 1, 2)) == "QPoly([0, 2, 0], field_k=3, base_k=1)"
+    assert repr(DOPoly(c313, {(1, 0): 2})) == "DOPoly([(0, 1, 2)], field_k=3, base_k=1)"
+    for cls in (QPoly, DOPoly):
+        obj = cls(c313, {}, "qn", "q")
+        assert (obj.m, obj.s) == (3, 3)
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(ValueError, match="grading base field does not divide"):
+            cls(c313, {}, 2, 3)
 
 
 def test_compose_monomials(c313):

@@ -200,6 +200,22 @@ def test_build_typeC_guards(c313, c213):
         build_typeC(c314, 2, c314.find_deltas()[0])     # gcd(i, n) != 1
 
 
+def test_builders_refuse_non_encodings(c313, c213):
+    delta, eta = c313.find_deltas()[0], c313.find_etas(1)[0]
+    # -717 wraps to the admissible-looking element 12 under negative indexing
+    for bad in (-717, c313.N, 10 ** 6):
+        with pytest.raises(ValueError, match="delta = .* not an element encoding"):
+            build_typeC(c313, 1, bad)
+        with pytest.raises(ValueError, match="delta = .* not an element encoding"):
+            build_typeH(c313, 1, bad, eta)
+        with pytest.raises(ValueError, match="eta = .* not an element encoding"):
+            build_typeH(c313, 1, delta, bad)
+    for bad in (-3, c213.N, 5000):
+        with pytest.raises(ValueError, match="delta = .* not an element encoding"):
+            build_even_n3(c213, bad)
+        assert not even3_admissible(c213, bad)
+
+
 def test_build_typeH(c313):
     delta = c313.find_deltas()[0]
     eta = c313.find_etas(1)[0]
