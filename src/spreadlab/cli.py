@@ -137,8 +137,7 @@ def _cmd_experiment(args) -> int:
         raise ValueError(f"--jobs must be at least 1 (got {args.jobs})")
     cpus = os.cpu_count()
     if cpus is not None and args.jobs > cpus:
-        print(f"warning: --jobs {args.jobs} exceeds os.cpu_count() = {cpus}; "
-              "workers will share cores", file=sys.stderr)
+        raise ValueError(f"--jobs {args.jobs} exceeds os.cpu_count() = {cpus}")
     params = {k: getattr(args, k) for k in ("q", "n", "m", "k", "sample")
               if getattr(args, k) is not None}
     out = args.out or f"{args.name}-report.json"

@@ -123,7 +123,7 @@ def _run_scan(name: str, params: dict, items: list, setup, args: tuple, check,
 
     check returns (candidates scanned, hits, counterexample or None), so the
     reported candidates are those of every earlier item plus the hit's own.
-    jobs > 1 evaluates on forked workers with results kept in item order, so
+    jobs > 1 forks min(jobs, items left) workers; results keep item order, so
     the verdict does not depend on the worker count.  With a report path the
     scan checkpoints to <out>.state every CHECKPOINT_EVERY candidates,
     resumes from a checkpoint with the same key, and removes it at the end.
@@ -140,9 +140,9 @@ def _run_scan(name: str, params: dict, items: list, setup, args: tuple, check,
     _SCAN = (check, setup(*args))
     try:
         rest = items[pos:]
-        pool = (mp.get_context("fork").Pool(jobs) if jobs > 1
-                else contextlib.nullcontext())
-        with pool:
+        jobs = min(jobs, len(rest))
+        with (mp.get_context("fork").Pool(jobs) if jobs > 1
+              else contextlib.nullcontext()) as pool:
             results = (pool.imap(_work, rest, chunksize=max(1, len(rest) // (4 * jobs)))
                        if jobs > 1 else map(_work, rest))
             for n, h, cex in results:
@@ -446,6 +446,8 @@ def verify_hermite(params: dict | None = None, *, jobs: int = 1,
     p, e = factor_prime_power(q)
     if p != 2:
         raise ValueError("the coefficient identity is for even q")
+    if q ** 6 - q ** 3 > 10 ** 6:                  # deltas outside F_{q^3}
+        raise ValueError("search space exceeds the desk-scale budget")
     deltas = _outside_deltas(build_tower(p, e, 3))
     return _run_scan("hermite-coefficient", {"q": q}, deltas, build_tower, (p, e, 3),
                      _hermite_check, lambda hits, cex: {}, jobs, out)
@@ -502,11 +504,11 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
         raise ValueError("need gcd(k, m) = 1 and m >= 3")
     if sample is not None and int(sample) < 0:
         raise ValueError(f"sample must be at least 0 (got {sample})")
+    N = q ** (2 * m)          # pairs: N^2 in full, 2N - 1 boundary + sample
+    if (N * N if sample is None else 2 * N - 1 + int(sample)) > 10 ** 6:
+        raise ValueError("search space exceeds the desk-scale budget")
     ctx = build_tower(p, e, m)
-    N = ctx.N
     if sample is None:        # full scan
-        if N * N > 10 ** 6:
-            raise ValueError("full scan exceeds the desk-scale budget")
         pairs = list(itertools.product(range(N), range(N)))
     else:
         rng = np.random.default_rng(seed)

@@ -45,22 +45,21 @@ def _subspace_dim(ctx: FieldCtx, rows: np.ndarray) -> int:
 class Subspace:
     """F_q-subspace of the ambient field, stored as its full element set.
 
-    Equality and hashing use the sorted element tuple; the canonical reduced
+    Equality and hashing use the sorted element array; the canonical reduced
     echelon basis (w.r.t. the fixed basis of the ambient field over F_q) is
     computed lazily for serialization.
     """
 
-    __slots__ = ("ctx", "elements", "dim", "_basis", "_key")
+    __slots__ = ("ctx", "elements", "dim", "_basis")
 
-    def __init__(self, ctx: FieldCtx, elements=None, basis=None, verify=True):
+    def __init__(self, ctx: FieldCtx, elements=None, basis=None):
         if (elements is None) == (basis is None):
             raise ValueError("give exactly one of elements or basis")
         if basis is not None:
             elements = ctx.span(basis, "q")
-            verify = False
         els = np.unique(np.asarray(elements, dtype=np.int64))
         dim = _subspace_dim(ctx, els[None, :])
-        if verify:
+        if basis is None:
             mask = np.zeros(ctx.N, dtype=bool)
             mask[els] = True
             if not mask[ctx.vadd(els[:, None], els[None, :])].all():
@@ -76,13 +75,12 @@ class Subspace:
         self.elements = els
         self.dim = dim
         self._basis: list[Elt] | None = None
-        self._key = els.tobytes()
         return self
 
     @classmethod
     def _rows(cls, ctx: FieldCtx, table: np.ndarray) -> list[Subspace]:
-        """One Subspace per row of a table of sorted element sets, each a
-        read-only view of the table, after the checks of verify=False."""
+        """One Subspace per row of a table of sorted element sets, each a read-only
+        view of the table: the one path that checks the shape but not closure."""
         dim = _subspace_dim(ctx, table)
         table.flags.writeable = False
         return [cls.__new__(cls)._set(ctx, row, dim) for row in table]
@@ -102,10 +100,10 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ctx == other.ctx
-                and self._key == other._key)
+                and np.array_equal(self.elements, other.elements))
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.elements.tobytes())
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, basis={self.basis})"
@@ -128,7 +126,7 @@ def component_from_pair(A: QPoly, B: QPoly, delta: Elt) -> Subspace:
     if ctx.in_subfield(delta, ne):
         raise ValueError("delta must lie outside F_{q^n}")
     vals = ctx.vadd(A.values(), ctx.vmul(delta, B.values()))
-    W = Subspace(ctx, elements=vals, verify=False)
+    W = Subspace._rows(ctx, np.unique(vals)[None, :])[0]
     if W.dim != ctx.n:
         raise ValueError("parametrization is not injective; dimension would drop")
     return W
@@ -257,23 +255,23 @@ class Spread:
 def kernel_of_spread(S: Spread) -> int:
     """Order of the field of F_p-linear endomorphisms fixing every component.
 
-    Solves the combined linear system T(W_j) <= W_j over F_p and returns
-    p^dim of its solution space, which it also stores in S.kernel; warns if
-    the solution set is not a field or its size is not a power of q.
+    Starts from all of End_{F_p}(V) and keeps, component by component, the
+    maps T with T(W_j) <= W_j; returns p^dim of the rest, also stored in
+    S.kernel.  Warns if that is not a field or its size not a power of q.
     """
     if not isinstance(S, Spread) or not S.verified:
         raise ValueError("kernel is defined for verified spreads")
     ctx = S.ctx
     p, d = ctx.p, ctx.d
     fq_over_fp = np.array(ctx.subfield_basis("q", 1), dtype=np.int64)
-    rows = []
+    K = np.eye(d * d, dtype=np.int64)       # rows span the maps kept so far
     for C in S.components:
         fp_basis = ctx.vmul(np.array(C.basis, dtype=np.int64)[:, None], fq_over_fp[None, :])
         D = ctx.to_coords(fp_basis.reshape(-1), d, "p")
         ann = nullspace(ctx, D)
         # one row a (x) w per pair (w in D, a in ann), a_i w_j at i * d + j
-        rows.append((ann[None, :, :, None] * D[:, None, None, :]).reshape(-1, d * d) % p)
-    K = nullspace(ctx, np.concatenate(rows))
+        rows = (ann[None, :, :, None] * D[:, None, None, :]).reshape(-1, d * d) % p
+        K = nullspace(ctx, rows @ K.T % p) @ K % p
     s = len(K)
     size = p ** s
     if s % ctx.e != 0:
@@ -346,7 +344,7 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
         raise RuntimeError("two-orbit union failed spread verification")
     # transitivity of the group generated by beta^2 and psi on the components
     b2 = ctx.mul(ctx.beta, ctx.beta)
-    index = {C._key: i for i, C in enumerate(comps)}
+    index = {C.elements.tobytes(): i for i, C in enumerate(comps)}
     moves = []
     rows = max(1, _BLOCK // W.elements.size)
     for lo in range(0, len(comps), rows):

@@ -176,6 +176,36 @@ def test_experiment_over_budget_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["hermite-coefficient", "--q", "16"],
+    ["planar-dichotomy", "--sample", "1000000"],
+], ids=["hermite-q16", "planar-sample"])
+def test_experiment_new_budgets_exit_1(tmp_path, capsys, monkeypatch, argv):
+    # refused before any tower is built
+    monkeypatch.setattr(ex, "build_tower", None)
+    out = tmp_path / "b.json"
+    assert main(["experiment", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds the desk-scale budget" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_experiment_refuses_jobs_above_cpu_count(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(ex, "_run_scan", no_scan)
+    jobs = (os.cpu_count() or 1) + 1
+    out = tmp_path / "j.json"
+    assert main(["experiment", "no-typec-odd", "--q", "3", "--n", "2",
+                 "--jobs", str(jobs), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --jobs {jobs} exceeds os.cpu_count()")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_experiment_rejects_jobs_below_1(tmp_path, capsys, jobs):
     out = tmp_path / "j.json"

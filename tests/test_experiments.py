@@ -3,6 +3,7 @@ and the vectorized scanner's agreement with the brute-force route."""
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,6 +115,26 @@ def test_hermite_confirmed(c213):
         assert ex.hermite_coefficient_check(c213, d)
 
 
+def test_hermite_budget(monkeypatch):
+    # q = 16 is 16,773,120 deltas: refused before any tower or list
+    monkeypatch.setattr(ex, "build_tower", None)
+    with pytest.raises(ValueError, match="desk-scale budget"):
+        verify_hermite({"q": 16})
+
+
+def test_hermite_q8_within_budget(monkeypatch):
+    # q = 8 is 261,632 deltas and reaches the scan
+    seen = {}
+
+    def fake_scan(name, params, items, *rest):
+        seen.update(name=name, items=len(items))
+        return "scanned"
+
+    monkeypatch.setattr(ex, "_run_scan", fake_scan)
+    assert verify_hermite({"q": 8}) == "scanned"
+    assert seen == {"name": "hermite-coefficient", "items": 8 ** 6 - 8 ** 3}
+
+
 def test_hermite_guards(c213, c313):
     with pytest.raises(ValueError):
         ex.hermite_coefficient_check(c213, 1)          # delta inside F_8
@@ -209,6 +230,16 @@ def test_dichotomy_preconditions():
         verify_planar_dichotomy({"q": 3, "m": 3, "k": 1, "sample": -5})
 
 
+def test_dichotomy_sample_budget(monkeypatch):
+    # 2N - 1 boundary pairs plus the sample, refused before the tower is
+    # built or a pair is drawn; the full scan is refused the same way
+    monkeypatch.setattr(ex, "build_tower", None)
+    with pytest.raises(ValueError, match="desk-scale budget"):
+        verify_planar_dichotomy({"q": 3, "m": 3, "k": 1, "sample": 10 ** 6 - 1456})
+    with pytest.raises(ValueError, match="desk-scale budget"):
+        verify_planar_dichotomy({"q": 3, "m": 4, "k": 1})
+
+
 def test_planar_fast_path_matches_reference():
     # the scan's precomputed checker against semifield.planar_family_check,
     # on the whole ab = 0 boundary (planar) and 200 seeded ab != 0 pairs
@@ -249,6 +280,32 @@ def _fake_check(size, item):
     if item in (3, 5):
         return 5, 1, {"item": item}
     return size, 0, None
+
+
+def test_pool_size_is_bounded_by_items_left(monkeypatch):
+    # the pool gets min(jobs, items left) workers and is skipped at one;
+    # the fake pool records its size and runs in this process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(ex.mp, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+    for items, jobs in ((3, 8), (1, 8), (8, 2), (8, 1)):
+        rep = ex._run_scan("fake", {}, list(range(items)), _fake_setup, (10,),
+                           _fake_check, lambda hits, cex: {}, jobs, None)
+        assert rep.candidates == (10 * items if items <= 3 else 35)
+    assert sizes == [3, 2]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

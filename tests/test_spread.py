@@ -2,6 +2,7 @@
 orbit/polynomial correspondence."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spreadlab import (DOPoly, FieldCtx, KeyLemmaReport, QPoly, Spread, Subspace
                        is_spread, is_permutation_brute, is_permutation_via_rank,
                        kernel_of_spread, orbit,
                        q_from_pair, symplectic_check, build_tower)
+from spreadlab.linpoly import nullspace
 
 
 @pytest.fixture(scope="session")
@@ -152,7 +154,7 @@ def test_row_table_checks_like_unverified_subspace(c313):
     shifted = np.concatenate([els[1:], [outside]])    # sorted, first column not 0
     for bad in (duplicated, shifted, els[:-1]):
         with pytest.raises(ValueError, match="not an F_q-subspace"):
-            Subspace(c313, elements=bad, verify=False)
+            Subspace(c313, elements=bad)
     unsorted = els.copy()
     unsorted[[1, 2]] = unsorted[[2, 1]]
     for table in (np.stack([els, unsorted]), duplicated[None, :], shifted[None, :],
@@ -389,8 +391,7 @@ def test_gcd_condition():
 def test_spread_beta_stability(spread_c313, c313):
     comps = set(spread_c313.components)
     for C in spread_c313.components:
-        moved = Subspace(c313, elements=np.sort(c313.vmul(c313.beta, C.elements)),
-                         verify=False)
+        moved = Subspace(c313, elements=np.sort(c313.vmul(c313.beta, C.elements)))
         assert moved in comps
 
 
@@ -402,6 +403,58 @@ def test_spread_coverage_identity(spread_c313, c313):
 def test_kernel_divides(spread_c313, c313):
     k = kernel_of_spread(spread_c313)
     assert (c313.q ** c313.n) % k == 0
+
+
+def _kernel_by_one_system(S):
+    """The kernel's reference: the conditions T(W_j) <= W_j of every
+    component stacked into one F_p system, eliminated once."""
+    ctx = S.ctx
+    p, d = ctx.p, ctx.d
+    fq_over_fp = np.array(ctx.subfield_basis("q", 1), dtype=np.int64)
+    rows = []
+    for C in S.components:
+        fp_basis = ctx.vmul(np.array(C.basis, dtype=np.int64)[:, None], fq_over_fp[None, :])
+        D = ctx.to_coords(fp_basis.reshape(-1), d, "p")
+        ann = nullspace(ctx, D)
+        rows.append((ann[None, :, :, None] * D[:, None, None, :]).reshape(-1, d * d) % p)
+    return p ** len(nullspace(ctx, np.concatenate(rows)))
+
+
+def _first_spread(kind, p, e, n):
+    """The spread of a kind at its least admissible parameters."""
+    ctx = build_tower(p, e, n)
+    if kind == "typeC":
+        return build_typeC(ctx, 1, ctx.find_deltas()[0])
+    if kind == "typeH":
+        return build_typeH(ctx, 1, ctx.find_deltas()[0], ctx.find_etas(1)[0])
+    return build_even_n3(ctx, next(d for d in range(ctx.N) if even3_admissible(ctx, d)))
+
+
+@pytest.mark.parametrize("kind, p, e, n", [
+    ("typeC", 3, 1, 3), ("typeH", 3, 1, 3), ("typeC", 5, 1, 3), ("even3", 2, 2, 3),
+], ids=["typeC-3-3", "typeH-3-3", "typeC-5-3", "even3-q4"])
+def test_kernel_matches_one_system_reference(kind, p, e, n):
+    S = _first_spread(kind, p, e, n)
+    assert kernel_of_spread(S) == _kernel_by_one_system(S)
+
+
+def test_kernel_matches_one_system_reference_even3_q2(c213, even3_deltas):
+    for d in even3_deltas:
+        S = build_even_n3(c213, d)
+        assert kernel_of_spread(S) == _kernel_by_one_system(S)
+
+
+@pytest.mark.parametrize("kind, p, e, n, kernel", [
+    ("typeC", 3, 2, 3, 9), ("typeH", 3, 2, 3, 9), ("even3", 2, 3, 3, 8),
+], ids=["typeC-9-3", "typeH-9-3", "even3-q8"])
+def test_kernel_of_large_spreads_within_budget(kind, p, e, n, kernel):
+    # 730, 730 and 513 components: about 1.5 s each on a shared 2-core host,
+    # where one system over all components took 23 s (type C) and 124 s (even3)
+    t0 = time.perf_counter()
+    S = _first_spread(kind, p, e, n)
+    assert is_spread(S.components)
+    assert kernel_of_spread(S) == kernel
+    assert time.perf_counter() - t0 < 20.0
 
 
 # -- serialization ------------------------------------------------------------------------
