@@ -25,6 +25,7 @@ from .field import FieldCtx, build_tower, factor_prime_power
 from .linpoly import QPoly
 from .quadform import is_permutation_brute, permutes_cosets
 from .semifield import _two_to_one, q_from_pairs
+from .spread import _BLOCK
 
 CHECKPOINT_EVERY = 1_000_000
 
@@ -457,42 +458,46 @@ def verify_hermite(params: dict | None = None, *, jobs: int = 1,
 
 
 def _planar_setup(p, e, m, k):
-    """Value tables of X^2, X^(1+q^m), X^(2 q^m) and w X^(2 q^k) on F_{q^2m}."""
+    """Value tables of X, X^(q^m) and -w X^(2 q^k) on F_{q^2m}."""
     ctx = build_tower(p, e, m)
     amb = np.arange(ctx.N, dtype=np.int64)
     w = ctx.least_nonsquare("q2n")
-    x2 = ctx.vmul(amb, amb)
-    return {"ctx": ctx, "w": w, "x2": x2,
-            "xqm1": ctx.vmul(amb, ctx.frob_table(ctx.e * m)[amb]),
-            "x2qm": ctx.frob_table(ctx.e * m)[x2],
-            "wterm": ctx.vmul(w, ctx.frob_table(ctx.e * k)[x2])}
+    return {"ctx": ctx, "w": w, "x": amb,
+            "xqm": ctx.frob_table(ctx.e * m),
+            "negw": ctx.vmul(ctx.neg(w), ctx.frob_table(ctx.e * k)[ctx.vmul(amb, amb)])}
 
 
-def _planar(state, a: int, b: int) -> bool:
-    """Is (a X + b X^(q^m))^2 - w X^(2 q^k) planar?  The scan's fast path;
-    semifield.planar_family_check is its independent reference."""
+def _planar_rows(state, A, B) -> np.ndarray:
+    """Is (a X + b X^(q^m))^2 - w X^(2 q^k) planar, for each (a, b) of the
+    coefficient columns A, B?  One value row per pair, L^2 - w X^(2 q^k)
+    with L = a X + b X^(q^m); semifield.planar_family_check is the
+    independent reference."""
     ctx = state["ctx"]
-    vals = ctx.vsub(
-        ctx.vadd(ctx.vadd(ctx.vmul(ctx.mul(a, a), state["x2"]),
-                          ctx.vmul(ctx.mul(2 % ctx.p, ctx.mul(a, b)), state["xqm1"])),
-                 ctx.vmul(ctx.mul(b, b), state["x2qm"])),
-        state["wterm"])
-    return _two_to_one(ctx, vals)
+    L = ctx.vadd(ctx.vmul(A[:, None], state["x"][None, :]),
+                 ctx.vmul(B[:, None], state["xqm"][None, :]))
+    return _two_to_one(ctx, ctx.vadd(ctx.vmul(L, L), state["negw"][None, :]))
 
 
-def _planar_check(state, pair):
-    a, b = pair
-    if _planar(state, a, b) == (a == 0 or b == 0):
-        return 1, 0, None
-    return 1, 0, {"a": a, "b": b, "w": state["w"]}
+def _planar_check(state, block):
+    """One block of (a, b) pairs, up to the first whose planarity is not ab = 0."""
+    ab = np.array(block, dtype=np.int64)
+    bad = np.flatnonzero(_planar_rows(state, ab[:, 0], ab[:, 1])
+                         != ((ab[:, 0] == 0) | (ab[:, 1] == 0)))
+    if not len(bad):
+        return len(ab), 0, None
+    i = int(bad[0])
+    return i + 1, 0, {"a": int(ab[i, 0]), "b": int(ab[i, 1]), "w": state["w"]}
 
 
 def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
                             seed: int = 0, out: str | None = None) -> VerdictReport:
     """(a X + b X^(q^m))^2 - w X^(2 q^k) is planar exactly when ab = 0.
 
-    Sample mode scans the full ab = 0 boundary plus N seeded random ab != 0
-    pairs; full mode scans every (a, b).
+    Sample mode scans the full ab = 0 boundary plus `sample` seeded random
+    ab != 0 pairs; full mode scans every (a, b).  Each scan item is a block
+    of pairs checked as one table of value rows; a block stops at its first
+    counterexample, so counts and counterexamples are those of a pair-by-pair
+    scan.
     """
     params = _read_params(params, q=3, m=3, k=1, sample=None)
     q, m, k = int(params["q"]), int(params["m"]), int(params["k"])
@@ -511,14 +516,17 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
     if sample is None:        # full scan
         pairs = list(itertools.product(range(N), range(N)))
     else:
+        # one (sample, 2) draw: the same pairs as 2 * sample scalar draws, a then b
         rng = np.random.default_rng(seed)
         pairs = ([(0, 0)] + [(a, 0) for a in range(1, N)] + [(0, b) for b in range(1, N)]
-                 + [(int(rng.integers(1, N)), int(rng.integers(1, N)))
-                    for _ in range(int(sample))])
+                 + [(a, b) for a, b in rng.integers(1, N, (int(sample), 2)).tolist()])
+    # blocks of pairs whose value rows fill one table of about _BLOCK entries
+    rows = max(1, _BLOCK // N)
+    blocks = [pairs[lo:lo + rows] for lo in range(0, len(pairs), rows)]
     w = int(ctx.least_nonsquare("q2n"))
     return _run_scan(
         "planar-dichotomy", {"q": q, "m": m, "k": k, "sample": sample, "seed": seed},
-        pairs, _planar_setup, (p, e, m, k), _planar_check,
+        blocks, _planar_setup, (p, e, m, k), _planar_check,
         lambda hits, cex: {"w": w}, jobs, out)
 
 

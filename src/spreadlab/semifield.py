@@ -62,14 +62,21 @@ def is_planar_2to1(f: DOPoly) -> bool:
     _require_do(f)
     if f.ctx.p == 2:
         raise ValueError("planar functions need odd characteristic")
-    return _two_to_one(f.ctx, f.values())
+    return bool(_two_to_one(f.ctx, f.values()))
 
 
-def _two_to_one(ctx: FieldCtx, vals) -> bool:
-    """Does only 0 take the value 0, and every other value 0 or 2 times?"""
-    counts = np.bincount(vals, minlength=ctx.N)
-    rest = counts[1:]
-    return bool(counts[0] == 1 and np.all((rest == 0) | (rest == 2)))
+def _two_to_one(ctx: FieldCtx, vals) -> np.ndarray:
+    """Per value row (the last axis): does only 0 take the value 0, and every
+    other value 0 or 2 times?  All rows are counted by one bincount, row r's
+    values offset by r N."""
+    vals = np.asarray(vals, dtype=np.int64)
+    rows = vals.reshape(-1, vals.shape[-1])
+    R, N = len(rows), ctx.N
+    ids = rows + (np.arange(R, dtype=np.int64) * N)[:, None]
+    counts = np.bincount(ids.reshape(-1), minlength=R * N).reshape(R, N)
+    rest = counts[:, 1:]
+    ok = (counts[:, 0] == 1) & ((rest == 0) | (rest == 2)).all(axis=1)
+    return ok.reshape(vals.shape[:-1])
 
 
 # -- presemifields ------------------------------------------------------------

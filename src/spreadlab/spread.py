@@ -11,6 +11,7 @@ the even n = 3 family, the union of two beta^2-orbits for type H.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from itertools import product
@@ -181,11 +182,19 @@ def _coverage(components) -> np.ndarray:
         raise ValueError(f"components of mixed dimensions {sorted(dims)}")
     if any(C.ctx != ctx for C in components):
         raise ValueError("components from different towers")
-    # a component's elements are distinct, so one fancy-index += counts each
-    # once without a copy of all components; 0 lies in every one, uncounted
+    # never a copy of all components; 0 lies in every one, uncounted.  A
+    # bincount makes a table of N counts, so it counts chunks of at most
+    # _BLOCK elements when N <= _BLOCK; in a larger field each component's
+    # distinct elements are counted in place by one fancy-index +=
     counts = np.zeros(ctx.N, dtype=np.int32)
-    for C in components:
-        counts[C.elements] += 1
+    if ctx.N <= _BLOCK:
+        per = max(1, _BLOCK // components[0].elements.size)
+        for lo in range(0, len(components), per):
+            chunk = np.concatenate([C.elements for C in components[lo:lo + per]])
+            counts += np.bincount(chunk, minlength=ctx.N)
+    else:
+        for C in components:
+            counts[C.elements] += 1
     counts[0] = 0
     return counts
 
@@ -305,6 +314,13 @@ def _check_delta(ctx: FieldCtx, delta: Elt) -> None:
         raise ValueError("delta must satisfy delta^(q^n - 1) = -1")
 
 
+@functools.lru_cache(maxsize=32)
+def _twisted_pair(ctx: FieldCtx, k: int) -> tuple[QPoly, QPoly]:
+    """X and X^(q^k) on F_{q^n}, built once per (tower, k) so that every
+    component {x + delta x^(q^k)} reuses their value tables."""
+    return QPoly.identity(ctx), QPoly.monomial(ctx, k, 1)
+
+
 def build_typeC(ctx: FieldCtx, i: int, delta: Elt) -> Spread:
     """Orbit of {x + delta x^(q^i)} under multiplication by beta."""
     if ctx.p == 2:
@@ -312,7 +328,7 @@ def build_typeC(ctx: FieldCtx, i: int, delta: Elt) -> Spread:
     if not (1 <= i <= ctx.n - 1) or math.gcd(i, ctx.n) != 1:
         raise ValueError("need 1 <= i <= n-1 with gcd(i, n) = 1")
     _check_delta(ctx, delta)
-    W = component_from_pair(QPoly.identity(ctx), QPoly.monomial(ctx, i, 1), delta)
+    W = component_from_pair(*_twisted_pair(ctx, i), delta)
     comps = orbit(W, "beta")
     if not is_spread(comps):
         raise RuntimeError("beta-orbit failed spread verification")
@@ -332,7 +348,7 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
         raise ValueError("eta must satisfy eta^((1+q^n)(q^k-1)) = 1")
     if ctx.is_square(eta):
         raise ValueError("eta must be a nonsquare")
-    W = component_from_pair(QPoly.identity(ctx), QPoly.monomial(ctx, k, 1), delta)
+    W = component_from_pair(*_twisted_pair(ctx, k), delta)
     half = (qn + 1) // 2
     # psi(z) = eta z^(q^n), an F_q-linear bijection of the ambient field
     ne = ctx.n * ctx.e

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 import spreadlab.experiments as ex
-from spreadlab import (ExperimentSpec, QPoly, build_tower, even3_admissible,
-                       is_permutation_brute, planar_family_check, q_from_pair,
-                       run_experiment)
+from spreadlab import (DOPoly, ExperimentSpec, QPoly, build_tower, even3_admissible,
+                       is_permutation_brute, is_planar_2to1, is_planar_direct,
+                       planar_family_check, q_from_pair, run_experiment)
 from spreadlab.experiments import (VerdictReport, _clear_state, _load_state,
                                    _save_state, even3_perm_predicate, report_write,
                                    verify_even_n3_classification, verify_hermite,
                                    verify_no_typeC_even_8dim, verify_no_typeC_odd,
                                    verify_planar_dichotomy)
+from spreadlab.semifield import _two_to_one
 
 
 # -- odd q, even n nonexistence -----------------------------------------------------
@@ -241,8 +242,9 @@ def test_dichotomy_sample_budget(monkeypatch):
 
 
 def test_planar_fast_path_matches_reference():
-    # the scan's precomputed checker against semifield.planar_family_check,
-    # on the whole ab = 0 boundary (planar) and 200 seeded ab != 0 pairs
+    # the scan's row-wise checker against semifield.planar_family_check, on
+    # the whole ab = 0 boundary (planar) and 200 seeded ab != 0 pairs, all
+    # 1,657 pairs as one table of value rows
     state = ex._planar_setup(3, 1, 3, 1)
     ctx, w = state["ctx"], state["w"]
     N = ctx.N
@@ -250,8 +252,61 @@ def test_planar_fast_path_matches_reference():
     pairs = ([(0, 0)] + [(a, 0) for a in range(1, N)] + [(0, b) for b in range(1, N)]
              + [tuple(int(x) for x in rng.integers(1, N, 2)) for _ in range(200)])
     assert len(pairs) == 1457 + 200
-    for a, b in pairs:
-        assert ex._planar(state, a, b) == planar_family_check(ctx, a, b, w, 1)
+    ab = np.array(pairs)
+    got = ex._planar_rows(state, ab[:, 0], ab[:, 1])
+    assert got.shape == (len(pairs),) and got.dtype == bool
+    for (a, b), planar in zip(pairs, got.tolist()):
+        assert planar == planar_family_check(ctx, a, b, w, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 11, 2024])
+def test_planar_sample_drawn_in_one_call(seed):
+    # one (sample, 2) draw gives the pairs of 2 * sample scalar draws, a then b
+    N = 729
+    one = np.random.default_rng(seed).integers(1, N, (3000, 2)).tolist()
+    rng = np.random.default_rng(seed)
+    scalar = [[int(rng.integers(1, N)), int(rng.integers(1, N))] for _ in range(3000)]
+    assert one == scalar
+
+
+def test_two_to_one_row_wise_matches_per_row(c313):
+    # 50 seeded DO tables on F_27, plus x^2 (planar): one call over the last
+    # axis, in any leading shape, gives each row's own verdict
+    rng = np.random.default_rng(3)
+    dom = c313.subfield_elements("qn")
+    polys = [DOPoly(c313, {(0, 0): 1})] + [
+        DOPoly(c313, {(i, j): int(rng.choice(dom)) for i in range(3) for j in range(i, 3)})
+        for _ in range(49)]
+    table = np.stack([f.values() for f in polys])
+    want = [bool(_two_to_one(c313, row)) for row in table]
+    assert want == [is_planar_direct(f) for f in polys]
+    assert 0 < sum(want) < 50
+    assert _two_to_one(c313, table).tolist() == want
+    assert _two_to_one(c313, table.reshape(5, 10, -1)).reshape(-1).tolist() == want
+    assert isinstance(is_planar_2to1(polys[0]), bool)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("index", [89, 17 * 89])
+def test_planar_counterexample_just_after_a_block_boundary(monkeypatch, jobs, index):
+    # blocks hold 2^16 // 729 = 89 pairs; flipping the verdict of the first
+    # pair of a block (a boundary pair, or a sampled one) must stop the scan
+    # there, with exactly index + 1 candidates
+    N, sample = 729, 100
+    rng = np.random.default_rng(0)
+    pairs = ([(0, 0)] + [(a, 0) for a in range(1, N)] + [(0, b) for b in range(1, N)]
+             + [tuple(x) for x in rng.integers(1, N, (sample, 2)).tolist()])
+    a, b = pairs[index]
+    real = ex._planar_rows
+
+    def flipped(state, A, B):
+        return real(state, A, B) ^ ((A == a) & (B == b))
+
+    monkeypatch.setattr(ex, "_planar_rows", flipped)
+    rep = verify_planar_dichotomy({"q": 3, "m": 3, "k": 1, "sample": sample}, jobs=jobs)
+    assert rep.verdict == "counterexample"
+    assert rep.candidates == index + 1
+    assert rep.counterexample == {"a": a, "b": b, "w": rep.details["w"]}
 
 
 # -- running scans: ordering, first hits, checkpoints ----------------------------------

@@ -173,6 +173,37 @@ def test_is_spread_rejects_duplicates(spread_c313):
     assert is_partial_spread(comps[:5])
 
 
+@pytest.mark.parametrize("block", [729, 1 << 16, 728])
+def test_coverage_counts_agree_across_chunks_and_fields(spread_c313, c313, monkeypatch,
+                                                        block):
+    # chunks of 27 and 4 components, one chunk for all, and (N > block) one
+    # in-place count per component: every route counts the same, repeats too
+    comps = spread_c313.components + spread_c313.components[:3]
+    want = np.zeros(c313.N, dtype=np.int64)
+    for C in comps:
+        want[C.elements] += 1
+    want[0] = 0
+    monkeypatch.setattr(spread_mod, "_BLOCK", block)
+    assert spread_mod._coverage(comps).tolist() == want.tolist()
+    assert not is_partial_spread(comps) and not is_spread(comps)
+    assert is_spread(spread_c313.components)
+
+
+def test_component_polynomials_are_built_once_per_tower(c313):
+    # every build at one (tower, k) reuses one X and one X^(q^k), so their
+    # value tables are computed once
+    spread_mod._twisted_pair.cache_clear()
+    deltas, eta = c313.find_deltas(), int(c313.find_etas(1)[0])
+    for d in deltas[:3]:
+        build_typeC(c313, 1, int(d))
+        build_typeC(c313, 2, int(d))
+        build_typeH(c313, 1, int(d), eta)
+    info = spread_mod._twisted_pair.cache_info()
+    assert (info.misses, info.hits) == (2, 7)
+    X, Xq = spread_mod._twisted_pair(c313, 1)
+    assert X == QPoly.identity(c313) and Xq == QPoly.monomial(c313, 1, 1)
+
+
 # -- named constructions ---------------------------------------------------------------
 
 
