@@ -23,11 +23,15 @@ import numpy as np
 
 from .field import FieldCtx, build_tower, factor_prime_power
 from .linpoly import QPoly
-from .quadform import is_permutation_brute, permutes_cosets
-from .semifield import _two_to_one, q_from_pairs
-from .spread import _BLOCK
+from .quadform import DOPoly, _key_rows, is_permutation_brute, permutes_cosets
+from .semifield import _pair_coeffs, _two_to_one, q_from_pairs
+from .spread import _BLOCK, _check_element
 
 CHECKPOINT_EVERY = 1_000_000
+
+# entries in the widest table of one block of the odd, Hermite and full
+# planar scans
+_ROW_BLOCK = 1 << 14
 
 
 @dataclass
@@ -59,7 +63,7 @@ class VerdictReport:
 
 # -- checkpoint state ---------------------------------------------------------------
 
-_STATE_SCHEMA = 1
+_STATE_SCHEMA = 2
 
 
 def _state_path(out: str) -> str:
@@ -68,7 +72,8 @@ def _state_path(out: str) -> str:
 
 def _state_key(name: str, params: dict, items: list) -> dict:
     """What a checkpoint must match to be resumed: the scan, its normalized
-    params, the state layout and the exact candidate list."""
+    params, the state layout and the exact item list (candidates, blocks of
+    them, or ranges of a candidate index, which fix the block size)."""
     # zlib, not hashlib: the key guards against a changed list, not an
     # adversary, and hashlib would load OpenSSL (about 4 MB of resident memory)
     digest = f"{len(items)}:{zlib.crc32(json.dumps(items).encode()):08x}"
@@ -174,6 +179,11 @@ def _read_params(params: dict | None, **defaults) -> dict:
     return {**defaults, **params}
 
 
+def _ranges(total: int, size: int) -> list[tuple[int, int]]:
+    """Scan items as (start, stop) ranges of an index 0..total-1, size apiece."""
+    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
 def _outside_deltas(ctx: FieldCtx) -> list[int]:
     """The deltas of the even-q scans: every element outside F_{q^n}."""
     return np.flatnonzero(ctx.element_index(ctx.n * ctx.e) < 0).tolist()
@@ -183,26 +193,68 @@ def _outside_deltas(ctx: FieldCtx) -> list[int]:
 
 
 def _odd_setup(p, e, n):
+    """The tower, the deltas and their conjugates, the coefficients of X,
+    and the monomial tables x^(q^i) on F_{q^n} that every block's L-value
+    rows are summed from."""
     ctx = build_tower(p, e, n)
-    return ctx, ctx.find_deltas(), QPoly.identity(ctx)
+    dom = ctx.subfield_elements("qn")
+    deltas = np.array(ctx.find_deltas(), dtype=np.int64)
+    return {"ctx": ctx, "dom": dom, "deltas": deltas,
+            "dconj": ctx.vpow(deltas, ctx.p ** (ctx.n * ctx.e)),
+            "ident": np.array(QPoly.identity(ctx).coeffs, dtype=np.int64),
+            "powers": np.stack([ctx.frob_table(ctx.e * i)[dom] for i in range(n)])}
 
 
-def _odd_check(state, coeffs):
-    """One q-polynomial L against every admissible delta, up to the first hit.
-    q_from_pairs(ident, L, deltas) gives q_from_component(L, d) for every d
-    from one checked table; each is then tested on its own."""
-    ctx, deltas, ident = state
-    L = QPoly(ctx, list(coeffs))
-    for di, (d, Q) in enumerate(zip(deltas, q_from_pairs(ident, L, deltas))):
+def _odd_rows(state, lo: int, hi: int):
+    """The q-polynomials L of lexicographic index lo..hi-1 as coefficient
+    rows, and Q = (X + d L)(X + d^(q^n) L) for each of them at every delta,
+    as DOPolys in (L, delta) order.
+
+    The coefficients of every Q come from one expansion (X for A, the rows
+    for B); one table routine turns them into the
+    block's (rows x deltas x q^n) value table, which is checked against the
+    product of the L-value rows in one comparison."""
+    ctx, dom, powers = state["ctx"], state["dom"], state["powers"]
+    d, dconj = state["deltas"], state["dconj"]
+    n, qn, ne = len(powers), len(dom), ctx.n * ctx.e
+    # digit i of the index, most significant first, is the position of a_i
+    idx = np.arange(lo, hi, dtype=np.int64)
+    coeffs = dom[idx[:, None] // qn ** np.arange(n - 1, -1, -1) % qn]
+    lvals = ctx.vmul(coeffs[:, 0, None], powers[0])
+    for i in range(1, n):
+        lvals = ctx.vadd(lvals, ctx.vmul(coeffs[:, i, None], powers[i]))
+    keys, do = _pair_coeffs(ctx, n, state["ident"], coeffs, d, dconj)
+    outside = ctx.element_index(ne)[do] < 0
+    if outside.any():
+        raise ValueError(f"coefficient {int(do[outside][0])} is not in the domain field")
+    table = _key_rows(ctx, ne, ctx.e, keys, do)
+    lhs = ctx.vmul(ctx.vadd(dom, ctx.vmul(d[:, None], lvals[:, None, :])),
+                   ctx.vadd(dom, ctx.vmul(dconj[:, None], lvals[:, None, :])))
+    if not np.array_equal(table, lhs):
+        raise RuntimeError("DO expansion disagrees with the defining product")
+    return coeffs, DOPoly._rows(ctx, ne, ctx.e, keys, do.reshape(-1, len(keys)),
+                                table.reshape(-1, qn))
+
+
+def _odd_check(state, item):
+    """The L of one index range against every admissible delta, up to the
+    first hit; each candidate gets its own permutes_cosets call."""
+    deltas = state["deltas"]
+    coeffs, polys = _odd_rows(state, *item)
+    for k, Q in enumerate(polys):
         if permutes_cosets(Q):
-            return di + 1, 1, {"L_coeffs": list(coeffs), "delta": int(d)}
-    return len(deltas), 0, None
+            row, di = divmod(k, len(deltas))
+            return k + 1, 1, {"L_coeffs": coeffs[row].tolist(), "delta": int(deltas[di])}
+    return len(polys), 0, None
 
 
 def verify_no_typeC_odd(params: dict | None = None, *, jobs: int = 1,
                         seed: int = 0, out: str | None = None) -> VerdictReport:
     """Exhaustively confirm that no (L, delta) at odd q, even n makes
-    Q = (X + delta L)(X + delta^(q^n) L) permute F_{q^n}^* / F_q^*."""
+    Q = (X + delta L)(X + delta^(q^n) L) permute F_{q^n}^* / F_q^*.
+
+    Each scan item is a range of the lexicographic index of L, whose value
+    tables at every delta fill one table of about _ROW_BLOCK entries."""
     params = _read_params(params, q=3, n=2)
     q, n = int(params["q"]), int(params["n"])
     p, e = factor_prime_power(q)
@@ -210,15 +262,14 @@ def verify_no_typeC_odd(params: dict | None = None, *, jobs: int = 1,
         raise ValueError("this nonexistence statement needs odd q")
     if n % 2:
         raise ValueError("this nonexistence statement needs even n")
-    ctx = build_tower(p, e, n)
-    dom = [int(x) for x in ctx.subfield_elements("qn")]
-    if len(dom) ** n > 10 ** 6:
+    polys = q ** (n * n)                  # L: n coefficients in F_{q^n}
+    if polys > 10 ** 6:
         raise ValueError("search space exceeds the desk-scale budget")
-    combos = list(itertools.product(dom, repeat=n))
-    n_deltas = len(ctx.find_deltas())
-    return _run_scan("no-typec-odd", {"q": q, "n": n}, combos, _odd_setup, (p, e, n),
+    n_deltas = q ** n - 1                 # delta^(q^n - 1) = -1
+    items = _ranges(polys, max(1, _ROW_BLOCK // (n_deltas * q ** n)))
+    return _run_scan("no-typec-odd", {"q": q, "n": n}, items, _odd_setup, (p, e, n),
                      _odd_check,
-                     lambda hits, cex: {"polynomials": len(combos), "deltas": n_deltas},
+                     lambda hits, cex: {"polynomials": polys, "deltas": n_deltas},
                      jobs, out)
 
 
@@ -326,6 +377,8 @@ def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
 def even3_perm_predicate(ctx: FieldCtx, d0: int, d1: int, delta: int) -> bool:
     """Does some u in F_{q^3}^* write X^(q^2) + d1 X^q + d0 X + delta X as
     u^-1 tr(u^q x) + delta' x with (delta'^-1 + delta'^-q^3) u^(q-1) in F_q^*?"""
+    for name, x in (("d0", d0), ("d1", d1), ("delta", delta)):
+        _check_element(ctx, name, x)
     q = ctx.q
     ne = ctx.n * ctx.e
     for u in ctx.subfield_elements("qn")[1:]:
@@ -388,20 +441,40 @@ def verify_even_n3_classification(params: dict | None = None, *, jobs: int = 1,
 # -- the Hermite-criterion coefficient ----------------------------------------------
 
 
-def _hermite_brute(ctx: FieldCtx, delta: int) -> int:
+def _hermite_brute(ctx: FieldCtx, delta):
     """Coefficient of X^(q^3-1) in Q^(q^2-1) mod X^(q^3) - X, read off the
     values: sum_{x in F_{q^3}} x^j is -1 when j > 0 and (q^3 - 1) | j, else
     0, so sum_x g(x) = -g_{q^3-1} for every g reduced mod X^(q^3) - X (and
-    -1 = 1 in characteristic 2)."""
+    -1 = 1 in characteristic 2).
+
+    delta is an int (an int comes back) or an array of deltas: one row of
+    Q-values per delta, one vpow, and the rows summed by halving."""
     X = ctx.subfield_elements("qn")
     Xq = ctx.frob_table(ctx.e)[X]
-    dconj = ctx.frob(delta, ctx.n * ctx.e)
-    Q = ctx.vmul(ctx.vadd(Xq, ctx.vmul(delta, X)), ctx.vadd(Xq, ctx.vmul(dconj, X)))
+    d = np.asarray(delta, dtype=np.int64)[..., None]
+    dconj = ctx.vpow(d, ctx.p ** (ctx.n * ctx.e))
+    Q = ctx.vmul(ctx.vadd(Xq, ctx.vmul(d, X)), ctx.vadd(Xq, ctx.vmul(dconj, X)))
     g = ctx.vpow(Q, ctx.q ** 2 - 1)
-    while len(g) > 1:                  # q^3 is a power of 2: sum by halving
-        h = len(g) // 2
-        g = ctx.vadd(g[:h], g[h:])
-    return int(g[0])
+    while g.shape[-1] > 1:             # q^3 is a power of 2: sum by halving
+        h = g.shape[-1] // 2
+        g = ctx.vadd(g[..., :h], g[..., h:])
+    return int(g[..., 0]) if np.ndim(delta) == 0 else g[..., 0]
+
+
+def _hermite_closed(ctx: FieldCtx, delta):
+    """The closed form s^(q^2+q-1) * sum_l (t s^-2)^(2^l q), l < e, with
+    s = delta + delta^(q^3) and t = delta delta^(q^3); an int or an array,
+    like delta."""
+    q = ctx.q
+    d = np.asarray(delta, dtype=np.int64)
+    dconj = ctx.vpow(d, ctx.p ** (ctx.n * ctx.e))
+    s, t = ctx.vadd(d, dconj), ctx.vmul(d, dconj)
+    r = ctx.vmul(t, ctx.vinv(ctx.vmul(s, s)))
+    total = np.zeros_like(s)
+    for ell in range(ctx.e):
+        total = ctx.vadd(total, ctx.vpow(r, (2 ** ell) * q))
+    closed = ctx.vmul(ctx.vpow(s, q * q + q - 1), total)
+    return int(closed) if np.ndim(delta) == 0 else closed
 
 
 def hermite_coefficient_check(ctx: FieldCtx, delta: int) -> bool:
@@ -413,45 +486,51 @@ def hermite_coefficient_check(ctx: FieldCtx, delta: int) -> bool:
     certifies Q is not a permutation, so it must not vanish)."""
     if ctx.p != 2 or ctx.n != 3:
         raise ValueError("the coefficient identity is for even q with n = 3")
-    ne = ctx.n * ctx.e
-    if ctx.in_subfield(delta, ne):
+    _check_element(ctx, "delta", delta)
+    if ctx.in_subfield(delta, ctx.n * ctx.e):
         raise ValueError("delta must lie outside F_{q^3}")
-    q = ctx.q
-    s = ctx.add(delta, ctx.frob(delta, ne))
-    t = ctx.mul(delta, ctx.frob(delta, ne))
     brute = _hermite_brute(ctx, delta)
-    inv_s2 = ctx.inv(ctx.mul(s, s))
-    total = 0
-    for ell in range(ctx.e):
-        total = ctx.add(total, ctx.pow(ctx.mul(t, inv_s2), (2 ** ell) * q))
-    closed = ctx.mul(ctx.pow(s, q * q + q - 1), total)
     if brute == 0:
         raise RuntimeError("coefficient vanished; the non-permutation "
                            "certificate is broken")
-    return brute == closed
+    return brute == _hermite_closed(ctx, delta)
 
 
-def _hermite_check(ctx, delta):
-    try:
-        okay = hermite_coefficient_check(ctx, delta)
-    except RuntimeError:
-        okay = False
-    return 1, 0, (None if okay else {"delta": delta})
+def _hermite_setup(p, e):
+    ctx = build_tower(p, e, 3)
+    return ctx, np.array(_outside_deltas(ctx), dtype=np.int64)
+
+
+def _hermite_check(state, item):
+    """The deltas of one index range, up to the first whose brute
+    coefficient vanishes or differs from the closed form."""
+    ctx, deltas = state
+    d = deltas[slice(*item)]
+    brute = _hermite_brute(ctx, d)
+    bad = np.flatnonzero((brute == 0) | (brute != _hermite_closed(ctx, d)))
+    if not len(bad):
+        return len(d), 0, None
+    i = int(bad[0])
+    return i + 1, 0, {"delta": int(d[i])}
 
 
 def verify_hermite(params: dict | None = None, *, jobs: int = 1,
                    seed: int = 0, out: str | None = None) -> VerdictReport:
-    """Closed form vs brute coefficient for every delta outside F_{q^3}."""
+    """Closed form vs brute coefficient for every delta outside F_{q^3}.
+
+    Each scan item is a range of the delta index whose rows of Q-values
+    fill one table of about _ROW_BLOCK entries."""
     params = _read_params(params, q=2)
     q = int(params["q"])
     p, e = factor_prime_power(q)
     if p != 2:
         raise ValueError("the coefficient identity is for even q")
-    if q ** 6 - q ** 3 > 10 ** 6:                  # deltas outside F_{q^3}
+    n_deltas = q ** 6 - q ** 3                     # deltas outside F_{q^3}
+    if n_deltas > 10 ** 6:
         raise ValueError("search space exceeds the desk-scale budget")
-    deltas = _outside_deltas(build_tower(p, e, 3))
-    return _run_scan("hermite-coefficient", {"q": q}, deltas, build_tower, (p, e, 3),
-                     _hermite_check, lambda hits, cex: {}, jobs, out)
+    return _run_scan("hermite-coefficient", {"q": q},
+                     _ranges(n_deltas, max(1, _ROW_BLOCK // q ** 3)), _hermite_setup,
+                     (p, e), _hermite_check, lambda hits, cex: {}, jobs, out)
 
 
 # -- planarity dichotomy for the two-term family -------------------------------------
@@ -478,15 +557,26 @@ def _planar_rows(state, A, B) -> np.ndarray:
     return _two_to_one(ctx, ctx.vadd(ctx.vmul(L, L), state["negw"][None, :]))
 
 
-def _planar_check(state, block):
-    """One block of (a, b) pairs, up to the first whose planarity is not ab = 0."""
-    ab = np.array(block, dtype=np.int64)
-    bad = np.flatnonzero(_planar_rows(state, ab[:, 0], ab[:, 1])
-                         != ((ab[:, 0] == 0) | (ab[:, 1] == 0)))
+def _planar_block(state, A, B):
+    """The pairs of the coefficient columns A, B, up to the first whose
+    planarity is not ab = 0."""
+    bad = np.flatnonzero(_planar_rows(state, A, B) != ((A == 0) | (B == 0)))
     if not len(bad):
-        return len(ab), 0, None
+        return len(A), 0, None
     i = int(bad[0])
-    return i + 1, 0, {"a": int(ab[i, 0]), "b": int(ab[i, 1]), "w": state["w"]}
+    return i + 1, 0, {"a": int(A[i]), "b": int(B[i]), "w": state["w"]}
+
+
+def _planar_pairs(state, block):
+    """One block of listed (a, b) pairs."""
+    ab = np.array(block, dtype=np.int64)
+    return _planar_block(state, ab[:, 0], ab[:, 1])
+
+
+def _planar_range(state, item):
+    """The pairs of one range of the full scan's index a N + b."""
+    return _planar_block(state, *np.divmod(np.arange(*item, dtype=np.int64),
+                                           state["ctx"].N))
 
 
 def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
@@ -495,9 +585,9 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
 
     Sample mode scans the full ab = 0 boundary plus `sample` seeded random
     ab != 0 pairs; full mode scans every (a, b).  Each scan item is a block
-    of pairs checked as one table of value rows; a block stops at its first
-    counterexample, so counts and counterexamples are those of a pair-by-pair
-    scan.
+    of pairs checked as one table of value rows (in full mode a range of
+    the pair index a N + b); a block stops at its first counterexample, so
+    counts and counterexamples are those of a pair-by-pair scan.
     """
     params = _read_params(params, q=3, m=3, k=1, sample=None)
     q, m, k = int(params["q"]), int(params["m"]), int(params["k"])
@@ -513,20 +603,25 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
     if (N * N if sample is None else 2 * N - 1 + int(sample)) > 10 ** 6:
         raise ValueError("search space exceeds the desk-scale budget")
     ctx = build_tower(p, e, m)
-    if sample is None:        # full scan
-        pairs = list(itertools.product(range(N), range(N)))
+    if sample is None:
+        # ranges of the pair index whose value rows fill about _ROW_BLOCK
+        # entries: with nothing else on the heap, glibc returns temporaries
+        # above its 128 KiB mmap threshold to the system after every block,
+        # and every block then faults them in again
+        blocks, check = _ranges(N * N, max(1, _ROW_BLOCK // N)), _planar_range
     else:
         # one (sample, 2) draw: the same pairs as 2 * sample scalar draws, a then b
         rng = np.random.default_rng(seed)
         pairs = ([(0, 0)] + [(a, 0) for a in range(1, N)] + [(0, b) for b in range(1, N)]
                  + [(a, b) for a, b in rng.integers(1, N, (int(sample), 2)).tolist()])
-    # blocks of pairs whose value rows fill one table of about _BLOCK entries
-    rows = max(1, _BLOCK // N)
-    blocks = [pairs[lo:lo + rows] for lo in range(0, len(pairs), rows)]
+        # blocks of pairs whose value rows fill one table of about _BLOCK entries
+        rows = max(1, _BLOCK // N)
+        blocks = [pairs[lo:lo + rows] for lo in range(0, len(pairs), rows)]
+        check = _planar_pairs
     w = int(ctx.least_nonsquare("q2n"))
     return _run_scan(
         "planar-dichotomy", {"q": q, "m": m, "k": k, "sample": sample, "seed": seed},
-        blocks, _planar_setup, (p, e, m, k), _planar_check,
+        blocks, _planar_setup, (p, e, m, k), check,
         lambda hits, cex: {"w": w}, jobs, out)
 
 

@@ -184,6 +184,7 @@ class FieldCtx:
         self.e = e
         self.n = n
         self.q = p ** e
+        self._tags = {"p": 1, "q": e, "qn": n * e, "q2n": self.d}
         self.defining_poly = tuple(_least_irreducible(p, self.d))
         self.gamma, mult = self._find_gamma()
         self._build_exp_log(mult)
@@ -363,7 +364,7 @@ class FieldCtx:
         """Degree over F_p of the tagged subfield."""
         if isinstance(tag, str):
             try:
-                return {"p": 1, "q": self.e, "qn": self.n * self.e, "q2n": self.d}[tag]
+                return self._tags[tag]
             except KeyError:
                 raise ValueError(f"unknown field tag {tag!r}") from None
         k = int(tag)

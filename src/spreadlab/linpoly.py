@@ -36,6 +36,13 @@ class _GradedPoly:
             raise ValueError("grading base field does not divide the domain field")
         return self.m
 
+    def _set(self, ctx: FieldCtx, field_k: int, base_k: int, coeffs: tuple, vals):
+        """Fill the slots from canonical coefficients and their checked,
+        read-only value table: the one path that neither folds nor checks."""
+        self.ctx, self.field_k, self.base_k = ctx, field_k, base_k
+        self.coeffs, self._vals = coeffs, vals
+        return self
+
     def _coeff(self, c) -> Elt:
         c = int(c)
         if not self.ctx.in_subfield(c, self.field_k):

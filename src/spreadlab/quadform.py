@@ -36,6 +36,19 @@ class DOPoly(_GradedPoly):
             folded[key] = ctx.add(folded.get(key, 0), c)
         self.coeffs = tuple(sorted((i, j, c) for (i, j), c in folded.items() if c))
 
+    @classmethod
+    def _rows(cls, ctx: FieldCtx, field_k: int, base_k: int, keys, coeffs: np.ndarray,
+              table: np.ndarray) -> list[DOPoly]:
+        """One DOPoly per row of coeffs, its coefficients over the canonical
+        keys (sorted (i, j), 0 <= i <= j < m), each keeping its row of table,
+        made read-only, as its value table: the one path that checks neither
+        the coefficients nor the table."""
+        table.flags.writeable = False
+        return [cls.__new__(cls)._set(ctx, field_k, base_k,
+                                      tuple((i, j, c) for (i, j), c in zip(keys, row) if c),
+                                      vals)
+                for row, vals in zip(coeffs.tolist(), table)]
+
     def __call__(self, x: Elt) -> Elt:
         ctx = self.ctx
         if not ctx.in_subfield(x, self.field_k):
@@ -72,24 +85,31 @@ class DOPoly(_GradedPoly):
 
 def _value_rows(ctx: FieldCtx, field_k: int, base_k: int, polys) -> np.ndarray:
     """The value tables of DO polynomials on F_p^field_k graded by
-    F_p^base_k, one row each, from their own coefficients:
-    sum over (i, j) of the coefficient column times x^(s^i) x^(s^j)."""
-    dom = ctx.subfield_elements(field_k)
+    F_p^base_k, one row each, from their own coefficients."""
     keys = sorted({(i, j) for f in polys for i, j, _ in f.coeffs})
-    if not keys:
-        return np.zeros((len(polys), len(dom)), dtype=np.int64)
     col = {key: r for r, key in enumerate(keys)}
-    own = np.zeros((len(keys), len(polys)), dtype=np.int64)
+    own = np.zeros((len(polys), len(keys)), dtype=np.int64)
     for k, f in enumerate(polys):
         for i, j, c in f.coeffs:
-            own[col[i, j], k] = c
+            own[k, col[i, j]] = c
+    return _key_rows(ctx, field_k, base_k, keys, own)
+
+
+def _key_rows(ctx: FieldCtx, field_k: int, base_k: int, keys, coeffs) -> np.ndarray:
+    """The value tables of DO polynomials whose coefficients over keys lie
+    along the last axis of coeffs: shape coeffs.shape[:-1] + (p^field_k,),
+    the sum over (i, j) of the coefficient times x^(s^i) x^(s^j), one key at
+    a time, so no temporary is wider than the result."""
+    dom = ctx.subfield_elements(field_k)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    if not keys:
+        return np.zeros(coeffs.shape[:-1] + dom.shape, dtype=np.int64)
     powers = {i: ctx.frob_table(base_k * i)[dom] for key in keys for i in key}
     mono = ctx.vmul(np.stack([powers[i] for i, _ in keys]),
                     np.stack([powers[j] for _, j in keys]))
-    terms = ctx.vmul(own[:, :, None], mono[:, None, :])
-    rows = terms[0]
-    for term in terms[1:]:
-        rows = ctx.vadd(rows, term)
+    rows = ctx.vmul(coeffs[..., 0, None], mono[0])
+    for k in range(1, len(keys)):
+        rows = ctx.vadd(rows, ctx.vmul(coeffs[..., k, None], mono[k]))
     return rows
 
 

@@ -307,15 +307,7 @@ def q_from_pairs(A: QPoly, B: QPoly, deltas) -> list[DOPoly]:
     dconj = ctx.vpow(d, ctx.p ** A.field_k)
     if np.any(dconj == d):
         raise ValueError("delta must lie outside the domain field")
-    # the coefficient of X^(s^i + s^j), i <= j, in A^2, AB and B^2: the
-    # products of the (i, j) and (j, i) coefficient pairs, summed
-    keys = [(i, j) for i in range(A.m) for j in range(i, A.m)]
-    iu, ju = np.array(keys).T
-    a, b = np.array(A.coeffs), np.array(B.coeffs)
-    outer = ctx.vmul(np.stack([a, a, b])[:, :, None], np.stack([a, b, b])[:, None, :])
-    aa, ab, bb = ctx.vadd(outer[:, iu, ju], np.where(iu < ju, outer[:, ju, iu], 0))
-    s, w = ctx.vadd(d, dconj), ctx.vmul(d, dconj)
-    coeffs = ctx.vadd(aa, ctx.vadd(ctx.vmul(s[:, None], ab), ctx.vmul(w[:, None], bb)))
+    keys, coeffs = _pair_coeffs(ctx, A.m, np.array(A.coeffs), np.array(B.coeffs), d, dconj)
     polys = [DOPoly(ctx, [(i, j, c) for (i, j), c in zip(keys, row) if c],
                     A.field_k, A.base_k)
              for row in coeffs.tolist()]
@@ -328,6 +320,24 @@ def q_from_pairs(A: QPoly, B: QPoly, deltas) -> list[DOPoly]:
     for f, row in zip(polys, table):
         f._cache(lambda: row)
     return polys
+
+
+def _pair_coeffs(ctx: FieldCtx, m: int, a, b, d, dconj):
+    """(keys, coefficients) of (A + d B)(A + dconj B) = A^2 + s AB + w B^2,
+    s = d + dconj and w = d dconj, for the coefficient rows a and b of A and
+    B (last axis, broadcast against each other) and every d: the keys are
+    the (i, j), 0 <= i <= j < m, of X^(s^i + s^j), and the coefficients
+    have shape broadcast(a, b).shape[:-1] + (len(d), len(keys))."""
+    keys = [(i, j) for i in range(m) for j in range(i, m)]
+    iu, ju = np.array(keys).T
+    a, b = np.broadcast_arrays(a, b)
+    # the coefficient of X^(s^i + s^j), i <= j, in A^2, AB and B^2: the
+    # products of the (i, j) and (j, i) coefficient pairs, summed
+    outer = ctx.vmul(np.stack([a, a, b])[..., :, None], np.stack([a, b, b])[..., None, :])
+    aa, ab, bb = ctx.vadd(outer[..., iu, ju], np.where(iu < ju, outer[..., ju, iu], 0))
+    s, w = ctx.vadd(d, dconj)[:, None], ctx.vmul(d, dconj)[:, None]
+    return keys, ctx.vadd(aa[..., None, :], ctx.vadd(ctx.vmul(s, ab[..., None, :]),
+                                                     ctx.vmul(w, bb[..., None, :])))
 
 
 def q_from_pair(A: QPoly, B: QPoly, delta: Elt) -> DOPoly:

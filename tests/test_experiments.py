@@ -1,8 +1,10 @@
 """Exhaustive-verification experiments: verdicts, determinism, resume logic,
 and the vectorized scanner's agreement with the brute-force route."""
 
+import itertools
 import json
 import os
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +13,8 @@ import pytest
 import spreadlab.experiments as ex
 from spreadlab import (DOPoly, ExperimentSpec, QPoly, build_tower, even3_admissible,
                        is_permutation_brute, is_planar_2to1, is_planar_direct,
-                       planar_family_check, q_from_pair, run_experiment)
+                       planar_family_check, q_from_component, q_from_pair, q_from_pairs,
+                       run_experiment)
 from spreadlab.experiments import (VerdictReport, _clear_state, _load_state,
                                    _save_state, even3_perm_predicate, report_write,
                                    verify_even_n3_classification, verify_hermite,
@@ -51,6 +54,171 @@ def test_odd_preconditions():
         verify_no_typeC_odd({"q": 3, "n": 4})      # 81^4 polynomials: over budget
     with pytest.raises(ValueError, match=r"unknown parameter\(s\) k, sample"):
         verify_no_typeC_odd({"q": 3, "n": 2, "sample": 5, "k": 9})
+
+
+def _odd_setup_per_l(p, e, n):
+    ctx = build_tower(p, e, n)
+    return ctx, ctx.find_deltas(), QPoly.identity(ctx)
+
+
+def _odd_check_per_l(state, coeffs):
+    """Reference: one q-polynomial L against every admissible delta, up to
+    the first hit.  q_from_pairs(ident, L, deltas) gives q_from_component(L, d)
+    for every d from one checked table; each is then tested on its own."""
+    ctx, deltas, ident = state
+    L = QPoly(ctx, list(coeffs))
+    for di, (d, Q) in enumerate(zip(deltas, q_from_pairs(ident, L, deltas))):
+        if ex.permutes_cosets(Q):
+            return di + 1, 1, {"L_coeffs": list(coeffs), "delta": int(d)}
+    return len(deltas), 0, None
+
+
+def _odd_per_l(q, n):
+    """The odd scan with one item per L, in lexicographic order."""
+    ctx = build_tower(q, 1, n)
+    dom = [int(x) for x in ctx.subfield_elements("qn")]
+    combos = list(itertools.product(dom, repeat=n))
+    n_deltas = len(ctx.find_deltas())
+    return ex._run_scan("no-typec-odd", {"q": q, "n": n}, combos, _odd_setup_per_l,
+                        (q, 1, n), _odd_check_per_l,
+                        lambda hits, cex: {"polynomials": len(combos), "deltas": n_deltas},
+                        1, None)
+
+
+def _same_report(a, b):
+    one, two = a.to_json(), b.to_json()
+    del one["seconds"], two["seconds"]
+    assert one == two
+
+
+def _crc_hits(Q):
+    """A verdict that is True on about 1 in 50 tables, from their bytes: the
+    first hit is candidate 101 at (3,2) and 686 at (5,2)."""
+    return zlib.crc32(Q.values().tobytes()) % 50 == 0
+
+
+@pytest.mark.parametrize("predicate", ["real", "crc"])
+@pytest.mark.parametrize("q", [3, 5])
+def test_odd_blocks_match_per_l_reference(monkeypatch, q, predicate):
+    # the block scan and the per-L scan give the same report; under a forced
+    # verdict the first hit, its payload and the count agree too
+    if predicate == "crc":
+        monkeypatch.setattr(ex, "permutes_cosets", _crc_hits)
+    block, per_l = verify_no_typeC_odd({"q": q, "n": 2}), _odd_per_l(q, 2)
+    _same_report(block, per_l)
+    if predicate == "real":
+        assert block.verdict == "confirmed"
+    else:
+        assert (block.verdict, block.candidates) == ("counterexample", {3: 101, 5: 686}[q])
+
+
+def test_odd_items_are_l_index_ranges(monkeypatch):
+    # (5,2): 24 deltas x 25 values per L, so 2^14 // 600 = 27 L per block
+    seen = {}
+
+    def fake_scan(name, params, items, *rest):
+        seen.update(items=items)
+        return "scanned"
+
+    monkeypatch.setattr(ex, "_run_scan", fake_scan)
+    assert verify_no_typeC_odd({"q": 5, "n": 2}) == "scanned"
+    _assert_tiles(seen["items"], 625)
+    assert {hi - lo for lo, hi in seen["items"][:-1]} == {27}
+
+
+def test_odd_rows_decode_the_lexicographic_order():
+    state = ex._odd_setup(5, 1, 2)
+    ctx, deltas = state["ctx"], state["deltas"].tolist()
+    dom = [int(x) for x in state["dom"]]
+    combos = list(itertools.product(dom, repeat=2))
+    for lo, hi in ((0, 27), (27, 54), (600, 625), (311, 312)):
+        coeffs, polys = ex._odd_rows(state, lo, hi)
+        assert [tuple(r) for r in coeffs.tolist()] == combos[lo:hi]
+        assert len(polys) == (hi - lo) * len(deltas)
+        for k, Q in enumerate(polys[::7]):
+            row, di = divmod(7 * k, len(deltas))
+            want = q_from_component(QPoly(ctx, combos[lo + row]), deltas[di])
+            assert Q == want and np.array_equal(Q.values(), want.values())
+
+
+def test_odd_rows_check_the_expansion(monkeypatch):
+    state = ex._odd_setup(3, 1, 2)
+    real_rows, real_coeffs = ex._key_rows, ex._pair_coeffs
+
+    def perturbed_table(*args):
+        table = real_rows(*args)
+        table[1, 2, 3] = state["ctx"].add(int(table[1, 2, 3]), 1)
+        return table
+
+    monkeypatch.setattr(ex, "_key_rows", perturbed_table)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        ex._odd_rows(state, 0, 5)
+    monkeypatch.setattr(ex, "_key_rows", real_rows)
+
+    def outside_coeff(*args):
+        keys, coeffs = real_coeffs(*args)
+        coeffs[2, 3, 1] = int(ex._outside_deltas(state["ctx"])[0])
+        return keys, coeffs
+
+    monkeypatch.setattr(ex, "_pair_coeffs", outside_coeff)
+    with pytest.raises(ValueError, match="not in the domain field"):
+        ex._odd_rows(state, 0, 5)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("row, di", [(27, 0), (53, 23), (54, 11)])
+def test_odd_counterexample_on_a_block_edge(monkeypatch, jobs, row, di):
+    # (5,2) blocks hold 27 L: L 27 and 53 are the first and last rows of the
+    # second block, 54 the first of the third.  A hit forced on candidate
+    # (L, delta) stops the scan there, with exactly index + 1 candidates.
+    # Products repeat (Q_{L, d0 c} = Q_{cL, d0}), so the hit marks the
+    # candidate's place in its block, not its polynomial
+    ctx = build_tower(5, 1, 2)
+    deltas = ctx.find_deltas()
+    dom = [int(x) for x in ctx.subfield_elements("qn")]
+    coeffs = list(itertools.product(dom, repeat=2))[row]
+    real, marked = ex._odd_rows, DOPoly(ctx, {(0, 0): 1})
+
+    def marking(state, lo, hi):
+        rows, polys = real(state, lo, hi)
+        if lo <= row < hi:
+            polys[(row - lo) * 24 + di] = marked
+        return rows, polys
+
+    monkeypatch.setattr(ex, "_odd_rows", marking)
+    monkeypatch.setattr(ex, "permutes_cosets", lambda Q: Q is marked)
+    rep = verify_no_typeC_odd({"q": 5, "n": 2}, jobs=jobs)
+    assert rep.verdict == "counterexample"
+    assert rep.candidates == row * 24 + di + 1
+    assert rep.counterexample == {"L_coeffs": list(coeffs), "delta": int(deltas[di])}
+
+
+def test_odd_interrupted_scan_resumes(tmp_path, monkeypatch):
+    # (5,2) items are ranges of 27 L (648 candidates): a checkpoint after
+    # every second item; the resumed scan starts at the saved range
+    full = verify_no_typeC_odd({"q": 5, "n": 2})
+    out = str(tmp_path / "odd.json")
+    monkeypatch.setattr(ex, "CHECKPOINT_EVERY", 1000)
+    real = ex.permutes_cosets
+    calls, limit = 0, 5 * 648 + 100
+
+    def counted(Q):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise _Interrupt
+        return real(Q)
+
+    monkeypatch.setattr(ex, "permutes_cosets", counted)
+    with pytest.raises(_Interrupt):             # stops in item 5; saved at item 4
+        verify_no_typeC_odd({"q": 5, "n": 2}, out=out)
+    assert os.path.exists(out + ".state")
+    calls, limit = 0, float("inf")
+    rep = verify_no_typeC_odd({"q": 5, "n": 2}, out=out)
+    assert calls == 15000 - 4 * 648
+    assert (rep.verdict, rep.candidates, rep.details) == \
+        (full.verdict, full.candidates, full.details)
+    assert not os.path.exists(out + ".state")
 
 
 @pytest.mark.parametrize("verify", [verify_no_typeC_odd, verify_no_typeC_even_8dim,
@@ -124,16 +292,25 @@ def test_hermite_budget(monkeypatch):
 
 
 def test_hermite_q8_within_budget(monkeypatch):
-    # q = 8 is 261,632 deltas and reaches the scan
+    # q = 8 is 261,632 deltas and reaches the scan; the items are index
+    # ranges that tile [0, 261,632) in order
     seen = {}
 
     def fake_scan(name, params, items, *rest):
-        seen.update(name=name, items=len(items))
+        seen.update(name=name, items=items)
         return "scanned"
 
     monkeypatch.setattr(ex, "_run_scan", fake_scan)
     assert verify_hermite({"q": 8}) == "scanned"
-    assert seen == {"name": "hermite-coefficient", "items": 8 ** 6 - 8 ** 3}
+    assert seen["name"] == "hermite-coefficient"
+    _assert_tiles(seen["items"], 8 ** 6 - 8 ** 3)
+
+
+def _assert_tiles(items, total):
+    """items are nonempty (start, stop) ranges that tile [0, total) in order."""
+    assert items[0][0] == 0 and items[-1][1] == total
+    assert all(lo < hi for lo, hi in items)
+    assert all(a[1] == b[0] for a, b in zip(items, items[1:]))
 
 
 def test_hermite_guards(c213, c313):
@@ -188,6 +365,157 @@ def test_hermite_vanished_coefficient_is_a_counterexample(monkeypatch, c213):
     assert rep.verdict == "counterexample" and rep.exit_code == 2
     assert rep.candidates == 1
     assert rep.counterexample == {"delta": first}
+
+
+def test_hermite_zero_coefficient_fails_even_when_the_forms_agree(monkeypatch):
+    # a vanished brute coefficient is a counterexample on its own, not only
+    # through its disagreement with the closed form
+    def zero(ctx, delta):
+        return np.zeros(np.shape(delta), dtype=np.int64)
+
+    monkeypatch.setattr(ex, "_hermite_brute", zero)
+    monkeypatch.setattr(ex, "_hermite_closed", zero)
+    rep = verify_hermite({"q": 4})
+    assert (rep.verdict, rep.candidates) == ("counterexample", 1)
+    assert rep.counterexample == {"delta": ex._outside_deltas(build_tower(2, 2, 3))[0]}
+
+
+def _hermite_check_per_delta(ctx, delta):
+    """Reference: the scan's former item, one delta through the scalar check."""
+    try:
+        okay = ex.hermite_coefficient_check(ctx, delta)
+    except RuntimeError:
+        okay = False
+    return 1, 0, (None if okay else {"delta": delta})
+
+
+def _hermite_per_delta(q):
+    ctx = build_tower(2, q.bit_length() - 1, 3)
+    return ex._run_scan("hermite-coefficient", {"q": q}, ex._outside_deltas(ctx),
+                        build_tower, (2, q.bit_length() - 1, 3), _hermite_check_per_delta,
+                        lambda hits, cex: {}, 1, None)
+
+
+@pytest.mark.parametrize("vanish", [False, True])
+@pytest.mark.parametrize("q", [2, 4])
+def test_hermite_blocks_match_per_delta_reference(monkeypatch, q, vanish):
+    # the block scan and the per-delta scan give the same report; with the
+    # brute coefficient zeroed on a few deltas, the same first counterexample
+    if vanish:
+        real = ex._hermite_brute
+
+        def zeroed(ctx, delta):
+            return np.where(np.asarray(delta) % 37 == 20, 0, real(ctx, delta))
+
+        monkeypatch.setattr(ex, "_hermite_brute", zeroed)
+    block, per_delta = verify_hermite({"q": q}), _hermite_per_delta(q)
+    _same_report(block, per_delta)
+    assert block.verdict == ("counterexample" if vanish else "confirmed")
+
+
+def _closed_form_scalar(ctx, delta):
+    """Reference: the closed form by scalar arithmetic, one delta."""
+    q, ne = ctx.q, ctx.n * ctx.e
+    s = ctx.add(delta, ctx.frob(delta, ne))
+    t = ctx.mul(delta, ctx.frob(delta, ne))
+    inv_s2 = ctx.inv(ctx.mul(s, s))
+    total = 0
+    for ell in range(ctx.e):
+        total = ctx.add(total, ctx.pow(ctx.mul(t, inv_s2), (2 ** ell) * q))
+    return ctx.mul(ctx.pow(s, q * q + q - 1), total)
+
+
+@pytest.mark.parametrize("e, sample", [(1, None), (2, None), (3, 300)])
+def test_hermite_row_wise_routines_match_scalar(e, sample):
+    # one call on an array of deltas gives each delta's own int
+    ctx = build_tower(2, e, 3)
+    deltas = ex._outside_deltas(ctx)
+    if sample is not None:
+        rng = np.random.default_rng(47)
+        deltas = sorted(int(d) for d in rng.choice(deltas, sample, replace=False))
+    brute = ex._hermite_brute(ctx, np.array(deltas))
+    closed = ex._hermite_closed(ctx, np.array(deltas))
+    assert brute.shape == closed.shape == (len(deltas),)
+    assert brute.tolist()[:100] == [ex._hermite_brute(ctx, d) for d in deltas[:100]]
+    assert closed.tolist() == [_closed_form_scalar(ctx, d) for d in deltas]
+    assert brute.tolist() == closed.tolist()
+    one = ex._hermite_brute(ctx, deltas[0])
+    assert type(one) is int and type(ex._hermite_closed(ctx, deltas[0])) is int
+    assert ex._hermite_brute(ctx, np.array(deltas[:6]).reshape(2, 3)).tolist() == \
+        brute[:6].reshape(2, 3).tolist()
+
+
+def test_hermite_items_tile_the_deltas(monkeypatch):
+    # q = 4: 2^14 // 64 = 256 deltas per block
+    seen = {}
+
+    def fake_scan(name, params, items, *rest):
+        seen.update(items=items)
+        return "scanned"
+
+    monkeypatch.setattr(ex, "_run_scan", fake_scan)
+    assert verify_hermite({"q": 4}) == "scanned"
+    _assert_tiles(seen["items"], 4032)
+    assert {hi - lo for lo, hi in seen["items"][:-1]} == {256}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("index", [256, 511, 512])
+def test_hermite_counterexample_on_a_block_edge(monkeypatch, jobs, index):
+    # q = 4 blocks hold 256 deltas: 256 and 511 are the first and last of
+    # the second block, 512 the first of the third
+    ctx = build_tower(2, 2, 3)
+    target = ex._outside_deltas(ctx)[index]
+    real = ex._hermite_brute
+
+    def zeroed(ctx, delta):
+        return np.where(np.asarray(delta) == target, 0, real(ctx, delta))
+
+    monkeypatch.setattr(ex, "_hermite_brute", zeroed)
+    rep = verify_hermite({"q": 4}, jobs=jobs)
+    assert rep.verdict == "counterexample"
+    assert rep.candidates == index + 1
+    assert rep.counterexample == {"delta": target}
+
+
+def test_hermite_conjugation_and_squaring(c213):
+    # B(delta^(q^3)) = B(delta) and B(delta^2) = B(delta)^2 on every delta
+    # outside F_{q^3} at q = 4 (and q = 2)
+    for ctx in (c213, build_tower(2, 2, 3)):
+        d = np.array(ex._outside_deltas(ctx))
+        B = ex._hermite_brute(ctx, d)
+        assert B.all()
+        assert np.array_equal(ex._hermite_brute(ctx, ctx.vpow(d, ctx.q ** 3)), B)
+        assert np.array_equal(ex._hermite_brute(ctx, ctx.vmul(d, d)), ctx.vmul(B, B))
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_hermite_scaling_identity(e):
+    # Q_delta(cx) = c^(2q) Q_(delta c^(1-q))(x) gives
+    # B(delta c^(1-q)) = c^(-2q(q^2-1)) B(delta) for c in F_{q^3}^*;
+    # 200 seeded (delta, c) at q = 4 and q = 8
+    ctx = build_tower(2, e, 3)
+    q = ctx.q
+    rng = np.random.default_rng(53 + e)
+    d = rng.choice(ex._outside_deltas(ctx), 200)
+    c = rng.choice(ctx.subfield_elements("qn")[1:], 200)
+    lhs = ex._hermite_brute(ctx, ctx.vmul(d, ctx.vpow(c, 1 - q)))
+    rhs = ctx.vmul(ctx.vpow(c, -2 * q * (q * q - 1)), ex._hermite_brute(ctx, d))
+    assert np.array_equal(lhs, rhs)
+
+
+def test_non_encodings_are_refused(c213):
+    # a negative index used to wrap to a valid element, and one past the
+    # field raised IndexError; the predicate silently said False
+    for delta in (-5, 67):
+        with pytest.raises(ValueError, match=f"delta = {delta} is not an element encoding"):
+            ex.hermite_coefficient_check(c213, delta)
+    with pytest.raises(ValueError, match="d0 = -1 is not an element encoding in 0..63"):
+        even3_perm_predicate(c213, -1, 1, 9)
+    with pytest.raises(ValueError, match="d1 = 64 is not an element encoding"):
+        even3_perm_predicate(c213, 1, 64, 9)
+    with pytest.raises(ValueError, match="delta = -9 is not an element encoding"):
+        even3_perm_predicate(c213, 1, 1, -9)
 
 
 def test_candidate_scans_call_the_predicate_per_candidate(monkeypatch):
@@ -304,6 +632,58 @@ def test_planar_counterexample_just_after_a_block_boundary(monkeypatch, jobs, in
 
     monkeypatch.setattr(ex, "_planar_rows", flipped)
     rep = verify_planar_dichotomy({"q": 3, "m": 3, "k": 1, "sample": sample}, jobs=jobs)
+    assert rep.verdict == "counterexample"
+    assert rep.candidates == index + 1
+    assert rep.counterexample == {"a": a, "b": b, "w": rep.details["w"]}
+
+
+def test_planar_full_items_are_pair_index_ranges(monkeypatch):
+    # full mode hands the scan ranges of the index a N + b, 22 pairs apiece
+    # (2^14 // 729), not a list of the 531,441 pairs
+    seen = {}
+
+    def fake_scan(name, params, items, setup, args, check, *rest):
+        seen.update(items=items, check=check)
+        return "scanned"
+
+    monkeypatch.setattr(ex, "_run_scan", fake_scan)
+    assert verify_planar_dichotomy({"q": 3, "m": 3, "k": 1}) == "scanned"
+    _assert_tiles(seen["items"], 729 ** 2)
+    assert {hi - lo for lo, hi in seen["items"][:-1]} == {22}
+    assert seen["check"] is ex._planar_range
+
+
+def test_planar_range_decodes_the_pair_order(monkeypatch):
+    # a range of the index is the same slice of itertools.product(range(N),
+    # range(N)) that the listed pairs give, and a range stops at its first
+    # bad pair
+    state = ex._planar_setup(3, 1, 3, 1)
+    N = state["ctx"].N
+    for lo, hi in ((0, 89), (700, 789), (N * N - 40, N * N)):
+        block = list(itertools.islice(itertools.product(range(N), range(N)), lo, hi))
+        assert ex._planar_range(state, (lo, hi)) == ex._planar_pairs(state, block) == \
+            (hi - lo, 0, None)
+    real = ex._planar_rows
+    monkeypatch.setattr(ex, "_planar_rows",
+                        lambda state, A, B: real(state, A, B) ^ ((A == 3) & (B == 5)))
+    assert ex._planar_range(state, (3 * N, 3 * N + 89)) == \
+        (6, 0, {"a": 3, "b": 5, "w": state["w"]})
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("index", [22, 43, 22 * 40])
+def test_planar_full_counterexample_on_a_block_edge(monkeypatch, jobs, index):
+    # full mode: pairs 22 = (0, 22) and 43 = (0, 43) open and close the
+    # second range, 880 = (1, 151) opens the 41st; a flipped verdict there
+    # stops the scan at index + 1
+    a, b = divmod(index, 729)
+    real = ex._planar_rows
+
+    def flipped(state, A, B):
+        return real(state, A, B) ^ ((A == a) & (B == b))
+
+    monkeypatch.setattr(ex, "_planar_rows", flipped)
+    rep = verify_planar_dichotomy({"q": 3, "m": 3, "k": 1}, jobs=jobs)
     assert rep.verdict == "counterexample"
     assert rep.candidates == index + 1
     assert rep.counterexample == {"a": a, "b": b, "w": rep.details["w"]}

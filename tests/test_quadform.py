@@ -7,6 +7,7 @@ import pytest
 from spreadlab import (DOPoly, QuadSpace, build_tower, classify_char2,
                        coset_representatives, count_zeros, is_permutation_brute,
                        is_permutation_via_rank, permutes_cosets, radical)
+from spreadlab.quadform import _key_rows
 
 
 # -- coordinate forms with hand-checkable zero counts ----------------------------
@@ -279,3 +280,29 @@ def test_values_computed_once_and_read_only(pen):
     assert empty.values().dtype == np.int64
     assert empty.values().tolist() == [0] * len(dom)
     assert not empty.values().flags.writeable
+
+
+@pytest.mark.parametrize("pen, tags", [((3, 1, 3), ("qn", "q")), ((5, 1, 2), ("qn", "q")),
+                                       ((2, 2, 3), ("qn", "p"))], ids=str)
+def test_row_construction_matches_init(pen, tags):
+    # DOPoly._rows over canonical keys and a coefficient array gives the
+    # polynomials DOPoly(...) gives: equal, same hash, same read-only table
+    ctx = build_tower(*pen)
+    field_k, base_k = (ctx.tag_degree(t) for t in tags)
+    m = field_k // base_k
+    keys = [(i, j) for i in range(m) for j in range(i, m)]
+    rng = np.random.default_rng(7)
+    dom = ctx.subfield_elements(field_k)
+    coeffs = rng.choice(dom, (12, len(keys)))
+    coeffs[0] = 0                                   # the zero polynomial
+    coeffs[1, 1:] = 0                               # one term
+    table = _key_rows(ctx, field_k, base_k, keys, coeffs)
+    assert table.shape == (12, len(dom))
+    made = DOPoly._rows(ctx, field_k, base_k, keys, coeffs, table)
+    assert len(made) == 12
+    for f, row in zip(made, coeffs.tolist()):
+        g = DOPoly(ctx, {key: c for key, c in zip(keys, row)}, field_k, base_k)
+        assert f == g and hash(f) == hash(g) and f.coeffs == g.coeffs
+        assert np.array_equal(f.values(), g.values())
+        assert not f.values().flags.writeable
+        assert f.values().tolist() == [g(int(x)) for x in dom]
