@@ -286,8 +286,9 @@ def _even8_rows(ctx, ltab, dom, norm, delta):
 
 
 def _even8_setup(p, e):
-    """The coefficient rows and the permutation verdict of every L at the
-    least delta0 outside F_{q^4}; _even8_hits reads every other delta off it."""
+    """The coefficient rows, the permutation verdict of every L at the least
+    delta0 outside F_{q^4}, and the rows of its hits; _even8_check reads
+    every other delta off them."""
     ctx = build_tower(p, e, 4)
     ne = ctx.n * ctx.e
     dom = ctx.subfield_elements("qn").astype(np.int64)
@@ -306,32 +307,37 @@ def _even8_setup(p, e):
     d0 = _outside_deltas(ctx)[0]
     base = _even8_rows(ctx, ltab, dom, norm, d0).reshape((qn,) * 4)
     return {"ctx": ctx, "dom": dom, "coeffs": coeffs, "norm": norm, "d0": d0,
-            "base": base}
+            "base": base, "hits0": np.flatnonzero(base)}
 
 
-def _even8_hits(state, delta: int) -> np.ndarray:
-    """The permutation verdict of every L at delta, in coefficient-row order.
+def _even8_maps(state, delta: int) -> list[np.ndarray]:
+    """The coordinate maps a_i -> a~_i, as positions in F_{q^4}, that send
+    each L at delta to the L~ at delta0 with the same verdict.
 
     delta = b + c delta0 with c = (delta + delta^(q^4)) / (delta0 + delta0^(q^4))
     and b = delta + c delta0 in F_{q^4}.  At x = c^-1 y, L(x) + delta x is
     L~(y) + delta0 y with a~0 = (a0 + b) c^-1 and a~i = ai c^(-q^i), and
     y -> c^-1 y permutes F_{q^4}, so L permutes at delta exactly when L~
-    does at delta0.  L -> L~ is a bijection of each coefficient position."""
+    does at delta0.  Each map is a bijection, and maps 1-3 fix 0."""
     ctx, dom, d0 = state["ctx"], state["dom"], state["d0"]
     ne = ctx.n * ctx.e
     c = ctx.div(ctx.add(delta, ctx.frob(delta, ne)), ctx.add(d0, ctx.frob(d0, ne)))
     b = ctx.add(delta, ctx.mul(c, d0))
     ci = ctx.inv(c)
     pos = ctx.element_index("qn")
-    idx = [pos[ctx.vmul(ctx.vadd(dom, b), ci)]]
-    idx += [pos[ctx.vmul(dom, ctx.frob(ci, ctx.e * i))] for i in range(1, 4)]
-    return state["base"][np.ix_(*idx)].reshape(-1)
+    return ([pos[ctx.vmul(ctx.vadd(dom, b), ci)]]
+            + [pos[ctx.vmul(dom, ctx.frob(ci, ctx.e * i))] for i in range(1, 4)])
 
 
-def _even8_check(state, delta: int):
-    """All L against one delta, W = L(x) + delta x: every L is a candidate,
-    every permutation is a hit, and the first hit whose L is not a scalar
-    multiple of X (a genuine type C witness) is the counterexample."""
+def _even8_hits(state, delta: int) -> np.ndarray:
+    """The permutation verdict of every L at delta, in coefficient-row order,
+    gathered from the delta0 verdicts through _even8_maps."""
+    return state["base"][np.ix_(*_even8_maps(state, delta))].reshape(-1)
+
+
+def _even8_first(state, delta: int):
+    """All L against one delta in row order, up to the first hit whose L is
+    not a scalar multiple of X (a genuine type C witness)."""
     coeffs = state["coeffs"]
     hit = _even8_hits(state, int(delta))
     hits = np.flatnonzero(hit)
@@ -340,6 +346,22 @@ def _even8_check(state, delta: int):
         return len(hit), len(hits), None
     row = int(bad[0])
     return row + 1, len(hits), {"L_coeffs": coeffs[row].tolist(), "delta": int(delta)}
+
+
+def _even8_check(state, delta: int):
+    """All L against one delta, W = L(x) + delta x: every L is a candidate,
+    every permutation is a hit, and the first hit whose L is not scalar is
+    the counterexample.
+
+    The maps of _even8_maps put the hits at delta in bijection with those
+    at delta0, and L is scalar exactly when L~ is.  So when every delta0
+    hit is scalar, every delta has as many hits, all scalar, and no gather
+    is needed; otherwise every delta has a counterexample, and
+    _even8_first places it."""
+    coeffs, hits0 = state["coeffs"], state["hits0"]
+    if not coeffs[hits0, 1:].any():
+        return len(coeffs), len(hits0), None
+    return _even8_first(state, delta)
 
 
 def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
@@ -359,10 +381,9 @@ def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
     if p != 2:
         raise ValueError("this nonexistence statement needs even q")
     qn = q ** 4
-    ctx = build_tower(p, e, 4)
-    if qn ** 4 * (ctx.N - qn) > 10 ** 8:
+    if qn ** 4 * (qn * qn - qn) > 10 ** 8:       # L times deltas outside F_{q^4}
         raise ValueError("search space exceeds the desk-scale budget")
-    deltas = _outside_deltas(ctx)
+    deltas = _outside_deltas(build_tower(p, e, 4))
     return _run_scan(
         "no-typec-even8", {"q": q}, deltas, _even8_setup, (p, e), _even8_check,
         lambda hits, cex: {"polynomials": qn ** 4, "deltas": len(deltas),

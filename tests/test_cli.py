@@ -179,7 +179,9 @@ def test_experiment_over_budget_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["hermite-coefficient", "--q", "16"],
     ["planar-dichotomy", "--sample", "1000000"],
-], ids=["hermite-q16", "planar-sample"])
+    ["no-typec-even8", "--q", "8"],
+    ["no-typec-even8", "--q", "16"],
+], ids=["hermite-q16", "planar-sample", "even8-q8", "even8-q16"])
 def test_experiment_new_budgets_exit_1(tmp_path, capsys, monkeypatch, argv):
     # refused before any tower is built
     monkeypatch.setattr(ex, "build_tower", None)

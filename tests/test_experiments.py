@@ -917,22 +917,23 @@ def test_even8_counterexample_off_delta0():
             first + 1, 16, {"L_coeffs": marked[first].tolist(), "delta": int(delta)})
 
 
+def _count_calls(log, name, fn):
+    """fn, appending "name pid" to the file log at each call (forked workers
+    included)."""
+    def wrapper(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{name} {os.getpid()}\n")
+        return fn(*args)
+    return wrapper
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_even8_sorts_once_per_scan(tmp_path, monkeypatch, jobs):
     # setup, and with it the only row sort, runs once in the parent; forked
     # workers read the inherited table and never sort again
     log = tmp_path / "calls"
-    setup, rows = ex._even8_setup, ex._even8_rows
-
-    def logged(name, fn):
-        def wrapper(*args):
-            with open(log, "a") as fh:
-                fh.write(f"{name} {os.getpid()}\n")
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(ex, "_even8_setup", logged("setup", setup))
-    monkeypatch.setattr(ex, "_even8_rows", logged("rows", rows))
+    monkeypatch.setattr(ex, "_even8_setup", _count_calls(log, "setup", ex._even8_setup))
+    monkeypatch.setattr(ex, "_even8_rows", _count_calls(log, "rows", ex._even8_rows))
     rep = verify_no_typeC_even_8dim({"q": 2}, jobs=jobs)
     assert (rep.verdict, rep.candidates) == ("confirmed", 15728640)
     assert rep.details["permutation_pairs"] == rep.details["desarguesian_pairs"] == 3840
@@ -945,6 +946,91 @@ def test_even8_preconditions():
         verify_no_typeC_even_8dim({"q": 3})
     with pytest.raises(ValueError):
         verify_no_typeC_even_8dim({"q": 4})        # over the candidate budget
+
+
+def test_even8_budget_refuses_before_the_tower(monkeypatch):
+    # q^16 (q^8 - q^4) comes from q alone: no tower is built to refuse
+    def no_tower(*args):
+        raise AssertionError("tower built before the budget test")
+
+    monkeypatch.setattr(ex, "build_tower", no_tower)
+    for q in (4, 8, 16):
+        with pytest.raises(ValueError, match="search space exceeds the desk-scale budget"):
+            verify_no_typeC_even_8dim({"q": q})
+
+
+def test_even8_maps_are_bijections_fixing_zero():
+    # the two facts the delta0 shortcut rests on: every coordinate map
+    # permutes the positions of F_{q^4}, and a~i = 0 exactly when ai = 0
+    # for i = 1, 2, 3, so the scalar L (a1 = a2 = a3 = 0) map to themselves
+    state = ex._even8_setup(2, 1)
+    dom = state["dom"]
+    zero = int(np.flatnonzero(dom == 0)[0])
+    for delta in ex._outside_deltas(state["ctx"]):
+        maps = ex._even8_maps(state, delta)
+        assert len(maps) == 4
+        for i, m in enumerate(maps):
+            assert np.array_equal(np.sort(m), np.arange(len(dom))), (delta, i)
+            if i:
+                assert m[zero] == zero, (delta, i)
+
+
+def _marked(state):
+    """state, with every coefficient row marked non-scalar (a1 = 1)."""
+    coeffs = state["coeffs"].copy()
+    coeffs[:, 1] = 1
+    return dict(state, coeffs=coeffs)
+
+
+def test_even8_check_matches_the_ordered_pass():
+    # the delta0 shortcut against the per-delta gather at every delta, with
+    # the real coefficient rows (no counterexample anywhere) and with every
+    # row marked non-scalar (one at every delta)
+    state = ex._even8_setup(2, 1)
+    for st in (state, _marked(state)):
+        for delta in ex._outside_deltas(state["ctx"]):
+            assert ex._even8_check(st, delta) == ex._even8_first(st, delta), delta
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_even8_confirmed_scan_gathers_nothing(tmp_path, monkeypatch, jobs):
+    log = tmp_path / "calls"
+    monkeypatch.setattr(ex, "_even8_hits", _count_calls(log, "hits", ex._even8_hits))
+    rep = verify_no_typeC_even_8dim({"q": 2}, jobs=jobs)
+    assert (rep.verdict, rep.candidates) == ("confirmed", 15728640)
+    assert rep.details["permutation_pairs"] == rep.details["desarguesian_pairs"] == 3840
+    assert not log.exists()
+
+
+def test_even8_counterexample_at_the_first_delta_scanned(tmp_path, monkeypatch):
+    # with every row marked non-scalar, every delta has a counterexample: the
+    # scan stops at the first delta it scans, at that delta's first row-sort
+    # hit, after one gather
+    state = ex._even8_setup(2, 1)
+    ltab = _even8_ltab(state)
+    marked = _marked(state)["coeffs"]
+    deltas = ex._outside_deltas(state["ctx"])
+    log = tmp_path / "calls"
+    setup = ex._even8_setup
+    monkeypatch.setattr(ex, "_even8_setup", lambda *args: _marked(setup(*args)))
+    monkeypatch.setattr(ex, "_even8_hits", _count_calls(log, "hits", ex._even8_hits))
+    out = str(tmp_path / "even8.json")
+    key = ex._state_key("no-typec-even8", {"q": 2}, deltas)
+    for pos in (0, 7):
+        if pos:
+            _save_state(out, key, pos=pos, candidates=pos * 65536, hits=pos * 16,
+                        seconds=0.0)
+        delta = deltas[pos]
+        first = int(np.flatnonzero(_even8_rows(state, ltab, delta))[0])
+        rep = verify_no_typeC_even_8dim({"q": 2}, out=out if pos else None)
+        assert rep.verdict == "counterexample"
+        assert rep.counterexample == {"L_coeffs": marked[first].tolist(), "delta": delta}
+        assert rep.candidates == pos * 65536 + first + 1
+        assert rep.details["permutation_pairs"] == (pos + 1) * 16
+        assert rep.details["desarguesian_pairs"] is None
+        assert log.read_text().splitlines() == [f"hits {os.getpid()}"]
+        log.unlink()
+    assert not os.path.exists(out + ".state")
 
 
 # -- dispatch and reports --------------------------------------------------------------------
