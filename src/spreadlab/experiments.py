@@ -10,13 +10,11 @@ deterministic given (params, seed) and independent of the worker count.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import multiprocessing as mp
 import os
 import time
-import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -63,22 +61,18 @@ class VerdictReport:
 
 # -- checkpoint state ---------------------------------------------------------------
 
-_STATE_SCHEMA = 2
+_STATE_SCHEMA = 3
 
 
 def _state_path(out: str) -> str:
     return out + ".state"
 
 
-def _state_key(name: str, params: dict, items: list) -> dict:
+def _state_key(name: str, params: dict, total: int, size: int) -> dict:
     """What a checkpoint must match to be resumed: the scan, its normalized
-    params, the state layout and the exact item list (candidates, blocks of
-    them, or ranges of a candidate index, which fix the block size)."""
-    # zlib, not hashlib: the key guards against a changed list, not an
-    # adversary, and hashlib would load OpenSSL (about 4 MB of resident memory)
-    digest = f"{len(items)}:{zlib.crc32(json.dumps(items).encode()):08x}"
+    params, the state layout, the item count and the block size."""
     return {"scan": name, "params": params, "schema": _STATE_SCHEMA,
-            "items": digest}
+            "total": total, "size": size}
 
 
 def _load_state(out: str | None, key) -> dict | None:
@@ -112,40 +106,42 @@ def _clear_state(out: str | None) -> None:
 
 # -- running a scan ---------------------------------------------------------------
 
-# (check, state) of the scan being run; written only by _run_scan, and
-# inherited by the workers it forks
+# (check, state, total, size) of the scan being run; written only by
+# _run_scan, and inherited by the workers it forks
 _SCAN: tuple = ()
 
 
-def _work(item):
-    check, state = _SCAN
-    return check(state, item)
+def _work(lo: int):
+    check, state, total, size = _SCAN
+    return check(state, lo, min(lo + size, total))
 
 
-def _run_scan(name: str, params: dict, items: list, setup, args: tuple, check,
-              details, jobs: int, out: str | None) -> VerdictReport:
-    """Run check(setup(*args), item) over items in order and stop at the
-    first counterexample.
+def _run_scan(name: str, params: dict, total: int, size: int, setup, args: tuple,
+              check, details, jobs: int, out: str | None) -> VerdictReport:
+    """Run check(setup(*args), lo, hi) over the ranges [lo, hi) that tile the
+    item index [0, total), size items apiece, in order, and stop at the first
+    counterexample.
 
     check returns (candidates scanned, hits, counterexample or None), so the
-    reported candidates are those of every earlier item plus the hit's own.
-    jobs > 1 forks min(jobs, items left) workers; results keep item order, so
-    the verdict does not depend on the worker count.  With a report path the
-    scan checkpoints to <out>.state every CHECKPOINT_EVERY candidates,
-    resumes from a checkpoint with the same key, and removes it at the end.
-    details(hits, counterexample) gives the report's details.
+    reported candidates are those of every earlier range plus the hit's own.
+    jobs > 1 forks min(jobs, ranges left) workers, each handed a range start;
+    results keep range order, so the verdict does not depend on the worker
+    count.  With a report path the scan checkpoints to <out>.state every
+    CHECKPOINT_EVERY candidates, resumes from a checkpoint with the same key,
+    and removes it at the end.  details(hits, counterexample) gives the
+    report's details.
     """
     global _SCAN
-    key = _state_key(name, params, items) if out else None
+    key = _state_key(name, params, total, size) if out else None
     saved = _load_state(out, key) or {"pos": 0, "candidates": 0, "hits": 0,
                                       "seconds": 0.0}
     pos, scanned, hits = saved["pos"], saved["candidates"], saved["hits"]
     t0 = time.time() - saved["seconds"]
     cex = None
     since_ckpt = 0
-    _SCAN = (check, setup(*args))
+    _SCAN = (check, setup(*args), total, size)
     try:
-        rest = items[pos:]
+        rest = range(pos * size, total, size)      # range starts; pos counts ranges
         jobs = min(jobs, len(rest))
         with (mp.get_context("fork").Pool(jobs) if jobs > 1
               else contextlib.nullcontext()) as pool:
@@ -177,11 +173,6 @@ def _read_params(params: dict | None, **defaults) -> dict:
         raise ValueError(f"unknown parameter(s) {', '.join(unknown)}; "
                          f"this scan reads {', '.join(defaults)}")
     return {**defaults, **params}
-
-
-def _ranges(total: int, size: int) -> list[tuple[int, int]]:
-    """Scan items as (start, stop) ranges of an index 0..total-1, size apiece."""
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
 def _outside_deltas(ctx: FieldCtx) -> list[int]:
@@ -236,11 +227,11 @@ def _odd_rows(state, lo: int, hi: int):
                                 table.reshape(-1, qn))
 
 
-def _odd_check(state, item):
-    """The L of one index range against every admissible delta, up to the
+def _odd_check(state, lo: int, hi: int):
+    """The L of index lo..hi-1 against every admissible delta, up to the
     first hit; each candidate gets its own permutes_cosets call."""
     deltas = state["deltas"]
-    coeffs, polys = _odd_rows(state, *item)
+    coeffs, polys = _odd_rows(state, lo, hi)
     for k, Q in enumerate(polys):
         if permutes_cosets(Q):
             row, di = divmod(k, len(deltas))
@@ -260,14 +251,14 @@ def verify_no_typeC_odd(params: dict | None = None, *, jobs: int = 1,
     p, e = factor_prime_power(q)
     if p == 2:
         raise ValueError("this nonexistence statement needs odd q")
-    if n % 2:
-        raise ValueError("this nonexistence statement needs even n")
+    if n < 2 or n % 2:
+        raise ValueError(f"this nonexistence statement needs even n >= 2 (got {n})")
     polys = q ** (n * n)                  # L: n coefficients in F_{q^n}
     if polys > 10 ** 6:
         raise ValueError("search space exceeds the desk-scale budget")
     n_deltas = q ** n - 1                 # delta^(q^n - 1) = -1
-    items = _ranges(polys, max(1, _ROW_BLOCK // (n_deltas * q ** n)))
-    return _run_scan("no-typec-odd", {"q": q, "n": n}, items, _odd_setup, (p, e, n),
+    return _run_scan("no-typec-odd", {"q": q, "n": n}, polys,
+                     max(1, _ROW_BLOCK // (n_deltas * q ** n)), _odd_setup, (p, e, n),
                      _odd_check,
                      lambda hits, cex: {"polynomials": polys, "deltas": n_deltas},
                      jobs, out)
@@ -286,9 +277,9 @@ def _even8_rows(ctx, ltab, dom, norm, delta):
 
 
 def _even8_setup(p, e):
-    """The coefficient rows, the permutation verdict of every L at the least
-    delta0 outside F_{q^4}, and the rows of its hits; _even8_check reads
-    every other delta off them."""
+    """The deltas outside F_{q^4}, the coefficient rows, the permutation
+    verdict of every L at the least of them, delta0, and the rows of its
+    hits; _even8_check reads every other delta off them."""
     ctx = build_tower(p, e, 4)
     ne = ctx.n * ctx.e
     dom = ctx.subfield_elements("qn").astype(np.int64)
@@ -304,10 +295,11 @@ def _even8_setup(p, e):
         ltab = ctx.vadd(ltab[:, None, :], mono[None, :, :]).reshape(-1, qn)
     # int32 Q-values: the row sort then moves half the bytes
     norm = ctx.vmul(amb, ctx.frob_table(ne)[amb]).astype(np.int32)
-    d0 = _outside_deltas(ctx)[0]
+    deltas = _outside_deltas(ctx)
+    d0 = deltas[0]
     base = _even8_rows(ctx, ltab, dom, norm, d0).reshape((qn,) * 4)
-    return {"ctx": ctx, "dom": dom, "coeffs": coeffs, "norm": norm, "d0": d0,
-            "base": base, "hits0": np.flatnonzero(base)}
+    return {"ctx": ctx, "dom": dom, "deltas": deltas, "coeffs": coeffs, "norm": norm,
+            "d0": d0, "base": base, "hits0": np.flatnonzero(base)}
 
 
 def _even8_maps(state, delta: int) -> list[np.ndarray]:
@@ -348,10 +340,10 @@ def _even8_first(state, delta: int):
     return row + 1, len(hits), {"L_coeffs": coeffs[row].tolist(), "delta": int(delta)}
 
 
-def _even8_check(state, delta: int):
-    """All L against one delta, W = L(x) + delta x: every L is a candidate,
-    every permutation is a hit, and the first hit whose L is not scalar is
-    the counterexample.
+def _even8_check(state, i: int, _hi: int):
+    """All L against delta i (ranges hold one delta), W = L(x) + delta x:
+    every L is a candidate, every permutation is a hit, and the first hit
+    whose L is not scalar is the counterexample.
 
     The maps of _even8_maps put the hits at delta in bijection with those
     at delta0, and L is scalar exactly when L~ is.  So when every delta0
@@ -361,7 +353,7 @@ def _even8_check(state, delta: int):
     coeffs, hits0 = state["coeffs"], state["hits0"]
     if not coeffs[hits0, 1:].any():
         return len(coeffs), len(hits0), None
-    return _even8_first(state, delta)
+    return _even8_first(state, state["deltas"][i])
 
 
 def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
@@ -381,12 +373,12 @@ def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
     if p != 2:
         raise ValueError("this nonexistence statement needs even q")
     qn = q ** 4
-    if qn ** 4 * (qn * qn - qn) > 10 ** 8:       # L times deltas outside F_{q^4}
+    n_deltas = qn * qn - qn                      # deltas outside F_{q^4}
+    if qn ** 4 * n_deltas > 10 ** 8:
         raise ValueError("search space exceeds the desk-scale budget")
-    deltas = _outside_deltas(build_tower(p, e, 4))
     return _run_scan(
-        "no-typec-even8", {"q": q}, deltas, _even8_setup, (p, e), _even8_check,
-        lambda hits, cex: {"polynomials": qn ** 4, "deltas": len(deltas),
+        "no-typec-even8", {"q": q}, n_deltas, 1, _even8_setup, (p, e), _even8_check,
+        lambda hits, cex: {"polynomials": qn ** 4, "deltas": n_deltas,
                            "permutation_pairs": hits,
                            "desarguesian_pairs": hits if cex is None else None},
         jobs, out)
@@ -416,16 +408,18 @@ def even3_perm_predicate(ctx: FieldCtx, d0: int, d1: int, delta: int) -> bool:
 
 def _even3_setup(p, e):
     ctx = build_tower(p, e, 3)
-    return ctx, _outside_deltas(ctx), QPoly.identity(ctx)
+    dom = [int(x) for x in ctx.subfield_elements("qn")]
+    return ctx, dom, _outside_deltas(ctx), QPoly.identity(ctx)
 
 
-def _even3_check(state, coeffs):
-    """One monic L = X^(q^2) + d1 X^q + d0 X against every delta up to the
+def _even3_check(state, i: int, _hi: int):
+    """The monic L = X^(q^2) + d1 X^q + d0 X of index i = (d0, d1) in
+    lexicographic order (ranges hold one L) against every delta up to the
     first disagreement; the hits are the permutations.  The products
     (L + delta X)(L + delta^(q^3) X) of all deltas come from one
     q_from_pairs call; each is then tested on its own."""
-    ctx, deltas, ident = state
-    d0, d1 = coeffs
+    ctx, dom, deltas, ident = state
+    d0, d1 = dom[i // len(dom)], dom[i % len(dom)]
     L = QPoly(ctx, {0: d0, 1: d1, 2: 1})
     perms = 0
     for di, (delta, Q) in enumerate(zip(deltas, q_from_pairs(L, ident, deltas))):
@@ -446,15 +440,12 @@ def verify_even_n3_classification(params: dict | None = None, *, jobs: int = 1,
     p, e = factor_prime_power(q)
     if p != 2:
         raise ValueError("the classification is for even q")
-    if q ** 6 * (q ** 6 - q ** 3) > 10 ** 8:       # (d0, d1) pairs times deltas
+    n_deltas = q ** 6 - q ** 3                     # deltas outside F_{q^3}
+    if q ** 6 * n_deltas > 10 ** 8:                # (d0, d1) pairs times deltas
         raise ValueError("search space exceeds the desk-scale budget")
-    ctx = build_tower(p, e, 3)
-    dom = [int(x) for x in ctx.subfield_elements("qn")]
-    combos = list(itertools.product(dom, repeat=2))   # (d0, d1), lex
-    n_deltas = len(_outside_deltas(ctx))
     return _run_scan(
-        "even3-classification", {"q": q}, combos, _even3_setup, (p, e), _even3_check,
-        lambda hits, cex: {"monic_polynomials": len(combos), "deltas": n_deltas,
+        "even3-classification", {"q": q}, q ** 6, 1, _even3_setup, (p, e), _even3_check,
+        lambda hits, cex: {"monic_polynomials": q ** 6, "deltas": n_deltas,
                            "permutation_pairs": hits},
         jobs, out)
 
@@ -522,11 +513,11 @@ def _hermite_setup(p, e):
     return ctx, np.array(_outside_deltas(ctx), dtype=np.int64)
 
 
-def _hermite_check(state, item):
-    """The deltas of one index range, up to the first whose brute
+def _hermite_check(state, lo: int, hi: int):
+    """The deltas of index lo..hi-1, up to the first whose brute
     coefficient vanishes or differs from the closed form."""
     ctx, deltas = state
-    d = deltas[slice(*item)]
+    d = deltas[lo:hi]
     brute = _hermite_brute(ctx, d)
     bad = np.flatnonzero((brute == 0) | (brute != _hermite_closed(ctx, d)))
     if not len(bad):
@@ -549,20 +540,21 @@ def verify_hermite(params: dict | None = None, *, jobs: int = 1,
     n_deltas = q ** 6 - q ** 3                     # deltas outside F_{q^3}
     if n_deltas > 10 ** 6:
         raise ValueError("search space exceeds the desk-scale budget")
-    return _run_scan("hermite-coefficient", {"q": q},
-                     _ranges(n_deltas, max(1, _ROW_BLOCK // q ** 3)), _hermite_setup,
-                     (p, e), _hermite_check, lambda hits, cex: {}, jobs, out)
+    return _run_scan("hermite-coefficient", {"q": q}, n_deltas,
+                     max(1, _ROW_BLOCK // q ** 3), _hermite_setup, (p, e),
+                     _hermite_check, lambda hits, cex: {}, jobs, out)
 
 
 # -- planarity dichotomy for the two-term family -------------------------------------
 
 
-def _planar_setup(p, e, m, k):
-    """Value tables of X, X^(q^m) and -w X^(2 q^k) on F_{q^2m}."""
+def _planar_setup(p, e, m, k, codes):
+    """Value tables of X, X^(q^m) and -w X^(2 q^k) on F_{q^2m}, and the
+    pair codes a N + b of the scan's items (None: item i is pair code i)."""
     ctx = build_tower(p, e, m)
     amb = np.arange(ctx.N, dtype=np.int64)
     w = ctx.least_nonsquare("q2n")
-    return {"ctx": ctx, "w": w, "x": amb,
+    return {"ctx": ctx, "w": w, "x": amb, "codes": codes,
             "xqm": ctx.frob_table(ctx.e * m),
             "negw": ctx.vmul(ctx.neg(w), ctx.frob_table(ctx.e * k)[ctx.vmul(amb, amb)])}
 
@@ -578,9 +570,12 @@ def _planar_rows(state, A, B) -> np.ndarray:
     return _two_to_one(ctx, ctx.vadd(ctx.vmul(L, L), state["negw"][None, :]))
 
 
-def _planar_block(state, A, B):
-    """The pairs of the coefficient columns A, B, up to the first whose
-    planarity is not ab = 0."""
+def _planar_check(state, lo: int, hi: int):
+    """The pairs of items lo..hi-1, up to the first whose planarity is not
+    ab = 0."""
+    codes = state["codes"]
+    code = np.arange(lo, hi, dtype=np.int64) if codes is None else codes[lo:hi]
+    A, B = np.divmod(code, state["ctx"].N)
     bad = np.flatnonzero(_planar_rows(state, A, B) != ((A == 0) | (B == 0)))
     if not len(bad):
         return len(A), 0, None
@@ -588,27 +583,15 @@ def _planar_block(state, A, B):
     return i + 1, 0, {"a": int(A[i]), "b": int(B[i]), "w": state["w"]}
 
 
-def _planar_pairs(state, block):
-    """One block of listed (a, b) pairs."""
-    ab = np.array(block, dtype=np.int64)
-    return _planar_block(state, ab[:, 0], ab[:, 1])
-
-
-def _planar_range(state, item):
-    """The pairs of one range of the full scan's index a N + b."""
-    return _planar_block(state, *np.divmod(np.arange(*item, dtype=np.int64),
-                                           state["ctx"].N))
-
-
 def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
                             seed: int = 0, out: str | None = None) -> VerdictReport:
     """(a X + b X^(q^m))^2 - w X^(2 q^k) is planar exactly when ab = 0.
 
     Sample mode scans the full ab = 0 boundary plus `sample` seeded random
-    ab != 0 pairs; full mode scans every (a, b).  Each scan item is a block
-    of pairs checked as one table of value rows (in full mode a range of
-    the pair index a N + b); a block stops at its first counterexample, so
-    counts and counterexamples are those of a pair-by-pair scan.
+    ab != 0 pairs, listed as pair codes a N + b; full mode scans every pair
+    code.  Each range of items is checked as one table of value rows and
+    stops at its first counterexample, so counts and counterexamples are
+    those of a pair-by-pair scan.
     """
     params = _read_params(params, q=3, m=3, k=1, sample=None)
     q, m, k = int(params["q"]), int(params["m"]), int(params["k"])
@@ -625,24 +608,23 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
         raise ValueError("search space exceeds the desk-scale budget")
     ctx = build_tower(p, e, m)
     if sample is None:
-        # ranges of the pair index whose value rows fill about _ROW_BLOCK
-        # entries: with nothing else on the heap, glibc returns temporaries
-        # above its 128 KiB mmap threshold to the system after every block,
-        # and every block then faults them in again
-        blocks, check = _ranges(N * N, max(1, _ROW_BLOCK // N)), _planar_range
+        # ranges whose value rows fill about _ROW_BLOCK entries: with nothing
+        # else on the heap, glibc returns temporaries above its 128 KiB mmap
+        # threshold to the system after every block, and every block then
+        # faults them in again
+        codes, total, size = None, N * N, max(1, _ROW_BLOCK // N)
     else:
-        # one (sample, 2) draw: the same pairs as 2 * sample scalar draws, a then b
-        rng = np.random.default_rng(seed)
-        pairs = ([(0, 0)] + [(a, 0) for a in range(1, N)] + [(0, b) for b in range(1, N)]
-                 + [(a, b) for a, b in rng.integers(1, N, (int(sample), 2)).tolist()])
-        # blocks of pairs whose value rows fill one table of about _BLOCK entries
-        rows = max(1, _BLOCK // N)
-        blocks = [pairs[lo:lo + rows] for lo in range(0, len(pairs), rows)]
-        check = _planar_pairs
+        # (0, 0), (a, 0), (0, b), then one (sample, 2) draw: the same pairs
+        # as 2 * sample scalar draws, a then b
+        ab = np.random.default_rng(seed).integers(1, N, (int(sample), 2))
+        span = np.arange(1, N, dtype=np.int64)
+        codes = np.concatenate([[0], span * N, span, ab[:, 0] * N + ab[:, 1]])
+        # ranges whose value rows fill one table of about _BLOCK entries
+        total, size = len(codes), max(1, _BLOCK // N)
     w = int(ctx.least_nonsquare("q2n"))
     return _run_scan(
         "planar-dichotomy", {"q": q, "m": m, "k": k, "sample": sample, "seed": seed},
-        blocks, _planar_setup, (p, e, m, k), check,
+        total, size, _planar_setup, (p, e, m, k, codes), _planar_check,
         lambda hits, cex: {"w": w}, jobs, out)
 
 

@@ -221,11 +221,13 @@ def test_experiment_rejects_jobs_below_1(tmp_path, capsys, jobs):
     (["no-typec-odd", "--q", "3", "--n", "2", "--sample", "5", "--k", "9"],
      "unknown parameter(s) k, sample"),
     (["planar-dichotomy", "--sample", "-5"], "sample must be at least 0"),
-], ids=["unused-params", "negative-sample"])
+    (["no-typec-odd", "--q", "3", "--n", "0"], "needs even n >= 2 (got 0)"),
+], ids=["unused-params", "negative-sample", "odd-n0"])
 def test_experiment_rejects_params(tmp_path, capsys, argv, msg):
     out = tmp_path / "r.json"
     assert main(["experiment", *argv, "--out", str(out)]) == 1
-    assert msg in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert msg in err and "Traceback" not in err
     assert not out.exists()
 
 

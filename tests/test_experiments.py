@@ -50,6 +50,9 @@ def test_odd_preconditions():
         verify_no_typeC_odd({"q": 2, "n": 2})
     with pytest.raises(ValueError):
         verify_no_typeC_odd({"q": 3, "n": 3})
+    for n in (0, -2):                              # even, but no L to scan
+        with pytest.raises(ValueError, match=rf"needs even n >= 2 \(got {n}\)"):
+            verify_no_typeC_odd({"q": 3, "n": n})
     with pytest.raises(ValueError):
         verify_no_typeC_odd({"q": 3, "n": 4})      # 81^4 polynomials: over budget
     with pytest.raises(ValueError, match=r"unknown parameter\(s\) k, sample"):
@@ -58,14 +61,19 @@ def test_odd_preconditions():
 
 def _odd_setup_per_l(p, e, n):
     ctx = build_tower(p, e, n)
-    return ctx, ctx.find_deltas(), QPoly.identity(ctx)
+    dom = [int(x) for x in ctx.subfield_elements("qn")]
+    combos = list(itertools.product(dom, repeat=n))     # L, in lexicographic order
+    return ctx, ctx.find_deltas(), QPoly.identity(ctx), combos
 
 
-def _odd_check_per_l(state, coeffs):
-    """Reference: one q-polynomial L against every admissible delta, up to
-    the first hit.  q_from_pairs(ident, L, deltas) gives q_from_component(L, d)
-    for every d from one checked table; each is then tested on its own."""
-    ctx, deltas, ident = state
+def _odd_check_per_l(state, i, hi):
+    """Reference: one q-polynomial L, listed item i, against every admissible
+    delta, up to the first hit.  q_from_pairs(ident, L, deltas) gives
+    q_from_component(L, d) for every d from one checked table; each is then
+    tested on its own."""
+    ctx, deltas, ident, combos = state
+    assert hi == i + 1
+    coeffs = combos[i]
     L = QPoly(ctx, list(coeffs))
     for di, (d, Q) in enumerate(zip(deltas, q_from_pairs(ident, L, deltas))):
         if ex.permutes_cosets(Q):
@@ -75,13 +83,10 @@ def _odd_check_per_l(state, coeffs):
 
 def _odd_per_l(q, n):
     """The odd scan with one item per L, in lexicographic order."""
-    ctx = build_tower(q, 1, n)
-    dom = [int(x) for x in ctx.subfield_elements("qn")]
-    combos = list(itertools.product(dom, repeat=n))
-    n_deltas = len(ctx.find_deltas())
-    return ex._run_scan("no-typec-odd", {"q": q, "n": n}, combos, _odd_setup_per_l,
-                        (q, 1, n), _odd_check_per_l,
-                        lambda hits, cex: {"polynomials": len(combos), "deltas": n_deltas},
+    n_deltas = q ** n - 1
+    return ex._run_scan("no-typec-odd", {"q": q, "n": n}, q ** (n * n), 1,
+                        _odd_setup_per_l, (q, 1, n), _odd_check_per_l,
+                        lambda hits, cex: {"polynomials": q ** (n * n), "deltas": n_deltas},
                         1, None)
 
 
@@ -116,14 +121,13 @@ def test_odd_items_are_l_index_ranges(monkeypatch):
     # (5,2): 24 deltas x 25 values per L, so 2^14 // 600 = 27 L per block
     seen = {}
 
-    def fake_scan(name, params, items, *rest):
-        seen.update(items=items)
+    def fake_scan(name, params, total, size, *rest):
+        seen.update(total=total, size=size)
         return "scanned"
 
     monkeypatch.setattr(ex, "_run_scan", fake_scan)
     assert verify_no_typeC_odd({"q": 5, "n": 2}) == "scanned"
-    _assert_tiles(seen["items"], 625)
-    assert {hi - lo for lo, hi in seen["items"][:-1]} == {27}
+    assert seen == {"total": 625, "size": 27}
 
 
 def test_odd_rows_decode_the_lexicographic_order():
@@ -262,13 +266,64 @@ def test_classification_q4_within_budget(monkeypatch):
     # q = 4 is 16,515,072 candidates and reaches the scan
     seen = {}
 
-    def fake_scan(name, params, items, *rest):
-        seen.update(name=name, items=len(items))
+    def fake_scan(name, params, total, size, *rest):
+        seen.update(name=name, total=total, size=size)
         return "scanned"
 
     monkeypatch.setattr(ex, "_run_scan", fake_scan)
     assert verify_even_n3_classification({"q": 4}) == "scanned"
-    assert seen == {"name": "even3-classification", "items": 64 ** 2}
+    assert seen == {"name": "even3-classification", "total": 64 ** 2, "size": 1}
+
+
+def _even3_setup_per_l(p, e):
+    ctx = build_tower(p, e, 3)
+    dom = [int(x) for x in ctx.subfield_elements("qn")]
+    combos = list(itertools.product(dom, repeat=2))     # (d0, d1), lexicographic
+    return ctx, ex._outside_deltas(ctx), QPoly.identity(ctx), combos
+
+
+def _even3_check_per_l(state, i, hi):
+    """Reference: the monic L of listed (d0, d1) i against every delta, up
+    to the first disagreement of the brute test and the predicate."""
+    ctx, deltas, ident, combos = state
+    assert hi == i + 1
+    d0, d1 = combos[i]
+    L = QPoly(ctx, {0: d0, 1: d1, 2: 1})
+    perms = 0
+    for di, (delta, Q) in enumerate(zip(deltas, q_from_pairs(L, ident, deltas))):
+        perm = ex.is_permutation_brute(Q)
+        perms += perm
+        if perm != ex.even3_perm_predicate(ctx, d0, d1, delta):
+            return di + 1, perms, {"L_coeffs": [d0, d1, 1], "delta": delta}
+    return len(deltas), perms, None
+
+
+@pytest.mark.parametrize("target", [None, (5, 3, 10), (3, 5, 40)])
+def test_classification_index_matches_per_l_reference(monkeypatch, target):
+    # the scan that decodes (d0, d1) from the L index and the scan over the
+    # listed pairs give the same report; with the predicate flipped at one
+    # (d0, d1, delta), given by positions, the same first disagreement
+    # (d0 != d1, so a swapped decode would meet it at another index)
+    if target is not None:
+        ctx = build_tower(2, 1, 3)
+        j0, j1, di = target
+        dom = ctx.subfield_elements("qn").tolist()
+        flip = (dom[j0], dom[j1], ex._outside_deltas(ctx)[di])
+        real = ex.even3_perm_predicate
+        monkeypatch.setattr(ex, "even3_perm_predicate",
+                            lambda ctx, *args: real(ctx, *args) ^ (args == flip))
+    index = verify_even_n3_classification({"q": 2})
+    listed = ex._run_scan("even3-classification", {"q": 2}, 64, 1, _even3_setup_per_l,
+                          (2, 1), _even3_check_per_l,
+                          lambda hits, cex: {"monic_polynomials": 64, "deltas": 56,
+                                             "permutation_pairs": hits}, 1, None)
+    _same_report(index, listed)
+    if target is None:
+        assert (index.verdict, index.candidates) == ("confirmed", 3584)
+    else:
+        assert index.verdict == "counterexample"
+        assert index.candidates == (8 * j0 + j1) * 56 + di + 1
+        assert index.counterexample == {"L_coeffs": [*flip[:2], 1], "delta": flip[2]}
 
 
 # -- Hermite coefficient ---------------------------------------------------------------
@@ -292,25 +347,16 @@ def test_hermite_budget(monkeypatch):
 
 
 def test_hermite_q8_within_budget(monkeypatch):
-    # q = 8 is 261,632 deltas and reaches the scan; the items are index
-    # ranges that tile [0, 261,632) in order
+    # q = 8 is 261,632 deltas and reaches the scan, 2^14 // 512 = 32 a range
     seen = {}
 
-    def fake_scan(name, params, items, *rest):
-        seen.update(name=name, items=items)
+    def fake_scan(name, params, total, size, *rest):
+        seen.update(name=name, total=total, size=size)
         return "scanned"
 
     monkeypatch.setattr(ex, "_run_scan", fake_scan)
     assert verify_hermite({"q": 8}) == "scanned"
-    assert seen["name"] == "hermite-coefficient"
-    _assert_tiles(seen["items"], 8 ** 6 - 8 ** 3)
-
-
-def _assert_tiles(items, total):
-    """items are nonempty (start, stop) ranges that tile [0, total) in order."""
-    assert items[0][0] == 0 and items[-1][1] == total
-    assert all(lo < hi for lo, hi in items)
-    assert all(a[1] == b[0] for a, b in zip(items, items[1:]))
+    assert seen == {"name": "hermite-coefficient", "total": 8 ** 6 - 8 ** 3, "size": 32}
 
 
 def test_hermite_guards(c213, c313):
@@ -380,8 +426,17 @@ def test_hermite_zero_coefficient_fails_even_when_the_forms_agree(monkeypatch):
     assert rep.counterexample == {"delta": ex._outside_deltas(build_tower(2, 2, 3))[0]}
 
 
-def _hermite_check_per_delta(ctx, delta):
-    """Reference: the scan's former item, one delta through the scalar check."""
+def _hermite_setup_per_delta(p, e):
+    ctx = build_tower(p, e, 3)
+    return ctx, ex._outside_deltas(ctx)
+
+
+def _hermite_check_per_delta(state, i, hi):
+    """Reference: the scan's former item, listed delta i through the scalar
+    check."""
+    ctx, deltas = state
+    assert hi == i + 1
+    delta = deltas[i]
     try:
         okay = ex.hermite_coefficient_check(ctx, delta)
     except RuntimeError:
@@ -390,10 +445,9 @@ def _hermite_check_per_delta(ctx, delta):
 
 
 def _hermite_per_delta(q):
-    ctx = build_tower(2, q.bit_length() - 1, 3)
-    return ex._run_scan("hermite-coefficient", {"q": q}, ex._outside_deltas(ctx),
-                        build_tower, (2, q.bit_length() - 1, 3), _hermite_check_per_delta,
-                        lambda hits, cex: {}, 1, None)
+    return ex._run_scan("hermite-coefficient", {"q": q}, q ** 6 - q ** 3, 1,
+                        _hermite_setup_per_delta, (2, q.bit_length() - 1),
+                        _hermite_check_per_delta, lambda hits, cex: {}, 1, None)
 
 
 @pytest.mark.parametrize("vanish", [False, True])
@@ -449,14 +503,13 @@ def test_hermite_items_tile_the_deltas(monkeypatch):
     # q = 4: 2^14 // 64 = 256 deltas per block
     seen = {}
 
-    def fake_scan(name, params, items, *rest):
-        seen.update(items=items)
+    def fake_scan(name, params, total, size, *rest):
+        seen.update(total=total, size=size)
         return "scanned"
 
     monkeypatch.setattr(ex, "_run_scan", fake_scan)
     assert verify_hermite({"q": 4}) == "scanned"
-    _assert_tiles(seen["items"], 4032)
-    assert {hi - lo for lo, hi in seen["items"][:-1]} == {256}
+    assert seen == {"total": 4032, "size": 256}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -573,7 +626,7 @@ def test_planar_fast_path_matches_reference():
     # the scan's row-wise checker against semifield.planar_family_check, on
     # the whole ab = 0 boundary (planar) and 200 seeded ab != 0 pairs, all
     # 1,657 pairs as one table of value rows
-    state = ex._planar_setup(3, 1, 3, 1)
+    state = ex._planar_setup(3, 1, 3, 1, None)
     ctx, w = state["ctx"], state["w"]
     N = ctx.N
     rng = np.random.default_rng(11)
@@ -614,17 +667,46 @@ def test_two_to_one_row_wise_matches_per_row(c313):
     assert isinstance(is_planar_2to1(polys[0]), bool)
 
 
+def _planar_listed_pairs(N, sample, seed):
+    """Reference: the sample-mode pairs as a list of (a, b) tuples, the
+    ab = 0 boundary and then the seeded draw."""
+    rng = np.random.default_rng(seed)
+    return ([(0, 0)] + [(a, 0) for a in range(1, N)] + [(0, b) for b in range(1, N)]
+            + [tuple(x) for x in rng.integers(1, N, (sample, 2)).tolist()])
+
+
+def _planar_setup_per_pair(p, e, m, k, pairs):
+    return ex._planar_setup(p, e, m, k, None), pairs
+
+
+def _planar_check_per_pair(state, i, hi):
+    """Reference: listed pair i, as a one-row table."""
+    st, pairs = state
+    assert hi == i + 1
+    a, b = pairs[i]
+    planar = bool(ex._planar_rows(st, np.array([a]), np.array([b]))[0])
+    return 1, 0, (None if planar == (a == 0 or b == 0) else {"a": a, "b": b, "w": st["w"]})
+
+
+def _planar_per_pair(ctx, sample, seed):
+    """The sample-mode scan with one item per listed pair."""
+    pairs = _planar_listed_pairs(ctx.N, sample, seed)
+    w = int(ctx.least_nonsquare("q2n"))
+    return ex._run_scan("planar-dichotomy",
+                        {"q": 3, "m": 3, "k": 1, "sample": sample, "seed": seed},
+                        len(pairs), 1, _planar_setup_per_pair, (3, 1, 3, 1, pairs),
+                        _planar_check_per_pair, lambda hits, cex: {"w": w}, 1, None)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("index", [89, 17 * 89])
-def test_planar_counterexample_just_after_a_block_boundary(monkeypatch, jobs, index):
-    # blocks hold 2^16 // 729 = 89 pairs; flipping the verdict of the first
-    # pair of a block (a boundary pair, or a sampled one) must stop the scan
-    # there, with exactly index + 1 candidates
-    N, sample = 729, 100
-    rng = np.random.default_rng(0)
-    pairs = ([(0, 0)] + [(a, 0) for a in range(1, N)] + [(0, b) for b in range(1, N)]
-             + [tuple(x) for x in rng.integers(1, N, (sample, 2)).tolist()])
-    a, b = pairs[index]
+@pytest.mark.parametrize("index", [88, 89, 2 * 729 - 1, 17 * 89])
+def test_planar_counterexample_just_after_a_block_boundary(c313, monkeypatch, jobs, index):
+    # blocks hold 2^16 // 729 = 89 pairs; flipping the verdict of the last or
+    # first pair of a block (a boundary pair, or a sampled one; 2N - 1 is
+    # the first sampled pair) must stop the scan there, with exactly
+    # index + 1 candidates and the report of the listed pairs
+    sample = 100
+    a, b = _planar_listed_pairs(729, sample, 0)[index]
     real = ex._planar_rows
 
     def flipped(state, A, B):
@@ -635,39 +717,63 @@ def test_planar_counterexample_just_after_a_block_boundary(monkeypatch, jobs, in
     assert rep.verdict == "counterexample"
     assert rep.candidates == index + 1
     assert rep.counterexample == {"a": a, "b": b, "w": rep.details["w"]}
+    _same_report(rep, _planar_per_pair(c313, sample, 0))
+
+
+@pytest.mark.parametrize("sample, seed", [(500, 7), (0, 0)])
+def test_planar_sample_matches_listed_pairs_reference(c313, sample, seed):
+    # the pair codes a N + b of sample mode give the report of the listed pairs
+    rep = verify_planar_dichotomy({"q": 3, "m": 3, "k": 1, "sample": sample}, seed=seed)
+    _same_report(rep, _planar_per_pair(c313, sample, seed))
+    assert (rep.verdict, rep.candidates) == ("confirmed", 2 * 729 - 1 + sample)
 
 
 def test_planar_full_items_are_pair_index_ranges(monkeypatch):
-    # full mode hands the scan ranges of the index a N + b, 22 pairs apiece
-    # (2^14 // 729), not a list of the 531,441 pairs
-    seen = {}
+    # full mode scans the 531,441 pair codes a N + b in ranges of 22 pairs
+    # (2^14 // 729), with no list of codes; sample mode in ranges of 89
+    # (2^16 // 729) over a list of them
+    seen = []
 
-    def fake_scan(name, params, items, setup, args, check, *rest):
-        seen.update(items=items, check=check)
+    def fake_scan(name, params, total, size, setup, args, check, *rest):
+        seen.append((total, size, args[-1], check))
         return "scanned"
 
     monkeypatch.setattr(ex, "_run_scan", fake_scan)
     assert verify_planar_dichotomy({"q": 3, "m": 3, "k": 1}) == "scanned"
-    _assert_tiles(seen["items"], 729 ** 2)
-    assert {hi - lo for lo, hi in seen["items"][:-1]} == {22}
-    assert seen["check"] is ex._planar_range
+    assert seen.pop() == (729 ** 2, 22, None, ex._planar_check)
+    assert verify_planar_dichotomy({"q": 3, "m": 3, "k": 1, "sample": 100}) == "scanned"
+    total, size, codes, check = seen.pop()
+    assert (total, size, len(codes), check) == (1557, 89, 1557, ex._planar_check)
 
 
 def test_planar_range_decodes_the_pair_order(monkeypatch):
-    # a range of the index is the same slice of itertools.product(range(N),
-    # range(N)) that the listed pairs give, and a range stops at its first
-    # bad pair
-    state = ex._planar_setup(3, 1, 3, 1)
-    N = state["ctx"].N
-    for lo, hi in ((0, 89), (700, 789), (N * N - 40, N * N)):
-        block = list(itertools.islice(itertools.product(range(N), range(N)), lo, hi))
-        assert ex._planar_range(state, (lo, hi)) == ex._planar_pairs(state, block) == \
-            (hi - lo, 0, None)
+    # a range of the full scan's index is the same slice of
+    # itertools.product(range(N), range(N)), and of sample mode's the same
+    # slice of the listed pairs; a range stops at its first bad pair
+    full = ex._planar_setup(3, 1, 3, 1, None)
+    N = full["ctx"].N
+    pairs = _planar_listed_pairs(N, 100, 0)
+    codes = np.array([a * N + b for a, b in pairs])
+    sample = ex._planar_setup(3, 1, 3, 1, codes)
+    seen = []
     real = ex._planar_rows
+
+    def recorded(state, A, B):
+        seen.append(list(zip(A.tolist(), B.tolist())))
+        return real(state, A, B)
+
+    monkeypatch.setattr(ex, "_planar_rows", recorded)
+    for lo, hi in ((0, 89), (700, 789), (N * N - 40, N * N)):
+        assert ex._planar_check(full, lo, hi) == (hi - lo, 0, None)
+        assert seen.pop() == list(itertools.islice(
+            itertools.product(range(N), range(N)), lo, hi))
+    for lo, hi in ((0, 89), (1424, 1513), (1513, 1557)):
+        assert ex._planar_check(sample, lo, hi) == (hi - lo, 0, None)
+        assert seen.pop() == pairs[lo:hi]
     monkeypatch.setattr(ex, "_planar_rows",
                         lambda state, A, B: real(state, A, B) ^ ((A == 3) & (B == 5)))
-    assert ex._planar_range(state, (3 * N, 3 * N + 89)) == \
-        (6, 0, {"a": 3, "b": 5, "w": state["w"]})
+    assert ex._planar_check(full, 3 * N, 3 * N + 89) == \
+        (6, 0, {"a": 3, "b": 5, "w": full["w"]})
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -710,8 +816,9 @@ def _fake_setup(size):
     return size
 
 
-def _fake_check(size, item):
+def _fake_check(size, item, hi):
     # items 3 and 5 hit at their fifth candidate; the others cover size each
+    assert hi == item + 1
     if item in (3, 5):
         return 5, 1, {"item": item}
     return size, 0, None
@@ -737,7 +844,7 @@ def test_pool_size_is_bounded_by_items_left(monkeypatch):
 
     monkeypatch.setattr(ex.mp, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
     for items, jobs in ((3, 8), (1, 8), (8, 2), (8, 1)):
-        rep = ex._run_scan("fake", {}, list(range(items)), _fake_setup, (10,),
+        rep = ex._run_scan("fake", {}, items, 1, _fake_setup, (10,),
                            _fake_check, lambda hits, cex: {}, jobs, None)
         assert rep.candidates == (10 * items if items <= 3 else 35)
     assert sizes == [3, 2]
@@ -745,12 +852,69 @@ def test_pool_size_is_bounded_by_items_left(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_first_hit_accounting(jobs):
-    rep = ex._run_scan("fake", {}, list(range(8)), _fake_setup, (10,), _fake_check,
+    rep = ex._run_scan("fake", {}, 8, 1, _fake_setup, (10,), _fake_check,
                        lambda hits, cex: {"hits": hits}, jobs, None)
     assert rep.verdict == "counterexample"
     assert rep.counterexample == {"item": 3}
     assert rep.candidates == 3 * 10 + 4 + 1
     assert rep.details == {"hits": 1}
+
+
+def _tally_check(state, lo, hi):
+    # every item a candidate and a hit
+    return hi - lo, hi - lo, None
+
+
+def _assert_tiles(items, total):
+    """items are nonempty (start, stop) ranges that tile [0, total) in order."""
+    assert items[0][0] == 0 and items[-1][1] == total
+    assert all(lo < hi for lo, hi in items)
+    assert all(a[1] == b[0] for a, b in zip(items, items[1:]))
+
+
+@pytest.mark.parametrize("total, size", [(10, 3), (10, 1), (625, 27), (4032, 256),
+                                         (729 ** 2, 22)])
+def test_run_scan_tiles_the_index(monkeypatch, total, size):
+    # the ranges handed to check are nonempty, size apiece but the last, and
+    # tile [0, total) in order
+    seen = []
+
+    def recorded(state, lo, hi):
+        seen.append((lo, hi))
+        return _tally_check(state, lo, hi)
+
+    rep = ex._run_scan("fake", {}, total, size, _fake_setup, (10,), recorded,
+                       lambda hits, cex: {"hits": hits}, 1, None)
+    _assert_tiles(seen, total)
+    assert {hi - lo for lo, hi in seen[:-1]} <= {size}
+    assert (rep.verdict, rep.candidates, rep.details) == ("confirmed", total, {"hits": total})
+
+
+@pytest.mark.parametrize("saved_key", ["same", "size", "total", "schema-2"])
+def test_checkpoint_under_another_key_is_ignored(tmp_path, saved_key):
+    # a checkpoint saved under another block size, item count or schema is
+    # not resumed: the scan runs from the start and gives the full report
+    out = str(tmp_path / "s.json")
+    key = ex._state_key("fake", {"q": 2}, 100, 10)
+    other = {"same": key, "size": ex._state_key("fake", {"q": 2}, 100, 20),
+             "total": ex._state_key("fake", {"q": 2}, 99, 10),
+             "schema-2": dict(key, schema=2)}[saved_key]
+    _save_state(out, other, pos=5, candidates=7, hits=3, seconds=0.0)
+    rep = ex._run_scan("fake", {"q": 2}, 100, 10, _fake_setup, (10,), _tally_check,
+                       lambda hits, cex: {"hits": hits}, 1, out)
+    want = (57, 53) if saved_key == "same" else (100, 100)     # resumed at item 50
+    assert (rep.verdict, rep.candidates, rep.details["hits"]) == ("confirmed", *want)
+    assert not os.path.exists(out + ".state")
+
+
+def test_run_scan_refuses_a_corrupt_checkpoint(tmp_path):
+    out = str(tmp_path / "s.json")
+    with open(out + ".state", "w") as fh:
+        fh.write("{broken")
+    with pytest.raises(ValueError, match="s.json.state"):
+        ex._run_scan("fake", {}, 100, 10, _fake_setup, (10,), _tally_check,
+                     lambda hits, cex: {}, 1, out)
+    assert os.path.exists(out + ".state")
 
 
 def test_state_round_trip(tmp_path):
@@ -805,7 +969,8 @@ def test_even8_resume_completes(tmp_path):
     out = str(tmp_path / "even8.json")
     ctx = build_tower(2, 1, 4)
     deltas = [d for d in range(1, ctx.N) if not ctx.in_subfield(d, "qn")]
-    key = ex._state_key("no-typec-even8", {"q": 2}, deltas)
+    assert len(deltas) == 240
+    key = ex._state_key("no-typec-even8", {"q": 2}, 240, 1)
     _save_state(out, key, pos=236, candidates=236 * 65536, hits=236 * 16,
                 seconds=12.5)
     rep = verify_no_typeC_even_8dim({"q": 2}, out=out)
@@ -873,10 +1038,12 @@ def test_even8_row_sort_matches_bitmask():
         assert np.array_equal(coeffs[:, i], dom[(rows // qn ** (3 - i)) % qn])
     deltas = [d for d in range(1, ctx.N) if not ctx.in_subfield(d, "qn")]
     rng = np.random.default_rng(29)
+    assert deltas == state["deltas"]
     for delta in rng.choice(deltas, 4, replace=False):
+        i = deltas.index(delta)
         want = _even8_bitmask_hits(state, ltab, delta)
         assert len(want) == 16 and not coeffs[want, 1:].any()     # L = a0 X
-        assert ex._even8_check(state, delta) == (qn ** 4, 16, None)
+        assert ex._even8_check(state, i, i + 1) == (qn ** 4, 16, None)
         # every reference hit is a hit and no other row is
         hit = np.zeros(qn ** 4, dtype=bool)
         hit[want] = True
@@ -886,7 +1053,7 @@ def test_even8_row_sort_matches_bitmask():
         # a hit whose row is marked non-scalar is reported as the counterexample
         marked = coeffs.copy()
         marked[:, 1] = 1
-        assert ex._even8_check(dict(state, coeffs=marked), delta) == (
+        assert ex._even8_check(dict(state, coeffs=marked), i, i + 1) == (
             want[0] + 1, 16, {"L_coeffs": marked[want[0]].tolist(), "delta": int(delta)})
 
 
@@ -912,8 +1079,9 @@ def test_even8_counterexample_off_delta0():
     deltas = ex._outside_deltas(state["ctx"])
     rng = np.random.default_rng(31)
     for delta in rng.choice(deltas[1:], 8, replace=False):
+        i = deltas.index(delta)
         first = int(np.flatnonzero(_even8_rows(state, ltab, delta))[0])
-        assert ex._even8_check(dict(state, coeffs=marked), delta) == (
+        assert ex._even8_check(dict(state, coeffs=marked), i, i + 1) == (
             first + 1, 16, {"L_coeffs": marked[first].tolist(), "delta": int(delta)})
 
 
@@ -988,8 +1156,8 @@ def test_even8_check_matches_the_ordered_pass():
     # row marked non-scalar (one at every delta)
     state = ex._even8_setup(2, 1)
     for st in (state, _marked(state)):
-        for delta in ex._outside_deltas(state["ctx"]):
-            assert ex._even8_check(st, delta) == ex._even8_first(st, delta), delta
+        for i, delta in enumerate(ex._outside_deltas(state["ctx"])):
+            assert ex._even8_check(st, i, i + 1) == ex._even8_first(st, delta), delta
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1015,7 +1183,7 @@ def test_even8_counterexample_at_the_first_delta_scanned(tmp_path, monkeypatch):
     monkeypatch.setattr(ex, "_even8_setup", lambda *args: _marked(setup(*args)))
     monkeypatch.setattr(ex, "_even8_hits", _count_calls(log, "hits", ex._even8_hits))
     out = str(tmp_path / "even8.json")
-    key = ex._state_key("no-typec-even8", {"q": 2}, deltas)
+    key = ex._state_key("no-typec-even8", {"q": 2}, 240, 1)
     for pos in (0, 7):
         if pos:
             _save_state(out, key, pos=pos, candidates=pos * 65536, hits=pos * 16,
