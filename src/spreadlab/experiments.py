@@ -124,9 +124,10 @@ def _run_scan(name: str, params: dict, total: int, size: int, setup, args: tuple
 
     check returns (candidates scanned, hits, counterexample or None), so the
     reported candidates are those of every earlier range plus the hit's own.
-    jobs > 1 forks min(jobs, ranges left) workers, each handed a range start;
-    results keep range order, so the verdict does not depend on the worker
-    count.  With a report path the scan checkpoints to <out>.state every
+    jobs > 1 forks min(jobs, ranges left) workers, each handed range starts
+    in chunks of at most 8, so a counterexample waits for few ranges after
+    its own; results keep range order, so the verdict does not depend on the
+    worker count.  With a report path the scan checkpoints to <out>.state every
     CHECKPOINT_EVERY candidates, resumes from a checkpoint with the same key,
     and removes it at the end.  details(hits, counterexample) gives the
     report's details.
@@ -145,7 +146,8 @@ def _run_scan(name: str, params: dict, total: int, size: int, setup, args: tuple
         jobs = min(jobs, len(rest))
         with (mp.get_context("fork").Pool(jobs) if jobs > 1
               else contextlib.nullcontext()) as pool:
-            results = (pool.imap(_work, rest, chunksize=max(1, len(rest) // (4 * jobs)))
+            results = (pool.imap(_work, rest,
+                                 chunksize=max(1, min(8, len(rest) // (4 * jobs))))
                        if jobs > 1 else map(_work, rest))
             for n, h, cex in results:
                 scanned += n

@@ -34,8 +34,12 @@ C^(p^d) = C, and for each prime l | d the element X^(p^(d/l)) - X is a unit,
 checked as (C^(p^(d/l)) - C)^(p^d - 1) = I in place of a gcd.  gamma is the
 least g >= 2 with M_g^((N-1)/l) != I for every prime l | N-1.  The antilog
 table is then built by doubling on the encodings, gamma^(h+i) = gamma^i *
-gamma^h with the second factor M_(gamma^h), in row blocks of _EXP_BLOCK; it
-must cycle back to 1 and hit every unit once.
+gamma^h.  Multiplication by gamma^h is F_p-linear, so no digits of gamma^i
+are needed: with P = p^ceil(d/2), the images under M_(gamma^h) of the P low
+halves and of the high halves of all encodings form two small tables, and
+gamma^(h+i) is the vadd of the images of gamma^i mod P and gamma^i div P.
+The rows go in blocks of _EXP_BLOCK; the table must cycle back to 1 and hit
+every unit once.
 
 to_coords and from_coords are the one map between encodings and coordinates
 over a subfield: to_coords reads coord_index, from_coords sums c_j * b_j with
@@ -187,9 +191,9 @@ class FieldCtx:
         self._tags = {"p": 1, "q": e, "qn": n * e, "q2n": self.d}
         self.defining_poly = tuple(_least_irreducible(p, self.d))
         self.gamma, mult = self._find_gamma()
-        self._build_exp_log(mult)
         if p != 2:
             self._build_split_add()
+        self._build_exp_log(mult)
         qn = self.q ** n
         self.beta = self.pow(self.gamma, (qn - 1) // (self.q - 1))
         self._frob_cache: dict[int, np.ndarray] = {}
@@ -215,24 +219,33 @@ class FieldCtx:
         raise RuntimeError("no generator found")  # unreachable
 
     def _build_exp_log(self, mult: np.ndarray):
-        # Doubling on the encodings: gamma^(have+i) = gamma^i * gamma^have,
-        # with multiplication by gamma^have as a d x d matrix over F_p whose
-        # row j holds the digits of X^j * gamma^have; mult starts as that of
-        # gamma.  Rows go in blocks of _EXP_BLOCK, so only a block's digits
-        # are ever held at once.
+        # Doubling on the encodings: gamma^(have+i) = gamma^i * gamma^have.
+        # Multiplication by gamma^have is F_p-linear on the digits; mult is
+        # its d x d matrix, row j the digits of X^j * gamma^have, and starts
+        # as that of gamma.  With h = ceil(d/2) and P = p^h, write x = a +
+        # P b with a < P: then x * gamma^have is the sum of the images of a
+        # and of P b, read from two tables of P and p^(d-h) entries built
+        # once per step (low holds the digits of 0 .. P-1) and added with
+        # vadd.  Rows go in blocks of _EXP_BLOCK.
         p, d, N = self.p, self.d, self.N
         M = N - 1
+        h = (d + 1) // 2
+        P = p ** h
         pvec = p ** np.arange(d, dtype=np.int64)
+        low = np.arange(P, dtype=np.int64)[:, None] // pvec[:h] % p
+        high = low[:p ** (d - h), :d - h]
         gamma_mult = mult
         table = np.zeros(4 * M + 1, dtype=np.int32)
         table[0] = 1
         have = 1
         while have < M:
             t = min(have, M - have)
+            lo_img = low @ mult[:h] % p @ pvec
+            hi_img = high @ mult[h:] % p @ pvec
             for lo in range(0, t, _EXP_BLOCK):
                 hi = min(t, lo + _EXP_BLOCK)
-                digits = table[lo:hi, None] // pvec % p
-                table[have + lo:have + hi] = digits @ mult % p @ pvec
+                x = table[lo:hi]
+                table[have + lo:have + hi] = self.vadd(lo_img[x % P], hi_img[x // P])
             mult = mult @ mult % p
             have += t
         exp = table[:M]

@@ -296,17 +296,19 @@ def test_vtrace_matches_scalar_trace(tower):
 
 def test_tower_construction_memory():
     # FieldCtx directly, not build_tower, so no cached tower is reused.  At
-    # N = 531,441 and d = 12 the tables take about 10.6 MB; the bound leaves
-    # room for one construction block of digits, not for the digits of all
-    # N - 1 powers of gamma at once (8dN bytes, about 51 MB).
-    tracemalloc.start()
-    try:
-        ctx = FieldCtx(3, 2, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ctx.N == 531441
-    assert peak < 48e6, f"construction peaked at {peak / 1e6:.1f} MB"
+    # N = 531,441 and d = 12 the tables take about 12.8 MB, at N = 262,144
+    # and d = 18 about 5.2 MB; the bounds leave room for a few block-sized
+    # temporaries and the two half-word image tables, not for a block of
+    # base-p digits and its matrix product (27.4 and 32.5 MB peaks).
+    for tower, bound in (((3, 2, 3), 24e6), ((2, 3, 3), 12e6)):
+        tracemalloc.start()
+        try:
+            ctx = FieldCtx(*tower)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ctx.N == tower[0] ** (2 * tower[1] * tower[2])
+        assert peak < bound, f"{tower} construction peaked at {peak / 1e6:.1f} MB"
 
 
 def test_exp_table_rejects_a_non_primitive_generator():
@@ -317,6 +319,47 @@ def test_exp_table_rejects_a_non_primitive_generator():
     assert ctx.pow(g3, 5) == 1
     with pytest.raises(RuntimeError, match="not a bijection"):
         ctx._build_exp_log(_mult_matrix(g3, _companion(ctx.defining_poly, 2), 2))
+
+
+# -- the antilog table against the digit-matrix doubling ------------------------
+
+
+def _exp_by_matrices(ctx, mult):
+    """The sentinel antilog table and log table built the slow way: each
+    block of known powers of gamma is split into its base-p digits, and the
+    digit rows times mult = M_(gamma^have) mod p give the next powers."""
+    p, d, M = ctx.p, ctx.d, ctx.N - 1
+    pvec = p ** np.arange(d, dtype=np.int64)
+    table = np.zeros(4 * M + 1, dtype=np.int32)
+    table[0] = 1
+    have = 1
+    while have < M:
+        t = min(have, M - have)
+        for lo in range(0, t, 1 << 16):
+            hi = min(t, lo + (1 << 16))
+            digits = table[lo:hi, None] // pvec % p
+            table[have + lo:have + hi] = digits @ mult % p @ pvec
+        mult = mult @ mult % p
+        have += t
+    table[M:2 * M] = table[:M]
+    log = np.full(ctx.N, -1, dtype=np.int32)
+    log[table[:M]] = np.arange(M, dtype=np.int32)
+    log[0] = 2 * M
+    return table, log
+
+
+REFERENCE_TOWERS = [(2, 2, 2), (3, 1, 2), (5, 1, 3), (7, 1, 2), (13, 1, 2), (2, 1, 4),
+                    (2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 2, 3), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("tower", REFERENCE_TOWERS, ids=str)
+def test_exp_log_match_the_digit_matrix_doubling(tower):
+    ctx = FieldCtx(*tower)          # not build_tower: keep no cache
+    p = ctx.p
+    exp, log = _exp_by_matrices(ctx, _mult_matrix(ctx.gamma, _companion(ctx.defining_poly, p), p))
+    assert np.all(log[1:] >= 0), "gamma is not primitive"
+    assert ctx._exp.dtype == exp.dtype and ctx._exp.tobytes() == exp.tobytes()
+    assert ctx.log.dtype == log.dtype and ctx.log.tobytes() == log.tobytes()
 
 
 # -- tower construction against sympy's galoistools -------------------------------

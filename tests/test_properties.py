@@ -85,3 +85,33 @@ def test_orbit_matches_the_scalar_orbit(case):
     # M, the order of g modulo F_q^*, found by scalar powers
     M = next(m for m in range(1, ctx.N) if ctx.in_subfield(ctx.pow(g, m), "q"))
     assert M % len(comps) == 0
+
+
+# the two largest towers the construction tests build, and two small ones
+AXIOM_TOWERS = [(3, 2, 3), (2, 3, 3), (5, 1, 3), (2, 2, 2)]
+
+
+@st.composite
+def towers_and_triples(draw):
+    """A tower and a list of triples (a, b, c) of its encodings."""
+    ctx = build_tower(*draw(st.sampled_from(AXIOM_TOWERS)))
+    elt = st.integers(0, ctx.N - 1)
+    return ctx, draw(st.lists(st.tuples(elt, elt, elt), min_size=1, max_size=20))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(towers_and_triples())
+def test_field_axioms_hold_through_vector_and_scalar_kernels(case):
+    ctx, triples = case
+    A, B, C = np.array(triples, dtype=np.int64).T
+    np.testing.assert_array_equal(ctx.vmul(A, ctx.vadd(B, C)),
+                                  ctx.vadd(ctx.vmul(A, B), ctx.vmul(A, C)))
+    np.testing.assert_array_equal(ctx.vmul(ctx.vmul(A, B), C),
+                                  ctx.vmul(A, ctx.vmul(B, C)))
+    units = A[A != 0]
+    np.testing.assert_array_equal(ctx.exp[ctx.log[units]], units)
+    for a, b, c in triples:
+        assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+        assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
+        if a:
+            assert ctx._expv[ctx._logv[a]] == a
