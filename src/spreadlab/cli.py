@@ -84,6 +84,8 @@ def _cmd_build(args) -> int:
         raise ValueError("--n is required for typec/typeh")
     if kind == "even3" and n != 3:
         raise ValueError("even3 spreads live in F_{q^6}; --n must be 3")
+    if kind == "typeh" and n % 2 == 0:
+        raise ValueError(f"typeh spreads need odd n; --n {n} is even")
     ctx = build_tower(args.p, args.e, n)
     if kind == "typec":
         delta = args.delta if args.delta is not None else ctx.find_deltas()[0]

@@ -21,8 +21,8 @@ import numpy as np
 
 from .field import FieldCtx, build_tower, factor_prime_power
 from .linpoly import QPoly
-from .quadform import DOPoly, _key_rows, is_permutation_brute, permutes_cosets
-from .semifield import _pair_coeffs, _two_to_one, q_from_pairs
+from .quadform import is_permutation_brute, permutes_cosets
+from .semifield import _pair_rows, _two_to_one, q_from_pairs
 from .spread import _BLOCK, _check_element
 
 CHECKPOINT_EVERY = 1_000_000
@@ -186,14 +186,11 @@ def _outside_deltas(ctx: FieldCtx) -> list[int]:
 
 
 def _odd_setup(p, e, n):
-    """The tower, the deltas and their conjugates, the coefficients of X,
-    and the monomial tables x^(q^i) on F_{q^n} that every block's L-value
-    rows are summed from."""
+    """The tower, the deltas, the coefficients of X, and the monomial tables
+    x^(q^i) on F_{q^n} that every block's L-value rows are summed from."""
     ctx = build_tower(p, e, n)
     dom = ctx.subfield_elements("qn")
-    deltas = np.array(ctx.find_deltas(), dtype=np.int64)
-    return {"ctx": ctx, "dom": dom, "deltas": deltas,
-            "dconj": ctx.vpow(deltas, ctx.p ** (ctx.n * ctx.e)),
+    return {"ctx": ctx, "dom": dom, "deltas": np.array(ctx.find_deltas(), dtype=np.int64),
             "ident": np.array(QPoly.identity(ctx).coeffs, dtype=np.int64),
             "powers": np.stack([ctx.frob_table(ctx.e * i)[dom] for i in range(n)])}
 
@@ -201,32 +198,18 @@ def _odd_setup(p, e, n):
 def _odd_rows(state, lo: int, hi: int):
     """The q-polynomials L of lexicographic index lo..hi-1 as coefficient
     rows, and Q = (X + d L)(X + d^(q^n) L) for each of them at every delta,
-    as DOPolys in (L, delta) order.
-
-    The coefficients of every Q come from one expansion (X for A, the rows
-    for B); one table routine turns them into the
-    block's (rows x deltas x q^n) value table, which is checked against the
-    product of the L-value rows in one comparison."""
+    as DOPolys in (L, delta) order, from one checked _pair_rows call (X for
+    A, the rows for B)."""
     ctx, dom, powers = state["ctx"], state["dom"], state["powers"]
-    d, dconj = state["deltas"], state["dconj"]
-    n, qn, ne = len(powers), len(dom), ctx.n * ctx.e
+    n, qn = len(powers), len(dom)
     # digit i of the index, most significant first, is the position of a_i
     idx = np.arange(lo, hi, dtype=np.int64)
     coeffs = dom[idx[:, None] // qn ** np.arange(n - 1, -1, -1) % qn]
     lvals = ctx.vmul(coeffs[:, 0, None], powers[0])
     for i in range(1, n):
         lvals = ctx.vadd(lvals, ctx.vmul(coeffs[:, i, None], powers[i]))
-    keys, do = _pair_coeffs(ctx, n, state["ident"], coeffs, d, dconj)
-    outside = ctx.element_index(ne)[do] < 0
-    if outside.any():
-        raise ValueError(f"coefficient {int(do[outside][0])} is not in the domain field")
-    table = _key_rows(ctx, ne, ctx.e, keys, do)
-    lhs = ctx.vmul(ctx.vadd(dom, ctx.vmul(d[:, None], lvals[:, None, :])),
-                   ctx.vadd(dom, ctx.vmul(dconj[:, None], lvals[:, None, :])))
-    if not np.array_equal(table, lhs):
-        raise RuntimeError("DO expansion disagrees with the defining product")
-    return coeffs, DOPoly._rows(ctx, ne, ctx.e, keys, do.reshape(-1, len(keys)),
-                                table.reshape(-1, qn))
+    return coeffs, _pair_rows(ctx, ctx.n * ctx.e, ctx.e, state["ident"], coeffs,
+                              dom, lvals, state["deltas"])
 
 
 def _odd_check(state, lo: int, hi: int):

@@ -179,6 +179,9 @@ class FieldCtx:
         if e < 1 or n < 1:
             raise ValueError("e and n must be >= 1")
         self.d = 2 * n * e                 # degree of the ambient field over F_p
+        # a prime p has p^d >= 2^d, so a d this large is refused before p^d is formed
+        if self.d >= TABLE_BUDGET.bit_length():
+            raise ValueError(f"2ne = {self.d} exceeds the table budget {TABLE_BUDGET}")
         self.N = p ** self.d               # ambient field size
         if self.N > TABLE_BUDGET:
             raise ValueError(f"p^(2ne) = {self.N} exceeds the table budget {TABLE_BUDGET}")
@@ -590,9 +593,12 @@ class FieldCtx:
         """
         if self.p == 2:
             raise ValueError("eta selection needs odd q")
+        if k < 1:
+            raise ValueError(f"eta selection needs k >= 1 (got {k})")
         qn = self.q ** self.n
-        a = (1 + qn) * (self.q ** k - 1)
         order = self.N - 1
+        # gcd(a, order) only needs a mod order, so q^k is never formed
+        a = (1 + qn) * (pow(self.q, k, order) - 1)
         g = math.gcd(a, order)
         step = order // g
         out = []
@@ -636,13 +642,21 @@ def build_tower(p: int, e: int, n: int) -> FieldCtx:
     return _tower_cache[key]
 
 
+def _json_int(x, name: str) -> int:
+    """x, a number read from a JSON document, as an int; a float (even 3.0),
+    a bool, a string or null is refused rather than truncated or parsed."""
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 def ctx_from_json(doc: dict | str) -> FieldCtx:
     """Rebuild a FieldCtx from its JSON document, verifying consistency."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    ctx = build_tower(int(doc["p"]), int(doc["e"]), int(doc["n"]))
-    if list(ctx.defining_poly) != [int(c) for c in doc["defining_poly"]]:
+    ctx = build_tower(*(_json_int(doc[k], k) for k in ("p", "e", "n")))
+    if list(ctx.defining_poly) != [_json_int(c, "defining_poly") for c in doc["defining_poly"]]:
         raise ValueError("defining polynomial mismatch: not the canonical tower")
-    if ctx.gamma != int(doc["gamma"]) or ctx.beta != int(doc["beta"]):
+    if ctx.gamma != _json_int(doc["gamma"], "gamma") or ctx.beta != _json_int(doc["beta"], "beta"):
         raise ValueError("gamma/beta mismatch: not the canonical tower")
     return ctx

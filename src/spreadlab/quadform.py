@@ -62,7 +62,9 @@ class DOPoly(_GradedPoly):
     def values(self) -> np.ndarray:
         """Value table aligned with ctx.subfield_elements(field_k); computed on
         the first call, then the same read-only array on every call."""
-        return self._cache(lambda: _value_rows(self.ctx, self.field_k, self.base_k, [self])[0])
+        return self._cache(lambda: _key_rows(self.ctx, self.field_k, self.base_k,
+                                             [(i, j) for i, j, _ in self.coeffs],
+                                             [c for _, _, c in self.coeffs]))
 
     def to_json(self) -> dict:
         if self.base_k == 1:
@@ -81,18 +83,6 @@ class DOPoly(_GradedPoly):
         base = doc["base"]
         field = doc.get("field", "qn")
         return cls(ctx, [(t["i"], t["j"], t["c"]) for t in doc["coeffs"]], field, base)
-
-
-def _value_rows(ctx: FieldCtx, field_k: int, base_k: int, polys) -> np.ndarray:
-    """The value tables of DO polynomials on F_p^field_k graded by
-    F_p^base_k, one row each, from their own coefficients."""
-    keys = sorted({(i, j) for f in polys for i, j, _ in f.coeffs})
-    col = {key: r for r, key in enumerate(keys)}
-    own = np.zeros((len(polys), len(keys)), dtype=np.int64)
-    for k, f in enumerate(polys):
-        for i, j, c in f.coeffs:
-            own[k, col[i, j]] = c
-    return _key_rows(ctx, field_k, base_k, keys, own)
 
 
 def _key_rows(ctx: FieldCtx, field_k: int, base_k: int, keys, coeffs) -> np.ndarray:

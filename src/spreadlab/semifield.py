@@ -16,7 +16,7 @@ import numpy as np
 
 from .field import Elt, FieldCtx
 from .linpoly import QPoly
-from .quadform import DOPoly, _require_do, _value_rows
+from .quadform import DOPoly, _key_rows, _require_do
 
 
 def _value_table(f, ctx, field_tag):
@@ -290,36 +290,42 @@ def rtcs_build(spec: RtcsSpec) -> Presemifield:
 
 def q_from_pairs(A: QPoly, B: QPoly, deltas) -> list[DOPoly]:
     """The DO polynomials (A(X) + d B(X)) * (A(X) + d^(q^n) B(X)), one per d
-    in deltas, in order.
-
-    Every d must lie outside the domain field so the two factors are
-    genuinely conjugate; each result then has all coefficients in the domain
-    field.  With s = d + d^(q^n) and w = d d^(q^n) in the domain field, the
-    product is A^2 + s AB + w B^2, so the three coefficient blocks are
-    expanded once and only s and w change with d.  The value tables of all
-    results are computed together from the results' own coefficients, as
-    one (len(deltas), q^n) table, and compared with the defining product in
-    one check; each result keeps its checked row as its value table.
-    """
+    in deltas, in order: the one-row case of _pair_rows, with the same
+    refusals and the same check."""
     A._same_shape(B)
-    ctx = A.ctx
+    return _pair_rows(A.ctx, A.field_k, A.base_k, np.array(A.coeffs), np.array(B.coeffs),
+                      A.values(), B.values(), deltas)
+
+
+def _pair_rows(ctx: FieldCtx, field_k: int, base_k: int, a, b, va, vb,
+               deltas) -> list[DOPoly]:
+    """Q = (A + d B)(A + d^(q^n) B) for every row of A and B and every d in
+    deltas, as DOPolys in (row, d) order, F_{q^n} = F_p^field_k graded by
+    F_p^base_k.
+
+    a and b are the coefficient rows of A and B (last axis, broadcast
+    against each other), va and vb their value rows.  Every d must lie
+    outside the domain field so the two factors are genuinely conjugate;
+    every coefficient of the expansion (_pair_coeffs) must then lie in it.
+    The (rows x deltas x q^n) value table is computed from those
+    coefficients (_key_rows) and compared with the defining product in one
+    check; each result keeps its checked row as its value table."""
     d = np.asarray(deltas, dtype=np.int64)
-    dconj = ctx.vpow(d, ctx.p ** A.field_k)
+    dconj = ctx.vpow(d, ctx.p ** field_k)
     if np.any(dconj == d):
         raise ValueError("delta must lie outside the domain field")
-    keys, coeffs = _pair_coeffs(ctx, A.m, np.array(A.coeffs), np.array(B.coeffs), d, dconj)
-    polys = [DOPoly(ctx, [(i, j, c) for (i, j), c in zip(keys, row) if c],
-                    A.field_k, A.base_k)
-             for row in coeffs.tolist()]
-    table = _value_rows(ctx, A.field_k, A.base_k, polys)
-    va, vb = A.values(), B.values()
+    keys, coeffs = _pair_coeffs(ctx, field_k // base_k, a, b, d, dconj)
+    outside = ctx.element_index(field_k)[coeffs] < 0
+    if outside.any():
+        raise ValueError(f"coefficient {int(coeffs[outside][0])} is not in the domain field")
+    table = _key_rows(ctx, field_k, base_k, keys, coeffs)
+    va, vb = va[..., None, :], vb[..., None, :]
     lhs = ctx.vmul(ctx.vadd(va, ctx.vmul(d[:, None], vb)),
                    ctx.vadd(va, ctx.vmul(dconj[:, None], vb)))
     if not np.array_equal(table, lhs):
         raise RuntimeError("DO expansion disagrees with the defining product")
-    for f, row in zip(polys, table):
-        f._cache(lambda: row)
-    return polys
+    return DOPoly._rows(ctx, field_k, base_k, keys, coeffs.reshape(-1, len(keys)),
+                        table.reshape(-1, table.shape[-1]))
 
 
 def _pair_coeffs(ctx: FieldCtx, m: int, a, b, d, dconj):

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import Elt, FieldCtx, ctx_from_json, factor_prime_power
+from .field import Elt, FieldCtx, _json_int, ctx_from_json, factor_prime_power
 from .linpoly import QPoly, nullspace, rref
 from .quadform import is_permutation_brute, is_permutation_via_rank, permutes_cosets
 from .semifield import is_planar_2to1, q_from_component
@@ -256,9 +256,11 @@ class Spread:
     def from_json(cls, doc: dict, ctx: FieldCtx | None = None) -> "Spread":
         if ctx is None:
             ctx = ctx_from_json(doc["ctx"])
-        comps = [Subspace(ctx, basis=b) for b in doc["components"]]
+        comps = [Subspace(ctx, basis=[_json_int(x, "basis entry") for x in b])
+                 for b in doc["components"]]
+        kernel = doc.get("kernel")
         return cls(ctx, comps, doc["kind"], doc.get("verified", False),
-                   doc.get("kernel"))
+                   None if kernel is None else _json_int(kernel, "kernel"))
 
 
 def kernel_of_spread(S: Spread) -> int:

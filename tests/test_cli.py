@@ -138,6 +138,41 @@ def test_build_refuses_non_encodings(tmp_path, argv, name):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "3", "--n", "2"], ["--p", "5", "--n", "2"], ["--p", "3", "--n", "4"],
+    ["--p", "3", "--n", "3", "--k", "-1"], ["--p", "3", "--n", "3", "--k", "1000000000"],
+], ids=["p3-n2", "p5-n2", "p3-n4", "k-negative", "k-huge"])
+def test_build_typeh_refuses_bad_shape(tmp_path, argv):
+    # no eta exists for even n: refused before one is looked up; a k out of
+    # range is refused by build_typeH after a quick eta lookup
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spreadlab.cli", "build", "typeh", *argv,
+                           "--out", str(tmp_path / "h.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "h.json").exists()
+
+
+@pytest.mark.parametrize("edit", ["p-float", "basis-float"])
+def test_verify_refuses_non_integer_numbers(tmp_path, capsys, edit):
+    # int() would truncate 3.5 to 3 and 190.5 to 190, and the file would verify
+    out = str(tmp_path / "s.json")
+    assert main(["build", "typec", "--p", "3", "--n", "3", "--out", out]) == 0
+    with open(out) as fh:
+        doc = json.load(fh)
+    if edit == "p-float":
+        doc["ctx"]["p"] = 3.5
+    else:
+        doc["components"][1][0] += 0.5
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify", out]) == 1
+    err = capsys.readouterr().err
+    assert "must be an integer" in err and ".5" in err
+
+
 def test_experiment_confirmed(tmp_path, capsys):
     out = str(tmp_path / "odd.json")
     code = main(["experiment", "no-typec-odd", "--q", "3", "--n", "2",

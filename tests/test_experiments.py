@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import spreadlab.experiments as ex
+import spreadlab.semifield as semifield
 from spreadlab import (DOPoly, ExperimentSpec, QPoly, build_tower, even3_admissible,
                        is_permutation_brute, is_planar_2to1, is_planar_direct,
                        planar_family_check, q_from_component, q_from_pair, q_from_pairs,
@@ -131,6 +132,8 @@ def test_odd_items_are_l_index_ranges(monkeypatch):
 
 
 def test_odd_rows_decode_the_lexicographic_order():
+    # q_from_component shares its row routine with _odd_rows, so each sampled
+    # table is also compared with the scalar Q(x) and the scalar product
     state = ex._odd_setup(5, 1, 2)
     ctx, deltas = state["ctx"], state["deltas"].tolist()
     dom = [int(x) for x in state["dom"]]
@@ -141,30 +144,38 @@ def test_odd_rows_decode_the_lexicographic_order():
         assert len(polys) == (hi - lo) * len(deltas)
         for k, Q in enumerate(polys[::7]):
             row, di = divmod(7 * k, len(deltas))
-            want = q_from_component(QPoly(ctx, combos[lo + row]), deltas[di])
+            L, delta = QPoly(ctx, combos[lo + row]), deltas[di]
+            want = q_from_component(L, delta)
             assert Q == want and np.array_equal(Q.values(), want.values())
+            dconj = ctx.frob(delta, ctx.n * ctx.e)
+            assert Q.values().tolist() == [Q(x) for x in dom]
+            assert Q.values().tolist() == [
+                ctx.mul(ctx.add(x, ctx.mul(delta, L(x))), ctx.add(x, ctx.mul(dconj, L(x))))
+                for x in dom]
 
 
 def test_odd_rows_check_the_expansion(monkeypatch):
+    # the row routine lives in semifield: a table entry perturbed in the
+    # middle of a block, or a coefficient moved outside F_{q^n}, stops it
     state = ex._odd_setup(3, 1, 2)
-    real_rows, real_coeffs = ex._key_rows, ex._pair_coeffs
+    real_rows, real_coeffs = semifield._key_rows, semifield._pair_coeffs
 
     def perturbed_table(*args):
         table = real_rows(*args)
         table[1, 2, 3] = state["ctx"].add(int(table[1, 2, 3]), 1)
         return table
 
-    monkeypatch.setattr(ex, "_key_rows", perturbed_table)
+    monkeypatch.setattr(semifield, "_key_rows", perturbed_table)
     with pytest.raises(RuntimeError, match="disagrees"):
         ex._odd_rows(state, 0, 5)
-    monkeypatch.setattr(ex, "_key_rows", real_rows)
+    monkeypatch.setattr(semifield, "_key_rows", real_rows)
 
     def outside_coeff(*args):
         keys, coeffs = real_coeffs(*args)
         coeffs[2, 3, 1] = int(ex._outside_deltas(state["ctx"])[0])
         return keys, coeffs
 
-    monkeypatch.setattr(ex, "_pair_coeffs", outside_coeff)
+    monkeypatch.setattr(semifield, "_pair_coeffs", outside_coeff)
     with pytest.raises(ValueError, match="not in the domain field"):
         ex._odd_rows(state, 0, 5)
 

@@ -109,6 +109,8 @@ def test_find_etas_empty_no_error(c312):
     # conditions can be unsatisfiable; that is an empty list, not an error
     out = c312.find_etas(1)
     assert isinstance(out, list)
+    with pytest.raises(ValueError, match="k >= 1"):
+        c312.find_etas(-1)
 
 
 def test_frobenius_and_unit_group(c313):
@@ -141,6 +143,9 @@ def test_budget_guard():
     # a prime whose square is refused before any trial division
     with pytest.raises(ValueError, match="table budget"):
         build_tower(100000000000031, 1, 1)
+    # an exponent refused before p^(2ne) is formed
+    with pytest.raises(ValueError, match="table budget"):
+        build_tower(3, 1, 10 ** 30)
     ctx = build_tower(7, 1, 1)
     assert ctx.N == 49
 

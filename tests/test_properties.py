@@ -1,10 +1,14 @@
 """Property tests: random inputs against slow, independent partners."""
 
+import json
+
 import numpy as np
 import pytest
 
 import spreadlab.spread as spread_mod
-from spreadlab import QPoly, Subspace, build_tower, orbit, q_from_pair, q_from_pairs
+from spreadlab import (QPoly, Subspace, build_tower, build_typeC, orbit, q_from_pair,
+                       q_from_pairs)
+from spreadlab.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -115,3 +119,45 @@ def test_field_axioms_hold_through_vector_and_scalar_kernels(case):
         assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
         if a:
             assert ctx._expv[ctx._logv[a]] == a
+
+
+@pytest.fixture(scope="module")
+def typec_doc():
+    """A valid (3,3) type-C spread document."""
+    ctx = build_tower(3, 1, 3)
+    return build_typeC(ctx, 1, ctx.find_deltas()[0]).to_json()
+
+
+def _paths(doc, path=()):
+    """Every key or index path into a JSON document, parents first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        yield path + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _paths(v, path + (k,))
+
+
+JUNK = st.one_of(st.none(), st.text(max_size=4),
+                 st.lists(st.integers(-3, 800), max_size=3),
+                 st.floats(allow_nan=True, allow_infinity=True),
+                 st.integers(2 ** 62, 2 ** 200), st.integers(-2 ** 200, -2 ** 62))
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None,
+                     suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
+@hypothesis.given(data=st.data())
+def test_verify_survives_mutated_documents(typec_doc, tmp_path, data):
+    # one key dropped or one value replaced anywhere in a valid document:
+    # verify exits 0, 1 or 2 and never raises
+    doc = json.loads(json.dumps(typec_doc))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JUNK)
+    out = tmp_path / "mutated.json"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) in (0, 1, 2)

@@ -221,13 +221,14 @@ def test_q_from_pair_checks_its_expansion(c313, monkeypatch):
     A, B = QPoly.identity(c313), QPoly.monomial(c313, 1, 2)
     delta = c313.find_deltas()[0]
     q_from_pair(A, B, delta)
-    real = semifield.DOPoly
+    real = semifield._pair_coeffs
 
-    def perturbed(ctx, terms, *tags):
-        i, j, c = terms[0]
-        return real(ctx, [(i, j, ctx.add(c, 1)), *terms[1:]], *tags)
+    def perturbed(*args):
+        keys, coeffs = real(*args)
+        coeffs[0, 0] = c313.add(int(coeffs[0, 0]), 1)
+        return keys, coeffs
 
-    monkeypatch.setattr(semifield, "DOPoly", perturbed)
+    monkeypatch.setattr(semifield, "_pair_coeffs", perturbed)
     with pytest.raises(RuntimeError, match="disagrees"):
         q_from_pair(A, B, delta)
 
@@ -272,26 +273,31 @@ def test_q_from_pairs_matches_scalar_partners(scan):
 
 
 def test_q_from_pairs_checks_every_expansion(monkeypatch):
-    # one expansion perturbed in the middle of a 24-delta batch
+    # the whole 24-delta batch is expanded in one call; one coefficient in
+    # its middle perturbed (a wrong table) or moved outside F_{q^n} (a
+    # refused coefficient) stops the batch
     ctx = build_tower(5, 1, 2)
     deltas = ctx.find_deltas()
     assert len(deltas) == 24
     A, B = QPoly.identity(ctx), QPoly(ctx, [2, 3])
     q_from_pairs(A, B, deltas)
-    real = semifield.DOPoly
-    made = []
+    real = semifield._pair_coeffs
+    outside = next(x for x in range(ctx.N) if not ctx.in_subfield(x, "qn"))
 
-    def perturbed(ctx, terms, *tags):
-        made.append(terms)
-        if len(made) == 12:
-            i, j, c = terms[0]
-            terms = [(i, j, ctx.add(c, 1)), *terms[1:]]
-        return real(ctx, terms, *tags)
+    def setting(value):
+        def expand(*args):
+            keys, coeffs = real(*args)
+            assert coeffs.shape == (24, len(keys))
+            coeffs[12, 1] = value(int(coeffs[12, 1]))
+            return keys, coeffs
+        return expand
 
-    monkeypatch.setattr(semifield, "DOPoly", perturbed)
+    monkeypatch.setattr(semifield, "_pair_coeffs", setting(lambda c: ctx.add(c, 1)))
     with pytest.raises(RuntimeError, match="disagrees"):
         q_from_pairs(A, B, deltas)
-    assert len(made) == 24
+    monkeypatch.setattr(semifield, "_pair_coeffs", setting(lambda c: outside))
+    with pytest.raises(ValueError, match="not in the domain field"):
+        q_from_pairs(A, B, deltas)
 
 
 @pytest.mark.parametrize("inside", [0, 1, "primitive"])
