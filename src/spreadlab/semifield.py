@@ -19,18 +19,6 @@ from .linpoly import QPoly
 from .quadform import DOPoly, _key_rows, _require_do
 
 
-def _value_table(f, ctx, field_tag):
-    if isinstance(f, DOPoly):
-        return f.ctx, f.field_k, f.values()
-    if ctx is None or field_tag is None:
-        raise TypeError("a raw value table needs ctx and field_tag")
-    field_k = ctx.tag_degree(field_tag)
-    vals = np.asarray(f, dtype=np.int64)
-    if vals.shape != ctx.subfield_elements(field_k).shape:
-        raise ValueError("value table does not match the field size")
-    return ctx, field_k, vals
-
-
 def _difference_table(ctx, field_k, vals):
     """D[a, x] = f(x+a) - f(x) - f(a) as position-indexed (M, M) array."""
     dom = ctx.subfield_elements(field_k)
@@ -39,18 +27,17 @@ def _difference_table(ctx, field_k, vals):
     return ctx.vsub(ctx.vsub(vals[sums], vals[None, :]), vals[:, None])
 
 
-def is_planar_direct(f, ctx: FieldCtx | None = None, field_tag=None) -> bool:
-    """Planarity by checking every difference map for bijectivity.
-
-    f may be a DOPoly or an explicit value table (then ctx and field_tag are
-    required).  Odd characteristic only.
-    """
-    ctx, field_k, vals = _value_table(f, ctx, field_tag)
+def is_planar_direct(f: DOPoly) -> bool:
+    """Planarity by checking every difference map for bijectivity.  Odd
+    characteristic only."""
+    _require_do(f)
+    ctx = f.ctx
     if ctx.p == 2:
         raise ValueError("planar functions need odd characteristic")
+    vals = f.values()
     M = len(vals)
-    pos = ctx.element_index(field_k)
-    D = pos[_difference_table(ctx, field_k, vals)]
+    pos = ctx.element_index(f.field_k)
+    D = pos[_difference_table(ctx, f.field_k, vals)]
     ids = (D + np.arange(M, dtype=np.int64)[:, None] * M).reshape(-1)
     counts = np.bincount(ids, minlength=M * M).reshape(M, M)
     return bool(np.all(counts[1:] == 1))

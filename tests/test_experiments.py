@@ -918,6 +918,21 @@ def test_checkpoint_under_another_key_is_ignored(tmp_path, saved_key):
     assert not os.path.exists(out + ".state")
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_scan_saves_no_checkpoint_after_the_last_range(tmp_path, monkeypatch, jobs):
+    # 10 ranges of 10 candidates with a checkpoint due after each: saved after
+    # the first nine, never after the last, which the scan would at once remove
+    log = tmp_path / "calls"
+    out = str(tmp_path / "s.json")
+    monkeypatch.setattr(ex, "CHECKPOINT_EVERY", 10)
+    monkeypatch.setattr(ex, "_save_state", _count_calls(log, "save", ex._save_state))
+    rep = ex._run_scan("fake", {}, 100, 10, _fake_setup, (10,), _tally_check,
+                       lambda hits, cex: {"hits": hits}, jobs, out)
+    assert (rep.verdict, rep.candidates, rep.details) == ("confirmed", 100, {"hits": 100})
+    assert log.read_text().splitlines() == [f"save {os.getpid()}"] * 9
+    assert not os.path.exists(out + ".state")
+
+
 def test_run_scan_refuses_a_corrupt_checkpoint(tmp_path):
     out = str(tmp_path / "s.json")
     with open(out + ".state", "w") as fh:
@@ -975,15 +990,15 @@ def test_interrupted_scan_resumes(tmp_path, monkeypatch):
 
 
 def test_even8_resume_completes(tmp_path):
-    # resume four deltas from the end of a fabricated checkpoint; totals must
-    # line up with the known full-run census
+    # the scan is one range of all 240 deltas, so a checkpoint of it can only
+    # sit at its start; resumed from one, totals must line up with the known
+    # full-run census and the saved seconds carry over
     out = str(tmp_path / "even8.json")
     ctx = build_tower(2, 1, 4)
     deltas = [d for d in range(1, ctx.N) if not ctx.in_subfield(d, "qn")]
     assert len(deltas) == 240
-    key = ex._state_key("no-typec-even8", {"q": 2}, 240, 1)
-    _save_state(out, key, pos=236, candidates=236 * 65536, hits=236 * 16,
-                seconds=12.5)
+    key = ex._state_key("no-typec-even8", {"q": 2}, 240, 240)
+    _save_state(out, key, pos=0, candidates=0, hits=0, seconds=12.5)
     rep = verify_no_typeC_even_8dim({"q": 2}, out=out)
     assert rep.verdict == "confirmed"
     assert rep.candidates == 240 * 65536
@@ -1006,6 +1021,66 @@ def _even8_ltab(state):
 
 def _even8_rows(state, ltab, delta):
     return ex._even8_rows(state["ctx"], ltab, state["dom"], state["norm"], delta)
+
+
+def _even8_maps(state, delta: int) -> list[np.ndarray]:
+    """Reference: the coordinate maps a_i -> a~_i, as positions in F_{q^4},
+    that send each L at delta to the L~ at delta0 with the same verdict.
+
+    delta = b + c delta0 with c = (delta + delta^(q^4)) / (delta0 + delta0^(q^4))
+    and b = delta + c delta0 in F_{q^4}.  At x = c^-1 y, L(x) + delta x is
+    L~(y) + delta0 y with a~0 = (a0 + b) c^-1 and a~i = ai c^(-q^i), and
+    y -> c^-1 y permutes F_{q^4}, so L permutes at delta exactly when L~
+    does at delta0."""
+    ctx, dom, d0 = state["ctx"], state["dom"], state["d0"]
+    ne = ctx.n * ctx.e
+    c = ctx.div(ctx.add(delta, ctx.frob(delta, ne)), ctx.add(d0, ctx.frob(d0, ne)))
+    b = ctx.add(delta, ctx.mul(c, d0))
+    ci = ctx.inv(c)
+    pos = ctx.element_index("qn")
+    return ([pos[ctx.vmul(ctx.vadd(dom, b), ci)]]
+            + [pos[ctx.vmul(dom, ctx.frob(ci, ctx.e * i))] for i in range(1, 4)])
+
+
+def _even8_base(state) -> np.ndarray:
+    """The delta0 verdicts as a (q^4,)*4 grid, one axis per coefficient,
+    from the scan's delta0 hit rows."""
+    qn = len(state["dom"])
+    base = np.zeros(qn ** 4, dtype=bool)
+    base[state["hits0"]] = True
+    return base.reshape((qn,) * 4)
+
+
+def _even8_hits(state, base, delta: int) -> np.ndarray:
+    """Reference: the verdict of every L at delta, in coefficient-row order,
+    gathered from the delta0 verdicts through _even8_maps."""
+    return base[np.ix_(*_even8_maps(state, delta))].reshape(-1)
+
+
+def _even8_first(state, base, delta: int):
+    """Reference: all L against one delta in row order, up to the first hit
+    whose L is not a scalar multiple of X."""
+    coeffs = state["coeffs"]
+    hit = _even8_hits(state, base, int(delta))
+    hits = np.flatnonzero(hit)
+    bad = hits[coeffs[hits, 1:].any(axis=1)]
+    if not len(bad):
+        return len(hit), len(hits), None
+    row = int(bad[0])
+    return row + 1, len(hits), {"L_coeffs": coeffs[row].tolist(), "delta": int(delta)}
+
+
+def _even8_ordered_pass(state):
+    """Reference: every delta in order through _even8_first, up to the
+    first counterexample, as (candidates, hits, counterexample)."""
+    base = _even8_base(state)
+    scanned = hits = 0
+    for delta in ex._outside_deltas(state["ctx"]):
+        n, h, cex = _even8_first(state, base, delta)
+        scanned, hits = scanned + n, hits + h
+        if cex is not None:
+            return scanned, hits, cex
+    return scanned, hits, None
 
 
 def test_even8_vectorized_matches_brute():
@@ -1049,23 +1124,25 @@ def test_even8_row_sort_matches_bitmask():
         assert np.array_equal(coeffs[:, i], dom[(rows // qn ** (3 - i)) % qn])
     deltas = [d for d in range(1, ctx.N) if not ctx.in_subfield(d, "qn")]
     rng = np.random.default_rng(29)
-    assert deltas == state["deltas"]
-    for delta in rng.choice(deltas, 4, replace=False):
-        i = deltas.index(delta)
+    assert deltas == ex._outside_deltas(ctx) and state["d0"] == deltas[0]
+    for delta in [deltas[0], *rng.choice(deltas[1:], 4, replace=False)]:
         want = _even8_bitmask_hits(state, ltab, delta)
         assert len(want) == 16 and not coeffs[want, 1:].any()     # L = a0 X
-        assert ex._even8_check(state, i, i + 1) == (qn ** 4, 16, None)
         # every reference hit is a hit and no other row is
         hit = np.zeros(qn ** 4, dtype=bool)
         hit[want] = True
         for block, n_hits in ((hit, 16), (~hit, 0)):
             sub = _even8_rows(state, ltab[block], delta)
             assert (len(sub), int(sub.sum())) == (block.sum(), n_hits)
-        # a hit whose row is marked non-scalar is reported as the counterexample
-        marked = coeffs.copy()
-        marked[:, 1] = 1
-        assert ex._even8_check(dict(state, coeffs=marked), i, i + 1) == (
-            want[0] + 1, 16, {"L_coeffs": marked[want[0]].tolist(), "delta": int(delta)})
+    # the scan's delta0 hits are the reference's, and every delta counts as many
+    want = _even8_bitmask_hits(state, ltab, deltas[0])
+    assert np.array_equal(state["hits0"], want)
+    assert ex._even8_check(state, 0, 240) == (240 * qn ** 4, 240 * 16, None)
+    # a delta0 hit whose row is marked non-scalar is reported as the counterexample
+    marked = coeffs.copy()
+    marked[:, 1] = 1
+    assert ex._even8_check(dict(state, coeffs=marked), 0, 240) == (
+        want[0] + 1, 16, {"L_coeffs": marked[want[0]].tolist(), "delta": deltas[0]})
 
 
 def test_even8_reparametrized_hits_match_row_sort():
@@ -1073,36 +1150,21 @@ def test_even8_reparametrized_hits_match_row_sort():
     # against the row sort at that delta itself: all 15,728,640 verdicts
     state = ex._even8_setup(2, 1)
     ltab = _even8_ltab(state)
+    base = _even8_base(state)
     deltas = ex._outside_deltas(state["ctx"])
     assert len(deltas) == 240 and state["d0"] == deltas[0]
     for delta in deltas:
-        assert np.array_equal(ex._even8_hits(state, delta),
+        assert np.array_equal(_even8_hits(state, base, delta),
                               _even8_rows(state, ltab, delta)), delta
-
-
-def test_even8_counterexample_off_delta0():
-    # with every row marked non-scalar, the first hit at delta != delta0 is
-    # the row sort's first hit at that delta
-    state = ex._even8_setup(2, 1)
-    ltab = _even8_ltab(state)
-    marked = state["coeffs"].copy()
-    marked[:, 1] = 1
-    deltas = ex._outside_deltas(state["ctx"])
-    rng = np.random.default_rng(31)
-    for delta in rng.choice(deltas[1:], 8, replace=False):
-        i = deltas.index(delta)
-        first = int(np.flatnonzero(_even8_rows(state, ltab, delta))[0])
-        assert ex._even8_check(dict(state, coeffs=marked), i, i + 1) == (
-            first + 1, 16, {"L_coeffs": marked[first].tolist(), "delta": int(delta)})
 
 
 def _count_calls(log, name, fn):
     """fn, appending "name pid" to the file log at each call (forked workers
     included)."""
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         with open(log, "a") as fh:
             fh.write(f"{name} {os.getpid()}\n")
-        return fn(*args)
+        return fn(*args, **kwargs)
     return wrapper
 
 
@@ -1146,7 +1208,7 @@ def test_even8_maps_are_bijections_fixing_zero():
     dom = state["dom"]
     zero = int(np.flatnonzero(dom == 0)[0])
     for delta in ex._outside_deltas(state["ctx"]):
-        maps = ex._even8_maps(state, delta)
+        maps = _even8_maps(state, delta)
         assert len(maps) == 4
         for i, m in enumerate(maps):
             assert np.array_equal(np.sort(m), np.arange(len(dom))), (delta, i)
@@ -1162,53 +1224,59 @@ def _marked(state):
 
 
 def test_even8_check_matches_the_ordered_pass():
-    # the delta0 shortcut against the per-delta gather at every delta, with
-    # the real coefficient rows (no counterexample anywhere) and with every
-    # row marked non-scalar (one at every delta)
+    # the one-range delta0 check against the per-delta gather at every delta
+    # in order, with the real coefficient rows (no counterexample anywhere)
+    # and with every row marked non-scalar (one at every delta, so the
+    # ordered pass stops at delta0)
     state = ex._even8_setup(2, 1)
     for st in (state, _marked(state)):
-        for i, delta in enumerate(ex._outside_deltas(state["ctx"])):
-            assert ex._even8_check(st, i, i + 1) == ex._even8_first(st, delta), delta
+        assert ex._even8_check(st, 0, 240) == _even8_ordered_pass(st)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_even8_confirmed_scan_gathers_nothing(tmp_path, monkeypatch, jobs):
+    # no per-delta work: one check call over all 240 deltas, in the parent at
+    # any job count, and no checkpoint written even with a report path and a
+    # low interval
     log = tmp_path / "calls"
-    monkeypatch.setattr(ex, "_even8_hits", _count_calls(log, "hits", ex._even8_hits))
-    rep = verify_no_typeC_even_8dim({"q": 2}, jobs=jobs)
+    check = ex._even8_check
+
+    def logged(state, lo, hi):
+        with open(log, "a") as fh:
+            fh.write(f"check {lo} {hi} {os.getpid()}\n")
+        return check(state, lo, hi)
+
+    monkeypatch.setattr(ex, "_even8_check", logged)
+    monkeypatch.setattr(ex, "CHECKPOINT_EVERY", 1)
+    monkeypatch.setattr(ex, "_save_state", _count_calls(log, "save", ex._save_state))
+    rep = verify_no_typeC_even_8dim({"q": 2}, jobs=jobs, out=str(tmp_path / "e.json"))
     assert (rep.verdict, rep.candidates) == ("confirmed", 15728640)
     assert rep.details["permutation_pairs"] == rep.details["desarguesian_pairs"] == 3840
-    assert not log.exists()
+    assert log.read_text().splitlines() == [f"check 0 240 {os.getpid()}"]
 
 
 def test_even8_counterexample_at_the_first_delta_scanned(tmp_path, monkeypatch):
     # with every row marked non-scalar, every delta has a counterexample: the
-    # scan stops at the first delta it scans, at that delta's first row-sort
-    # hit, after one gather
+    # scan stops at delta0, at its first row-sort hit.  A checkpoint saved
+    # mid-scan under the former one-delta ranges has another key, so it is
+    # not resumed, and the finished scan removes it
     state = ex._even8_setup(2, 1)
     ltab = _even8_ltab(state)
     marked = _marked(state)["coeffs"]
-    deltas = ex._outside_deltas(state["ctx"])
-    log = tmp_path / "calls"
+    delta = ex._outside_deltas(state["ctx"])[0]
+    first = int(np.flatnonzero(_even8_rows(state, ltab, delta))[0])
     setup = ex._even8_setup
     monkeypatch.setattr(ex, "_even8_setup", lambda *args: _marked(setup(*args)))
-    monkeypatch.setattr(ex, "_even8_hits", _count_calls(log, "hits", ex._even8_hits))
     out = str(tmp_path / "even8.json")
-    key = ex._state_key("no-typec-even8", {"q": 2}, 240, 1)
-    for pos in (0, 7):
-        if pos:
-            _save_state(out, key, pos=pos, candidates=pos * 65536, hits=pos * 16,
-                        seconds=0.0)
-        delta = deltas[pos]
-        first = int(np.flatnonzero(_even8_rows(state, ltab, delta))[0])
-        rep = verify_no_typeC_even_8dim({"q": 2}, out=out if pos else None)
+    _save_state(out, ex._state_key("no-typec-even8", {"q": 2}, 240, 1),
+                pos=7, candidates=7 * 65536, hits=7 * 16, seconds=0.0)
+    for path in (None, out):
+        rep = verify_no_typeC_even_8dim({"q": 2}, out=path)
         assert rep.verdict == "counterexample"
         assert rep.counterexample == {"L_coeffs": marked[first].tolist(), "delta": delta}
-        assert rep.candidates == pos * 65536 + first + 1
-        assert rep.details["permutation_pairs"] == (pos + 1) * 16
+        assert rep.candidates == first + 1
+        assert rep.details["permutation_pairs"] == 16
         assert rep.details["desarguesian_pairs"] is None
-        assert log.read_text().splitlines() == [f"hits {os.getpid()}"]
-        log.unlink()
     assert not os.path.exists(out + ".state")
 
 

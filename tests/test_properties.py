@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import spreadlab.spread as spread_mod
-from spreadlab import (QPoly, Subspace, build_tower, build_typeC, orbit, q_from_pair,
-                       q_from_pairs)
+from spreadlab import (QPoly, Spread, Subspace, build_even_n3, build_tower, build_typeC,
+                       build_typeH, even3_admissible, orbit, q_from_pair, q_from_pairs)
 from spreadlab.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -161,3 +161,33 @@ def test_verify_survives_mutated_documents(typec_doc, tmp_path, data):
     out = tmp_path / "mutated.json"
     out.write_text(json.dumps(doc))
     assert main(["verify", str(out)]) in (0, 1, 2)
+
+
+@st.composite
+def built_spreads(draw):
+    """A type C spread at (3,3) or (5,3), a type H spread at (3,3), or an
+    even n = 3 spread at q = 2 or 4, at drawn admissible parameters."""
+    kind = draw(st.sampled_from(["typeC", "typeH", "evenC"]))
+    if kind == "evenC":
+        ctx = build_tower(2, draw(st.sampled_from([1, 2])), 3)
+        adm = [d for d in range(ctx.N) if even3_admissible(ctx, d)]
+        return build_even_n3(ctx, draw(st.sampled_from(adm)))
+    ctx = build_tower(draw(st.sampled_from([3, 5])) if kind == "typeC" else 3, 1, 3)
+    k = draw(st.sampled_from([1, 2]))
+    delta = int(draw(st.sampled_from(ctx.find_deltas())))
+    if kind == "typeC":
+        return build_typeC(ctx, k, delta)
+    return build_typeH(ctx, k, delta, int(draw(st.sampled_from(ctx.find_etas(k)))))
+
+
+@hypothesis.settings(max_examples=30, deadline=None, database=None)
+@hypothesis.given(built_spreads())
+def test_spread_json_round_trip(S):
+    # to_json -> JSON text -> from_json gives the same components and kernel,
+    # and writing the loaded spread again gives the same text
+    text = json.dumps(S.to_json())
+    back = Spread.from_json(json.loads(text))
+    assert (back.kind, back.verified) == (S.kind, True)
+    assert back.components == S.components
+    assert S.kernel is not None and back.kernel == S.kernel
+    assert json.dumps(back.to_json()) == text

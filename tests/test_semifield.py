@@ -43,13 +43,8 @@ def test_planar_rejects_char2(c213):
 def test_planar_requires_dopoly_or_table(c312):
     with pytest.raises(TypeError):
         is_planar_2to1("junk")
-    with pytest.raises(TypeError):
-        is_planar_direct([0, 1, 2])       # raw table without ctx/field_tag
-
-
-def test_planar_raw_table_route(c312):
-    f = DOPoly(c312, {(0, 0): 1})
-    assert is_planar_direct(f.values(), c312, "qn")
+    with pytest.raises(TypeError, match="expected a DOPoly"):
+        is_planar_direct(DOPoly(c312, {(0, 0): 1}).values())    # a raw value table
 
 
 def test_direct_matches_2to1_random(c312):

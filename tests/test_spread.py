@@ -15,7 +15,7 @@ from spreadlab import (DOPoly, FieldCtx, KeyLemmaReport, QPoly, Spread, Subspace
                        is_spread, is_permutation_brute, is_permutation_via_rank,
                        kernel_of_spread, orbit,
                        q_from_pair, symplectic_check, build_tower)
-from spreadlab.linpoly import nullspace
+from spreadlab.linpoly import nullspace, rref
 
 
 @pytest.fixture(scope="session")
@@ -290,6 +290,43 @@ def test_build_typeH_group_check(c313, monkeypatch, fake_psi, message):
         build_typeH(c313, 1, c313.find_deltas()[0], c313.find_etas(1)[0])
 
 
+def _typeH_transitive_by_bfs(S: Spread, eta) -> bool:
+    """Reference: the beta^2- and psi-image of every component, looked up
+    among the components, then a walk from component 0 over those moves;
+    True when it reaches every component.  Raises if an image is not a
+    component."""
+    ctx = S.ctx
+    ne = ctx.n * ctx.e
+    b2 = ctx.mul(ctx.beta, ctx.beta)
+    index = {C.elements.tobytes(): i for i, C in enumerate(S.components)}
+    T = np.stack([C.elements for C in S.components])
+    moves = []
+    for b2_img, psi_img in zip(spread_mod._images(ctx, T, b2),
+                               spread_mod._images(ctx, T, eta, ne)):
+        imgs = [index.get(b2_img.tobytes()), index.get(psi_img.tobytes())]
+        if None in imgs:
+            raise RuntimeError("group action leaves the component set")
+        moves.append(imgs)
+    reached, frontier = {0}, [0]
+    while frontier:
+        for j in moves[frontier.pop()]:
+            if j not in reached:
+                reached.add(j)
+                frontier.append(j)
+    return len(reached) == len(S.components)
+
+
+def test_build_typeH_transitivity_matches_bfs(c313):
+    # every (delta, eta) at (3,3): the build's psi-image check passes, and the
+    # walk over all beta^2- and psi-images reaches every component
+    deltas, etas = c313.find_deltas(), c313.find_etas(1)
+    assert len(deltas) * len(etas) == 728
+    for d in deltas:
+        for h in etas:
+            S = build_typeH(c313, 1, int(d), int(h))
+            assert _typeH_transitive_by_bfs(S, int(h)), (d, h)
+
+
 def test_build_typeH_guards(c313, c312):
     delta = c313.find_deltas()[0]
     with pytest.raises(ValueError):
@@ -335,14 +372,91 @@ def test_build_even_n3_rejections(c213, c313):
         build_even_n3(c313, 7)                # odd q
 
 
+def _symplectic_by_table(S: Spread, delta, rows: int = 256) -> bool:
+    """Reference: A(x, y) = tr((delta + delta^q^3)^-1 x y^q^3) at every pair
+    of ambient elements, a block of rows at a time: zero on the diagonal and
+    symmetric, bi-additive in full when N <= 128, of full rank on a basis,
+    and zero on every pair of elements of each component."""
+    ctx = S.ctx
+    ne = ctx.n * ctx.e
+    c = ctx.inv(ctx.add(delta, ctx.frob(delta, ne)))
+    conj = ctx.frob_table(ne)
+
+    def form(x, y):
+        return ctx.vtrace(ctx.vmul(c, ctx.vmul(x[:, None], conj[y][None, :])), ctx.d, ctx.e)
+
+    els = np.arange(ctx.N, dtype=np.int64)
+    for lo in range(0, ctx.N, rows):
+        x = els[lo:lo + rows]
+        T = form(x, els)
+        if np.any(T[np.arange(len(x)), x]) or not np.array_equal(T, form(els, x).T):
+            return False
+    if ctx.N <= 128:
+        T = form(els, els)
+        sums = ctx.vadd(els[:, None], els[None, :])
+        if not np.array_equal(T[sums], ctx.vadd(T[:, None, :], T[None, :, :])):
+            return False
+    basis = np.array(ctx.subfield_basis(ctx.d, "q"), dtype=np.int64)
+    if len(rref(ctx, form(basis, basis))[1]) != 2 * ctx.n:
+        return False
+    return not any(np.any(form(C.elements, C.elements)) for C in S.components)
+
+
+def _swap_last(S: Spread, W: Subspace) -> Spread:
+    return Spread(S.ctx, S.components[:-1] + [W], "custom", verified=True)
+
+
 def test_symplectic_check(c213, even3_deltas, spread_even3):
     delta = even3_deltas[0]
     assert symplectic_check(spread_even3, delta)
     # swap in a non-isotropic 3-space: the check must notice
     W = Subspace(c213, basis=[1, 2, 4])
     assert W not in spread_even3.components
-    bad = Spread(c213, spread_even3.components[:-1] + [W], "custom", verified=True)
-    assert not symplectic_check(bad, delta)
+    assert not symplectic_check(_swap_last(spread_even3, W), delta)
+
+
+def test_symplectic_check_matches_the_table_q2(c213, even3_deltas):
+    # every admissible delta at q = 2, and a swapped non-isotropic component
+    W = Subspace(c213, basis=[1, 2, 4])
+    for d in even3_deltas:
+        S = build_even_n3(c213, d)
+        assert symplectic_check(S, d) and _symplectic_by_table(S, d), d
+        bad = _swap_last(S, W)
+        assert not symplectic_check(bad, d) and not _symplectic_by_table(bad, d), d
+
+
+def test_symplectic_check_matches_the_table_q4():
+    S = _first_spread("even3", 2, 2, 3)
+    ctx = S.ctx
+    adm = [d for d in range(ctx.N) if even3_admissible(ctx, d)]
+    assert symplectic_check(S, adm[0]) and _symplectic_by_table(S, adm[0])
+    # the first components of the spreads at the next two admissible deltas
+    # are 3-spaces outside this spread, isotropic for this form or not
+    seen = []
+    for d in adm[1:3]:
+        W = build_even_n3(ctx, d).components[0]
+        assert W not in S.components
+        swapped = _swap_last(S, W)
+        seen.append(symplectic_check(swapped, adm[0]))
+        assert seen[-1] == _symplectic_by_table(swapped, adm[0]), d
+    assert seen == [True, False]
+
+
+def test_symplectic_check_odd_form_is_not_alternating(c313, spread_c313):
+    # in odd characteristic A(x, x) = tr(2c x^(q^3+1)) is not identically 0
+    d = next(x for x in range(c313.N) if not c313.in_subfield(x, "qn")
+             and c313.add(x, c313.frob(x, 3)) != 0)
+    assert not symplectic_check(spread_c313, d)
+    assert not _symplectic_by_table(spread_c313, d)
+
+
+def test_symplectic_check_q8():
+    # 513 components of F_{2^18}: the N x N table would hold 6.9e10 entries
+    S = _first_spread("even3", 2, 3, 3)
+    ctx = S.ctx
+    d = next(d for d in range(ctx.N) if even3_admissible(ctx, d))
+    assert len(S.components) == 513
+    assert symplectic_check(S, d)
 
 
 # -- orbit <-> polynomial correspondence ---------------------------------------------
