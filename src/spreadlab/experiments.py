@@ -9,7 +9,6 @@ deterministic given (params, seed) and independent of the worker count.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import multiprocessing as mp
@@ -106,13 +105,16 @@ def _clear_state(out: str | None) -> None:
 
 # -- running a scan ---------------------------------------------------------------
 
-# (check, state, total, size) of the scan being run; written only by
-# _run_scan, and inherited by the workers it forks
+# (check, state, total, size, stop) of the scan being run; written only by
+# _run_scan, and inherited by the workers it forks.  stop is a shared flag
+# (None without workers) that makes every range still queued return at once.
 _SCAN: tuple = ()
 
 
 def _work(lo: int):
-    check, state, total, size = _SCAN
+    check, state, total, size, stop = _SCAN
+    if stop is not None and stop.value:
+        return None
     return check(state, lo, min(lo + size, total))
 
 
@@ -127,10 +129,13 @@ def _run_scan(name: str, params: dict, total: int, size: int, setup, args: tuple
     jobs > 1 forks min(jobs, ranges left) workers, each handed range starts
     in chunks of at most 8, so a counterexample waits for few ranges after
     its own; results keep range order, so the verdict does not depend on the
-    worker count.  With a report path the scan checkpoints to <out>.state every
-    CHECKPOINT_EVERY candidates (never after the last range), resumes from a
-    checkpoint with the same key, and removes it at the end.
-    details(hits, counterexample) gives the report's details.
+    worker count.  When the scan ends, early or on an error, the workers skip
+    the ranges still queued and exit on their own: Pool.terminate() could
+    kill one while it holds the result queue's lock, and then the pool's
+    shutdown waits forever.  With a report path the scan checkpoints to
+    <out>.state every CHECKPOINT_EVERY candidates (never after the last
+    range), resumes from a checkpoint with the same key, and removes it at
+    the end.  details(hits, counterexample) gives the report's details.
     """
     global _SCAN
     key = _state_key(name, params, total, size) if out else None
@@ -140,27 +145,32 @@ def _run_scan(name: str, params: dict, total: int, size: int, setup, args: tuple
     t0 = time.time() - saved["seconds"]
     cex = None
     since_ckpt = 0
-    _SCAN = (check, setup(*args), total, size)
+    rest = range(pos * size, total, size)          # range starts; pos counts ranges
+    jobs = min(jobs, len(rest))
+    fork = mp.get_context("fork")
+    stop = fork.RawValue("b", 0) if jobs > 1 else None
+    _SCAN = (check, setup(*args), total, size, stop)
+    pool = None
     try:
-        rest = range(pos * size, total, size)      # range starts; pos counts ranges
-        jobs = min(jobs, len(rest))
-        with (mp.get_context("fork").Pool(jobs) if jobs > 1
-              else contextlib.nullcontext()) as pool:
-            results = (pool.imap(_work, rest,
-                                 chunksize=max(1, min(8, len(rest) // (4 * jobs))))
-                       if jobs > 1 else map(_work, rest))
-            for n, h, cex in results:
-                scanned += n
-                hits += h
-                if cex is not None:
-                    break
-                pos += 1
-                since_ckpt += n
-                if since_ckpt >= CHECKPOINT_EVERY and pos * size < total:
-                    _save_state(out, key, pos=pos, candidates=scanned, hits=hits,
-                                seconds=time.time() - t0)
-                    since_ckpt = 0
+        pool = fork.Pool(jobs) if jobs > 1 else None       # the workers fork here
+        results = (pool.imap(_work, rest, chunksize=max(1, min(8, len(rest) // (4 * jobs))))
+                   if pool else map(_work, rest))
+        for n, h, cex in results:
+            scanned += n
+            hits += h
+            if cex is not None:
+                break
+            pos += 1
+            since_ckpt += n
+            if since_ckpt >= CHECKPOINT_EVERY and pos * size < total:
+                _save_state(out, key, pos=pos, candidates=scanned, hits=hits,
+                            seconds=time.time() - t0)
+                since_ckpt = 0
     finally:
+        if pool is not None:
+            stop.value = 1
+            pool.close()
+            pool.join()
         _SCAN = ()
     _clear_state(out)
     return VerdictReport(name, params, "counterexample" if cex else "confirmed",

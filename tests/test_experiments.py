@@ -3,6 +3,7 @@ and the vectorized scanner's agreement with the brute-force route."""
 
 import itertools
 import json
+import multiprocessing.pool as mp_pool
 import os
 import zlib
 from types import SimpleNamespace
@@ -836,29 +837,66 @@ def _fake_check(size, item, hi):
 
 
 def test_pool_size_is_bounded_by_items_left(monkeypatch):
-    # the pool gets min(jobs, items left) workers and is skipped at one;
-    # the fake pool records its size and runs in this process
-    sizes = []
+    # the pool gets min(jobs, items left) workers and is skipped at one; at
+    # the end it is closed and joined, never terminated (the fake has no
+    # terminate).  The fake pool records its calls and runs in this process
+    calls = []
 
     class FakePool:
         def __init__(self, workers):
-            sizes.append(workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            calls.append(workers)
 
         def imap(self, fn, items, chunksize):
             return map(fn, items)
 
-    monkeypatch.setattr(ex.mp, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+        def close(self):
+            calls.append("close")
+
+        def join(self):
+            calls.append("join")
+
+    fork = SimpleNamespace(Pool=FakePool, RawValue=lambda typ, v: SimpleNamespace(value=v))
+    monkeypatch.setattr(ex.mp, "get_context", lambda method: fork)
     for items, jobs in ((3, 8), (1, 8), (8, 2), (8, 1)):
         rep = ex._run_scan("fake", {}, items, 1, _fake_setup, (10,),
                            _fake_check, lambda hits, cex: {}, jobs, None)
         assert rep.candidates == (10 * items if items <= 3 else 35)
-    assert sizes == [3, 2]
+    assert calls == [3, "close", "join", 2, "close", "join"]
+
+
+def test_queued_ranges_are_skipped_once_the_scan_stops():
+    # with the stop flag set, a worker returns at once without checking
+    def check(state, lo, hi):
+        raise AssertionError("checked after the stop")
+
+    stop = SimpleNamespace(value=1)
+    try:
+        ex._SCAN = (check, None, 10, 1, stop)
+        assert ex._work(3) is None
+        stop.value = 0
+        with pytest.raises(AssertionError, match="after the stop"):
+            ex._work(3)
+    finally:
+        ex._SCAN = ()
+
+
+@pytest.mark.parametrize("check", ["cex", "error"])
+def test_forked_pool_is_never_terminated(monkeypatch, check):
+    # an early stop and a failing check both end in close() and join():
+    # Pool.terminate() could kill a worker that holds the result queue's
+    # lock, and the pool's shutdown would then wait forever
+    terminated = []
+    monkeypatch.setattr(mp_pool.Pool, "terminate", lambda self: terminated.append(self))
+    if check == "cex":
+        rep = ex._run_scan("fake", {}, 400, 1, _fake_setup, (10,), _fake_check,
+                           lambda hits, cex: {"hits": hits}, 2, None)
+        assert (rep.counterexample, rep.candidates) == ({"item": 3}, 35)
+    else:
+        with pytest.raises(AssertionError):
+            ex._run_scan("fake", {}, 400, 2, _fake_setup, (10,), _fake_check,
+                         lambda hits, cex: {}, 2, None)
+    assert terminated == []
+    assert ex._SCAN == ()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
