@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .field import FieldCtx, build_tower, factor_prime_power
-from .linpoly import QPoly
+from .linpoly import QPoly, _lin_rows
 from .quadform import is_permutation_brute, permutes_cosets
 from .semifield import _pair_rows, _two_to_one, q_from_pairs
 from .spread import _BLOCK, _check_element
@@ -187,22 +187,20 @@ def _read_params(params: dict | None, **defaults) -> dict:
     return {**defaults, **params}
 
 
-def _outside_deltas(ctx: FieldCtx) -> list[int]:
-    """The deltas of the even-q scans: every element outside F_{q^n}."""
-    return np.flatnonzero(ctx.element_index(ctx.n * ctx.e) < 0).tolist()
+def _outside_deltas(ctx: FieldCtx) -> np.ndarray:
+    """The deltas of the even-q scans: every element outside F_{q^n}, ascending."""
+    return np.flatnonzero(ctx.outside(np.arange(ctx.N), "qn"))
 
 
 # -- no type C spread, odd q, n even ----------------------------------------------
 
 
 def _odd_setup(p, e, n):
-    """The tower, the deltas, the coefficients of X, and the monomial tables
-    x^(q^i) on F_{q^n} that every block's L-value rows are summed from."""
+    """The tower, F_{q^n}, the deltas and the coefficients of X."""
     ctx = build_tower(p, e, n)
-    dom = ctx.subfield_elements("qn")
-    return {"ctx": ctx, "dom": dom, "deltas": np.array(ctx.find_deltas(), dtype=np.int64),
-            "ident": np.array(QPoly.identity(ctx).coeffs, dtype=np.int64),
-            "powers": np.stack([ctx.frob_table(ctx.e * i)[dom] for i in range(n)])}
+    return {"ctx": ctx, "dom": ctx.subfield_elements("qn"),
+            "deltas": np.array(ctx.find_deltas(), dtype=np.int64),
+            "ident": np.array(QPoly.identity(ctx).coeffs, dtype=np.int64)}
 
 
 def _odd_rows(state, lo: int, hi: int):
@@ -210,16 +208,13 @@ def _odd_rows(state, lo: int, hi: int):
     rows, and Q = (X + d L)(X + d^(q^n) L) for each of them at every delta,
     as DOPolys in (L, delta) order, from one checked _pair_rows call (X for
     A, the rows for B)."""
-    ctx, dom, powers = state["ctx"], state["dom"], state["powers"]
-    n, qn = len(powers), len(dom)
+    ctx, dom = state["ctx"], state["dom"]
+    n, qn, ne = ctx.n, len(dom), ctx.n * ctx.e
     # digit i of the index, most significant first, is the position of a_i
     idx = np.arange(lo, hi, dtype=np.int64)
     coeffs = dom[idx[:, None] // qn ** np.arange(n - 1, -1, -1) % qn]
-    lvals = ctx.vmul(coeffs[:, 0, None], powers[0])
-    for i in range(1, n):
-        lvals = ctx.vadd(lvals, ctx.vmul(coeffs[:, i, None], powers[i]))
-    return coeffs, _pair_rows(ctx, ctx.n * ctx.e, ctx.e, state["ident"], coeffs,
-                              dom, lvals, state["deltas"])
+    return coeffs, _pair_rows(ctx, ne, ctx.e, state["ident"], coeffs, dom,
+                              _lin_rows(ctx, ne, ctx.e, coeffs), state["deltas"])
 
 
 def _odd_check(state, lo: int, hi: int):
@@ -283,14 +278,15 @@ def _even8_setup(p, e):
     # every coefficient row (a0, a1, a2, a3), in lexicographic order
     coeffs = dom[np.indices((qn,) * 4).reshape(4, -1).T]
     # L-value table in the same row order: the outer sum of the monomial
-    # tables a x^(q^i) (row a, column x)
+    # tables a x^(q^i) (row a, column x), 4 q^8 vmul entries against the
+    # 4 q^20 of _lin_rows on every row
     ltab = np.zeros((1, qn), dtype=np.int64)
     for i in range(4):
         mono = ctx.vmul(dom[:, None], ctx.frob_table(ctx.e * i)[dom][None, :])
         ltab = ctx.vadd(ltab[:, None, :], mono[None, :, :]).reshape(-1, qn)
     # int32 Q-values: the row sort then moves half the bytes
     norm = ctx.vmul(amb, ctx.frob_table(ne)[amb]).astype(np.int32)
-    d0 = _outside_deltas(ctx)[0]
+    d0 = int(_outside_deltas(ctx)[0])
     return {"ctx": ctx, "dom": dom, "coeffs": coeffs, "norm": norm, "d0": d0,
             "hits0": np.flatnonzero(_even8_rows(ctx, ltab, dom, norm, d0))}
 
@@ -370,7 +366,7 @@ def even3_perm_predicate(ctx: FieldCtx, d0: int, d1: int, delta: int) -> bool:
 def _even3_setup(p, e):
     ctx = build_tower(p, e, 3)
     dom = [int(x) for x in ctx.subfield_elements("qn")]
-    return ctx, dom, _outside_deltas(ctx), QPoly.identity(ctx)
+    return ctx, dom, _outside_deltas(ctx).tolist(), QPoly.identity(ctx)
 
 
 def _even3_check(state, i: int, _hi: int):
@@ -471,7 +467,7 @@ def hermite_coefficient_check(ctx: FieldCtx, delta: int) -> bool:
 
 def _hermite_setup(p, e):
     ctx = build_tower(p, e, 3)
-    return ctx, np.array(_outside_deltas(ctx), dtype=np.int64)
+    return ctx, _outside_deltas(ctx)
 
 
 def _hermite_check(state, lo: int, hi: int):
@@ -510,24 +506,22 @@ def verify_hermite(params: dict | None = None, *, jobs: int = 1,
 
 
 def _planar_setup(p, e, m, k, codes):
-    """Value tables of X, X^(q^m) and -w X^(2 q^k) on F_{q^2m}, and the
-    pair codes a N + b of the scan's items (None: item i is pair code i)."""
+    """The value table of -w X^(2 q^k) on F_{q^2m}, and the pair codes
+    a N + b of the scan's items (None: item i is pair code i)."""
     ctx = build_tower(p, e, m)
     amb = np.arange(ctx.N, dtype=np.int64)
     w = ctx.least_nonsquare("q2n")
-    return {"ctx": ctx, "w": w, "x": amb, "codes": codes,
-            "xqm": ctx.frob_table(ctx.e * m),
+    return {"ctx": ctx, "w": w, "codes": codes,
             "negw": ctx.vmul(ctx.neg(w), ctx.frob_table(ctx.e * k)[ctx.vmul(amb, amb)])}
 
 
 def _planar_rows(state, A, B) -> np.ndarray:
     """Is (a X + b X^(q^m))^2 - w X^(2 q^k) planar, for each (a, b) of the
     coefficient columns A, B?  One value row per pair, L^2 - w X^(2 q^k)
-    with L = a X + b X^(q^m); semifield.planar_family_check is the
-    independent reference."""
+    with L = a X + b X^(q^m), a two-term q^m-polynomial on F_{q^2m};
+    semifield.planar_family_check is the independent reference."""
     ctx = state["ctx"]
-    L = ctx.vadd(ctx.vmul(A[:, None], state["x"][None, :]),
-                 ctx.vmul(B[:, None], state["xqm"][None, :]))
+    L = _lin_rows(ctx, ctx.d, ctx.n * ctx.e, np.stack([A, B], axis=-1))
     return _two_to_one(ctx, ctx.vadd(ctx.vmul(L, L), state["negw"][None, :]))
 
 

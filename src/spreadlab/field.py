@@ -45,7 +45,9 @@ to_coords and from_coords are the one map between encodings and coordinates
 over a subfield: to_coords reads coord_index, from_coords sums c_j * b_j with
 vmul and vadd.  Subfields and cosets are read off the log table: gamma^i lies
 in F_p^k exactly when (N-1)/(p^k-1) divides i, and two units share an
-F_q^*-coset exactly when their logs agree mod (N-1)/(q-1).
+F_q^*-coset exactly when their logs agree mod (N-1)/(q-1).  in_subfield (one
+encoding) and outside (an array) are the one membership rule; every other
+module tests membership through them, not through element_index.
 
 Besides the arithmetic tables, a FieldCtx keeps the Frobenius tables, the
 sorted subfield element lists and, in _index_cache, the element_index and
@@ -392,7 +394,7 @@ class FieldCtx:
         return self.p ** self.tag_degree(tag)
 
     def in_subfield(self, x: Elt, tag) -> bool:
-        """Is x an encoding of the tagged subfield?  The rule of _outside:
+        """Is x an encoding of the tagged subfield?  The rule of outside:
         0 <= x < N and (N-1)/(p^k-1) divides log x (log 0 = 2(N-1) does)."""
         k = self.tag_degree(tag)
         return 0 <= x < self.N and self._logv[x] % ((self.N - 1) // (self.p ** k - 1)) == 0
@@ -410,12 +412,13 @@ class FieldCtx:
             self._subfield_cache[k] = els
         return self._subfield_cache[k]
 
-    def _outside(self, X: np.ndarray, k: int) -> np.ndarray:
-        """Mask of the entries of X that are not encodings of F_p^k."""
-        bad = (X < 0) | (X >= self.N)
-        if not bad.any() and k < self.d:
-            bad = self.log[X] % ((self.N - 1) // (self.p ** k - 1)) != 0
-        return bad
+    def outside(self, X, tag) -> np.ndarray:
+        """Mask of the entries of X that are not encodings of the tagged
+        subfield: not in_subfield, elementwise."""
+        k = self.tag_degree(tag)
+        X = np.asarray(X, dtype=np.int64)
+        bad = (X < 0) | (X >= self.N)       # these read log 0 = 2(N-1) instead
+        return bad | (self.log[np.where(bad, 0, X)] % ((self.N - 1) // (self.p ** k - 1)) != 0)
 
     def subfield_primitive(self, tag) -> Elt:
         """gamma^((N-1)/(p^k-1)): a generator of the tagged subfield's units."""
@@ -458,7 +461,7 @@ class FieldCtx:
         if kf % kt != 0:
             raise ValueError("trace target is not a subfield of the source")
         X = np.asarray(X, dtype=np.int64)
-        bad = self._outside(X, kf)
+        bad = self.outside(X, kf)
         if np.any(bad):
             raise ValueError(f"element {X[bad][0]} is not in the source field")
         out, t = X, X
@@ -540,10 +543,10 @@ class FieldCtx:
         subfield_basis(tag, over), along a new last axis."""
         k, ko = self.tag_degree(tag), self.tag_degree(over)
         X = np.asarray(X, dtype=np.int64)
-        ok = (X >= 0) & (X < self.N)            # not an encoding: index -1
-        idx = np.where(ok, self.coord_index(k, ko)[X * ok], -1)
-        if np.any(idx < 0):
-            raise ValueError(f"element {X[idx < 0][0]} is not in the tagged field")
+        bad = self.outside(X, k)
+        if np.any(bad):
+            raise ValueError(f"element {X[bad][0]} is not in the tagged field")
+        idx = self.coord_index(k, ko)[X]
         qo = self.p ** ko
         return self.subfield_elements(ko)[idx[..., None] // self._place_values(k, ko) % qo]
 
@@ -554,7 +557,7 @@ class FieldCtx:
         C = np.asarray(C, dtype=np.int64)
         if C.shape[-1:] != (k // ko,):
             raise ValueError(f"expected {k // ko} coordinates along the last axis")
-        wrong = self._outside(C, ko)
+        wrong = self.outside(C, ko)
         if np.any(wrong):
             raise ValueError(f"coordinate {C[wrong][0]} is not in the smaller field")
         terms = self.vmul(C, np.array(self.subfield_basis(k, ko), dtype=np.int64))

@@ -142,15 +142,8 @@ class QPoly(_GradedPoly):
     def values(self) -> np.ndarray:
         """Value table aligned with ctx.subfield_elements(field_k); computed on
         the first call, then the same read-only array on every call."""
-        def table():
-            ctx = self.ctx
-            dom = ctx.subfield_elements(self.field_k)
-            out = np.zeros(len(dom), dtype=np.int64)
-            for i, c in enumerate(self.coeffs):
-                if c:
-                    out = ctx.vadd(out, ctx.vmul(c, ctx.frob_table(self.base_k * i)[dom]))
-            return out
-        return self._cache(table)
+        return self._cache(lambda: _lin_rows(self.ctx, self.field_k, self.base_k,
+                                             self.coeffs))
 
     # -- serialization ------------------------------------------------------------------
 
@@ -160,6 +153,29 @@ class QPoly(_GradedPoly):
     @classmethod
     def from_json(cls, ctx, doc: dict, field_tag="qn", base_tag="q"):
         return cls(ctx, [int(c) for c in doc["coeffs"]], field_tag, base_tag)
+
+
+def _lin_rows(ctx: FieldCtx, field_k: int, base_k: int, coeffs) -> np.ndarray:
+    """The value tables of the sum_i c_i X^(s^i), s = p^base_k, whose
+    coefficients lie along the last axis of coeffs: shape
+    coeffs.shape[:-1] + (p^field_k,)."""
+    dom = ctx.subfield_elements(field_k)
+    return _sum_rows(ctx, coeffs, len(dom), lambda i: ctx.frob_table(base_k * i)[dom])
+
+
+def _sum_rows(ctx: FieldCtx, coeffs, width: int, mono) -> np.ndarray:
+    """The sum over k of coeffs[..., k] times the monomial table mono(k),
+    width entries, one k at a time so no temporary is wider than the
+    result.  A k with coefficient 0 in every row is skipped, its mono(k)
+    (and any Frobenius table it needs) never built."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    used = np.flatnonzero(coeffs.any(axis=tuple(range(coeffs.ndim - 1)))).tolist()
+    if not used:
+        return np.zeros(coeffs.shape[:-1] + (width,), dtype=np.int64)
+    rows = ctx.vmul(coeffs[..., used[0], None], mono(used[0]))
+    for k in used[1:]:
+        rows = ctx.vadd(rows, ctx.vmul(coeffs[..., k, None], mono(k)))
+    return rows
 
 
 # -- operations ---------------------------------------------------------------

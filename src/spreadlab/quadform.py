@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import Elt, FieldCtx
-from .linpoly import _GradedPoly, nullspace
+from .linpoly import _GradedPoly, _sum_rows, nullspace
 
 
 class DOPoly(_GradedPoly):
@@ -88,19 +88,18 @@ class DOPoly(_GradedPoly):
 def _key_rows(ctx: FieldCtx, field_k: int, base_k: int, keys, coeffs) -> np.ndarray:
     """The value tables of DO polynomials whose coefficients over keys lie
     along the last axis of coeffs: shape coeffs.shape[:-1] + (p^field_k,),
-    the sum over (i, j) of the coefficient times x^(s^i) x^(s^j), one key at
-    a time, so no temporary is wider than the result."""
+    the sum over (i, j) of the coefficient times x^(s^i) x^(s^j)."""
     dom = ctx.subfield_elements(field_k)
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    if not keys:
-        return np.zeros(coeffs.shape[:-1] + dom.shape, dtype=np.int64)
-    powers = {i: ctx.frob_table(base_k * i)[dom] for key in keys for i in key}
-    mono = ctx.vmul(np.stack([powers[i] for i, _ in keys]),
-                    np.stack([powers[j] for _, j in keys]))
-    rows = ctx.vmul(coeffs[..., 0, None], mono[0])
-    for k in range(1, len(keys)):
-        rows = ctx.vadd(rows, ctx.vmul(coeffs[..., k, None], mono[k]))
-    return rows
+    return _sum_rows(ctx, coeffs, len(dom), lambda k: ctx.vmul(
+        *(ctx.frob_table(base_k * i)[dom] for i in keys[k])))
+
+
+def _polar(ctx: FieldCtx, field_k: int, vals, X, Y) -> np.ndarray:
+    """B(x, y) = f(x + y) - f(x) - f(y) for the value table vals of f
+    (aligned with ctx.subfield_elements(field_k)), elementwise over the
+    encoding arrays X and Y broadcast against each other."""
+    pos = ctx.element_index(field_k)
+    return ctx.vsub(ctx.vsub(vals[pos[ctx.vadd(X, Y)]], vals[pos[X]]), vals[pos[Y]])
 
 
 def _require_do(f) -> DOPoly:
@@ -174,11 +173,10 @@ class QuadSpace:
             raise ValueError("value table does not match the field size")
         if int(values[0]) != 0:
             raise ValueError("a quadratic map must vanish at 0")
-        bad = values[ctx.frob_table(ctx.e)[values] != values]
+        bad = values[ctx.outside(values, "q")]
         if len(bad):
             raise ValueError(f"value {int(bad[0])} is not in F_q")
         self.values = values
-        self._index = ctx.element_index(self.field_k)
         self._radical: list[Elt] | None = None
 
     @classmethod
@@ -196,18 +194,17 @@ class QuadSpace:
         field_k = ctx.tag_degree(field_tag)
         dom = ctx.subfield_elements(field_k)
         C = ctx.to_coords(dom, field_k, "q")
-        out = np.zeros(len(dom), dtype=np.int64)
-        for (i, j), c in coeffs.items():
-            if not (0 <= i < C.shape[1] and 0 <= j < C.shape[1]):
-                raise ValueError("coordinate index out of range")
-            out = ctx.vadd(out, ctx.vmul(int(c), ctx.vmul(C[:, i], C[:, j])))
+        keys = list(coeffs)
+        if any(not 0 <= i < C.shape[1] for key in keys for i in key):
+            raise ValueError("coordinate index out of range")
+        out = _sum_rows(ctx, [int(c) for c in coeffs.values()], len(dom),
+                        lambda k: ctx.vmul(C[:, keys[k][0]], C[:, keys[k][1]]))
         return cls(ctx, out, field_k)
 
     def value(self, x: Elt) -> Elt:
-        i = int(self._index[x])
-        if i < 0:
+        if not self.ctx.in_subfield(x, self.field_k):
             raise ValueError(f"element {x} is not in V")
-        return int(self.values[i])
+        return int(self.values[self.ctx.element_index(self.field_k)[x]])
 
     def bilinear(self, x: Elt, y: Elt) -> Elt:
         """Polar form B(x, y) = Q(x+y) - Q(x) - Q(y)."""
@@ -221,16 +218,12 @@ def count_zeros(S: QuadSpace) -> int:
 
 def radical(S: QuadSpace) -> list[Elt]:
     """Basis over F_q of rad(B) = {v : B(v, .) = 0}."""
-    if S._radical is not None:
-        return S._radical
-    ctx = S.ctx
-    basis = np.array(ctx.subfield_basis(S.field_k, "q"), dtype=np.int64)
-    Qb = S.values[S._index[basis]]
-    Qsum = S.values[S._index[ctx.vadd(basis[:, None], basis[None, :])]]
-    gram = ctx.vsub(ctx.vsub(Qsum, Qb[:, None]), Qb[None, :])
-    out = ctx.from_coords(nullspace(ctx, gram), S.field_k, "q").tolist()
-    S._radical = out
-    return out
+    if S._radical is None:
+        ctx = S.ctx
+        basis = np.array(ctx.subfield_basis(S.field_k, "q"), dtype=np.int64)
+        gram = _polar(ctx, S.field_k, S.values, basis[:, None], basis[None, :])
+        S._radical = ctx.from_coords(nullspace(ctx, gram), S.field_k, "q").tolist()
+    return S._radical
 
 
 def classify_char2(S: QuadSpace) -> dict:

@@ -16,15 +16,7 @@ import numpy as np
 
 from .field import Elt, FieldCtx
 from .linpoly import QPoly
-from .quadform import DOPoly, _key_rows, _require_do
-
-
-def _difference_table(ctx, field_k, vals):
-    """D[a, x] = f(x+a) - f(x) - f(a) as position-indexed (M, M) array."""
-    dom = ctx.subfield_elements(field_k)
-    pos = ctx.element_index(field_k)
-    sums = pos[ctx.vadd(dom[:, None], dom[None, :])]
-    return ctx.vsub(ctx.vsub(vals[sums], vals[None, :]), vals[:, None])
+from .quadform import DOPoly, _key_rows, _polar, _require_do
 
 
 def is_planar_direct(f: DOPoly) -> bool:
@@ -34,13 +26,10 @@ def is_planar_direct(f: DOPoly) -> bool:
     ctx = f.ctx
     if ctx.p == 2:
         raise ValueError("planar functions need odd characteristic")
-    vals = f.values()
-    M = len(vals)
-    pos = ctx.element_index(f.field_k)
-    D = pos[_difference_table(ctx, f.field_k, vals)]
-    ids = (D + np.arange(M, dtype=np.int64)[:, None] * M).reshape(-1)
-    counts = np.bincount(ids, minlength=M * M).reshape(M, M)
-    return bool(np.all(counts[1:] == 1))
+    dom = ctx.subfield_elements(f.field_k)
+    # row a of D: x -> f(x+a) - f(x) - f(a), a bijection when its values are distinct
+    D = np.sort(_polar(ctx, f.field_k, f.values(), dom[1:, None], dom[None, :]), axis=1)
+    return bool((D[:, 1:] != D[:, :-1]).all())
 
 
 def is_planar_2to1(f: DOPoly) -> bool:
@@ -93,11 +82,11 @@ class Presemifield:
         return len(self.elems)
 
     def mul(self, x: Elt, y: Elt) -> Elt:
-        pos = self.ctx.element_index(self.field_k)
-        i, j = int(pos[x]), int(pos[y])
-        if i < 0 or j < 0:
+        ctx, k = self.ctx, self.field_k
+        if not (ctx.in_subfield(x, k) and ctx.in_subfield(y, k)):
             raise ValueError("element outside the presemifield")
-        return int(self.elems[self.table[i, j]])
+        pos = ctx.element_index(k)
+        return int(self.elems[self.table[pos[x], pos[y]]])
 
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
@@ -124,9 +113,9 @@ def planar_to_presemifield(f: DOPoly) -> Presemifield:
     ctx = f.ctx
     if ctx.p == 2:
         raise ValueError("planar presemifields need odd characteristic")
-    vals = f.values()
-    pos = ctx.element_index(f.field_k)
-    table = pos[_difference_table(ctx, f.field_k, vals)]
+    dom = ctx.subfield_elements(f.field_k)
+    table = ctx.element_index(f.field_k)[_polar(ctx, f.field_k, f.values(),
+                                                dom[:, None], dom[None, :])]
     S = Presemifield(ctx, table, f.field_k)
     if S.has_zero_divisors():
         raise ValueError("f is not planar: the product has zero divisors")
@@ -135,10 +124,9 @@ def planar_to_presemifield(f: DOPoly) -> Presemifield:
 
 def normalize(S: Presemifield, e: Elt) -> Presemifield:
     """Isotopic semifield with identity e*e: (x*e) o (e*y) = x*y."""
-    pos = S.ctx.element_index(S.field_k)
-    ei = int(pos[e])
-    if ei <= 0:
+    if e == 0 or not S.ctx.in_subfield(e, S.field_k):
         raise ValueError("normalization element must be a nonzero field element")
+    ei = int(S.ctx.element_index(S.field_k)[e])
     R = S.table[:, ei]          # x -> x*e
     L = S.table[ei, :]          # y -> e*y
     M = S.size
@@ -302,7 +290,7 @@ def _pair_rows(ctx: FieldCtx, field_k: int, base_k: int, a, b, va, vb,
     if np.any(dconj == d):
         raise ValueError("delta must lie outside the domain field")
     keys, coeffs = _pair_coeffs(ctx, field_k // base_k, a, b, d, dconj)
-    outside = ctx.element_index(field_k)[coeffs] < 0
+    outside = ctx.outside(coeffs, field_k)
     if outside.any():
         raise ValueError(f"coefficient {int(coeffs[outside][0])} is not in the domain field")
     table = _key_rows(ctx, field_k, base_k, keys, coeffs)

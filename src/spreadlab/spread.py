@@ -411,10 +411,15 @@ def symplectic_check(S: Spread, delta: Elt) -> bool:
     A is F_q-bilinear (y -> y^q^3 and the trace to F_q are F_q-linear), so
     each property is one of its Gram matrices on F_q-bases: on a basis of
     the ambient field, zero diagonal, G + G^T = 0 and full rank; on each
-    component's basis, zero."""
+    component's basis, zero.  A delta that is no encoding, or has
+    delta + delta^q^3 = 0, defines no form and is refused."""
     ctx = S.ctx
     ne = ctx.n * ctx.e
-    c = ctx.inv(ctx.add(delta, ctx.frob(delta, ne)))
+    _check_element(ctx, "delta", delta)
+    s = ctx.add(delta, ctx.frob(delta, ne))
+    if s == 0:
+        raise ValueError(f"delta = {delta} has delta + delta^q^3 = 0: no form to check")
+    c = ctx.inv(s)
 
     def gram(basis):
         x = np.asarray(basis, dtype=np.int64)

@@ -1162,7 +1162,7 @@ def test_even8_row_sort_matches_bitmask():
         assert np.array_equal(coeffs[:, i], dom[(rows // qn ** (3 - i)) % qn])
     deltas = [d for d in range(1, ctx.N) if not ctx.in_subfield(d, "qn")]
     rng = np.random.default_rng(29)
-    assert deltas == ex._outside_deltas(ctx) and state["d0"] == deltas[0]
+    assert deltas == ex._outside_deltas(ctx).tolist() and state["d0"] == deltas[0]
     for delta in [deltas[0], *rng.choice(deltas[1:], 4, replace=False)]:
         want = _even8_bitmask_hits(state, ltab, delta)
         assert len(want) == 16 and not coeffs[want, 1:].any()     # L = a0 X

@@ -5,6 +5,7 @@ import pytest
 
 from spreadlab import (DOPoly, QPoly, adjoint, assoc_matrix, build_tower, compose,
                        is_permutation, kernel_basis, kernel_dim, linearity_field)
+from spreadlab.field import FieldCtx
 
 
 def _rand_qpoly(ctx, rng):
@@ -231,3 +232,16 @@ def test_values_computed_once_and_read_only(pen):
         assert L.to_json() == {"coeffs": list(L.coeffs)}
         assert np.array_equal(vals, fresh.values())
         assert vals.tolist() == [L(int(x)) for x in dom]
+
+
+def test_value_tables_build_only_the_frobenius_tables_they_use():
+    # on a fresh tower the identity needs x^(s^0) alone, and a monomial
+    # only its own power: a zero coefficient builds no table
+    ctx = FieldCtx(3, 2, 3)
+    assert not ctx._frob_cache
+    QPoly.identity(ctx).values()
+    assert set(ctx._frob_cache) == {0}
+    QPoly.monomial(ctx, 2, 1).values()
+    assert set(ctx._frob_cache) == {0, 2 * ctx.e}
+    QPoly.zero(ctx).values()
+    assert set(ctx._frob_cache) == {0, 2 * ctx.e}

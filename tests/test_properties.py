@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import spreadlab.spread as spread_mod
-from spreadlab import (QPoly, Spread, Subspace, build_even_n3, build_tower, build_typeC,
-                       build_typeH, even3_admissible, orbit, q_from_pair, q_from_pairs)
+from spreadlab import (DOPoly, QPoly, QuadSpace, Spread, Subspace, adjoint, build_even_n3,
+                       build_tower, build_typeC, build_typeH, compose, even3_admissible,
+                       orbit, q_from_pair, q_from_pairs)
 from spreadlab.cli import main
+from spreadlab.linpoly import _lin_rows
+from spreadlab.quadform import _polar
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -191,3 +194,113 @@ def test_spread_json_round_trip(S):
     assert back.components == S.components
     assert S.kernel is not None and back.kernel == S.kernel
     assert json.dumps(back.to_json()) == text
+
+
+# -- the shared row routines against their scalar partners --------------------------
+
+ROW_TOWERS = [(3, 1, 2), (5, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 2)]
+# a q-polynomial on F_{q^n}, a q^m-polynomial on F_{q^2m} (the planar scan's
+# L = aX + bX^(q^m)) and a p-polynomial on F_{q^n}
+SHAPES = [("qn", "q"), ("q2n", "qn"), ("qn", "p")]
+
+
+@st.composite
+def coefficient_blocks(draw):
+    """A tower, a grading (field, base) and a (rows, m) block of
+    coefficients in the field, some columns and some rows all zero."""
+    ctx = build_tower(*draw(st.sampled_from(ROW_TOWERS)))
+    field, base = draw(st.sampled_from(SHAPES))
+    field_k, base_k = ctx.tag_degree(field), ctx.tag_degree(base)
+    m = field_k // base_k
+    rows = draw(st.integers(1, 4))
+    coeff = st.sampled_from(ctx.subfield_elements(field_k).tolist())
+    block = np.array(draw(st.lists(st.lists(coeff, min_size=m, max_size=m),
+                                   min_size=rows, max_size=rows)), dtype=np.int64)
+    block[:, draw(st.lists(st.booleans(), min_size=m, max_size=m))] = 0
+    block[draw(st.lists(st.booleans(), min_size=rows, max_size=rows))] = 0
+    return ctx, field, base, block
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(coefficient_blocks())
+def test_lin_rows_agree_with_scalar_evaluation(case):
+    ctx, field, base, block = case
+    field_k, base_k = ctx.tag_degree(field), ctx.tag_degree(base)
+    dom = ctx.subfield_elements(field_k).tolist()
+    table = _lin_rows(ctx, field_k, base_k, block)
+    assert table.shape == (len(block), len(dom)) and table.dtype == np.int64
+    for row, vals in zip(block.tolist(), table.tolist()):
+        L = QPoly(ctx, row, field, base)
+        assert vals == [L(x) for x in dom]
+        assert vals == L.values().tolist()
+    assert _lin_rows(ctx, field_k, base_k, block[0]).tolist() == table[0].tolist()
+    # no rows at all: an empty table of the right width
+    assert _lin_rows(ctx, field_k, base_k, block[:0]).shape == (0, len(dom))
+
+
+@st.composite
+def quad_spaces_and_pairs(draw):
+    """A quadratic space x -> tr(y f(x)) for a random DO polynomial f and a
+    y in F_{q^n}, and (k, l) encodings of its domain."""
+    ctx = build_tower(*draw(st.sampled_from(ROW_TOWERS)))
+    coeff = st.sampled_from(ctx.subfield_elements("qn").tolist())
+    f = DOPoly(ctx, {(i, j): draw(coeff) for i in range(ctx.n) for j in range(i, ctx.n)})
+    S = QuadSpace.from_trace(ctx, f, draw(coeff))
+    X = draw(st.lists(coeff, min_size=1, max_size=6))
+    Y = draw(st.lists(coeff, min_size=1, max_size=6))
+    return S, np.array(X, dtype=np.int64), np.array(Y, dtype=np.int64)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(quad_spaces_and_pairs())
+def test_polar_form_agrees_with_bilinear(case):
+    S, X, Y = case
+    B = _polar(S.ctx, S.field_k, S.values, X[:, None], Y[None, :])
+    assert B.tolist() == [[S.bilinear(int(x), int(y)) for y in Y] for x in X]
+
+
+@st.composite
+def towers_tags_and_integers(draw):
+    """A tower, a field tag and integers around the encodings 0..N-1,
+    always with -1 and N among them."""
+    ctx = build_tower(*draw(st.sampled_from(ROW_TOWERS)))
+    tag = draw(st.sampled_from(["p", "q", "qn", "q2n"]))
+    xs = draw(st.lists(st.integers(-ctx.N, 2 * ctx.N), max_size=30))
+    return ctx, tag, [-1, ctx.N, *xs]
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(towers_tags_and_integers())
+def test_outside_is_not_in_subfield_elementwise(case):
+    ctx, tag, xs = case
+    X = np.array(xs, dtype=np.int64)
+    want = [not ctx.in_subfield(x, tag) for x in xs]
+    assert ctx.outside(X, tag).tolist() == want
+    assert ctx.outside(X.reshape(1, -1), tag).tolist() == [want]
+
+
+@st.composite
+def qpoly_triples(draw):
+    """Two q-polynomials L, M of one grading and u, v in their field."""
+    ctx = build_tower(*draw(st.sampled_from(ROW_TOWERS)))
+    field, base = draw(st.sampled_from(SHAPES))
+    m = ctx.tag_degree(field) // ctx.tag_degree(base)
+    coeff = st.sampled_from(ctx.subfield_elements(field).tolist())
+    L, M = (QPoly(ctx, draw(st.lists(coeff, min_size=m, max_size=m)), field, base)
+            for _ in range(2))
+    return L, M, draw(coeff), draw(coeff)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(qpoly_triples())
+def test_compose_and_adjoint_respect_the_trace_pairing(case):
+    # tr(u L(v)) = tr(adjoint(L)(u) v), the trace from the domain down to
+    # the grading base; compose is evaluation in turn, and the adjoint of
+    # L o M is adjoint(M) o adjoint(L)
+    L, M, u, v = case
+    ctx, k, kb = L.ctx, L.field_k, L.base_k
+    for P in (L, M, compose(L, M)):
+        assert (ctx.trace(ctx.mul(u, P(v)), k, kb)
+                == ctx.trace(ctx.mul(adjoint(P)(u), v), k, kb))
+    assert compose(L, M)(v) == L(M(v))
+    assert adjoint(compose(L, M)) == compose(adjoint(M), adjoint(L))

@@ -258,6 +258,13 @@ def test_quadspace_rejects_bad_tables(c213):
         QuadSpace(c213, vals, "qn")        # values must land in F_q
 
 
+@pytest.mark.parametrize("x", [-1, 64], ids=["minus-1", "N"])
+def test_quadspace_value_refuses_non_encodings(c213, x):
+    S = QuadSpace.from_trace(c213, DOPoly(c213, {(0, 1): 1}, "q2n"), 1)
+    with pytest.raises(ValueError, match="not in V"):
+        S.value(x)
+
+
 @pytest.mark.parametrize("pen", [(3, 1, 2), (5, 1, 2), (2, 1, 3)], ids=str)
 def test_values_computed_once_and_read_only(pen):
     ctx = build_tower(*pen)

@@ -87,6 +87,17 @@ def test_normalize_installs_identity(c312):
     assert np.array_equal(again.table, T.table)
 
 
+@pytest.mark.parametrize("x", [-1, 729], ids=["minus-1", "N"])
+def test_presemifield_refuses_non_encodings(c313, x):
+    # -1 and N are no encodings: neither may wrap to the end of the
+    # position table or index past it
+    S = planar_to_presemifield(DOPoly(c313, {(0, 0): 1}, "q2n"))
+    with pytest.raises(ValueError, match="outside the presemifield"):
+        S.mul(x, 1)
+    with pytest.raises(ValueError, match="nonzero field element"):
+        normalize(S, x)
+
+
 def test_nucleus_needs_identity(c312):
     # x * y = x^p y is a presemifield with no two-sided identity
     dom = c312.subfield_elements("qn")

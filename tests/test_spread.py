@@ -450,6 +450,20 @@ def test_symplectic_check_odd_form_is_not_alternating(c313, spread_c313):
     assert not _symplectic_by_table(spread_c313, d)
 
 
+@pytest.mark.parametrize("case", ["typeC-delta-q3", "delta-1-q2", "delta-N", "delta-minus-1"])
+def test_symplectic_check_refuses_a_bad_delta(c313, c213, spread_c313, spread_even3, case):
+    # delta + delta^(q^3) = 0 (every type-C delta at odd q, any delta of
+    # F_{q^3} at even q) defines no form, and an integer outside 0..N-1 is
+    # no delta: each is refused by name, not met with ZeroDivisionError,
+    # IndexError or a silent False
+    S, delta = {"typeC-delta-q3": (spread_c313, c313.find_deltas()[0]),
+                "delta-1-q2": (spread_even3, 1),
+                "delta-N": (spread_even3, c213.N),
+                "delta-minus-1": (spread_even3, -1)}[case]
+    with pytest.raises(ValueError, match=f"^delta = {delta} "):
+        symplectic_check(S, delta)
+
+
 def test_symplectic_check_q8():
     # 513 components of F_{2^18}: the N x N table would hold 6.9e10 entries
     S = _first_spread("even3", 2, 3, 3)
