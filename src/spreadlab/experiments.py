@@ -9,12 +9,14 @@ deterministic given (params, seed) and independent of the worker count.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import multiprocessing as mp
 import os
 import time
 from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -344,23 +346,39 @@ def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
 # -- even q, n = 3: permutation classification --------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _even3_roots(ctx: FieldCtx) -> MappingProxyType:
+    """d1 -> u^(q-1) for the u in F_{q^3}^* with u^(q^2-1) = d1, read-only
+    and built once per tower.  u^(q^2-1) = w^(q+1) with w = u^(q-1), and
+    w -> w^(q+1) is one-to-one on the (q-1)-th powers, a group of order
+    q^2 + q + 1 prime to q + 1: so the q - 1 roots u of one d1 share one w,
+    and a d1 that is not a (q-1)-th power has no root and no entry."""
+    units, q = ctx.subfield_elements("qn")[1:], ctx.q
+    return MappingProxyType(dict(zip(ctx.vpow(units, q * q - 1).tolist(),
+                                     ctx.vpow(units, q - 1).tolist())))
+
+
 def even3_perm_predicate(ctx: FieldCtx, d0: int, d1: int, delta: int) -> bool:
     """Does some u in F_{q^3}^* write X^(q^2) + d1 X^q + d0 X + delta X as
-    u^-1 tr(u^q x) + delta' x with (delta'^-1 + delta'^-q^3) u^(q-1) in F_q^*?"""
-    for name, x in (("d0", d0), ("d1", d1), ("delta", delta)):
-        _check_element(ctx, name, x)
-    q = ctx.q
-    ne = ctx.n * ctx.e
-    for u in ctx.subfield_elements("qn")[1:]:
-        u = int(u)
-        if ctx.pow(u, q * q - 1) != d1:
-            continue
-        dprime = ctx.add(ctx.add(delta, d0), ctx.pow(u, q - 1))
-        dpi = ctx.inv(dprime)
-        c = ctx.mul(ctx.add(dpi, ctx.frob(dpi, ne)), ctx.pow(u, q - 1))
-        if c != 0 and ctx.in_subfield(c, "q"):
-            return True
-    return False
+    u^-1 tr(u^q x) + delta' x with (delta'^-1 + delta'^-q^3) u^(q-1) in F_q^*?
+
+    Needs even q, n = 3, d0 and d1 in F_{q^3} and delta outside it, so that
+    delta' = delta + d0 + u^(q-1) is never 0."""
+    if ctx.p != 2 or ctx.n != 3:
+        raise ValueError("the classification predicate is for even q with n = 3")
+    for name, x in (("d0", d0), ("d1", d1)):
+        if not ctx.in_subfield(x, "qn"):
+            _check_element(ctx, name, x)        # a non-encoding: its own message
+            raise ValueError(f"{name} = {x} is not in F_{{q^3}}")
+    _check_element(ctx, "delta", delta)
+    if ctx.in_subfield(delta, "qn"):
+        raise ValueError(f"delta = {delta} is not outside F_{{q^3}}")
+    w = _even3_roots(ctx).get(d1)
+    if w is None:
+        return False
+    dpi = ctx.inv(ctx.add(ctx.add(delta, d0), w))
+    c = ctx.mul(ctx.add(dpi, ctx.frob(dpi, ctx.n * ctx.e)), w)
+    return c != 0 and ctx.in_subfield(c, "q")
 
 
 def _even3_setup(p, e):

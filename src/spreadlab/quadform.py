@@ -9,6 +9,8 @@ criterion for even q runs on.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .field import Elt, FieldCtx
@@ -44,8 +46,9 @@ class DOPoly(_GradedPoly):
         made read-only, as its value table: the one path that checks neither
         the coefficients nor the table."""
         table.flags.writeable = False
+        I, J = zip(*keys)
         return [cls.__new__(cls)._set(ctx, field_k, base_k,
-                                      tuple((i, j, c) for (i, j), c in zip(keys, row) if c),
+                                      tuple(t for t in zip(I, J, row) if t[2]),
                                       vals)
                 for row, vals in zip(coeffs.tolist(), table)]
 
@@ -109,10 +112,10 @@ def _require_do(f) -> DOPoly:
 
 
 def is_permutation_brute(f: DOPoly) -> bool:
-    """Direct bijectivity scan of the value table."""
+    """Direct bijectivity scan of the value table: are its values distinct?"""
     _require_do(f)
     vals = f.values()
-    return len(np.unique(vals)) == len(vals)
+    return len(set(vals.tolist())) == len(vals)
 
 
 # -- F_q^* coset action --------------------------------------------------------
@@ -131,6 +134,15 @@ def coset_representatives(ctx: FieldCtx, field_k) -> list[Elt]:
     return units[ctx.log[units] < (ctx.N - 1) // (ctx.q - 1)].tolist()
 
 
+@functools.lru_cache(maxsize=32)
+def _coset_positions(ctx: FieldCtx, field_k: int) -> np.ndarray:
+    """Positions of coset_representatives(ctx, field_k) in the sorted
+    ctx.subfield_elements(field_k), found once per (tower, field_k)."""
+    pos = np.searchsorted(ctx.subfield_elements(field_k), coset_representatives(ctx, field_k))
+    pos.flags.writeable = False
+    return pos
+
+
 def permutes_cosets(f: DOPoly) -> bool:
     """Does f induce a bijection of F_{q^n}^* / F_q^*?
 
@@ -138,16 +150,20 @@ def permutes_cosets(f: DOPoly) -> bool:
     lambda in F_q when the grading base contains F_q; any zero value on a
     nonzero element makes the induced map undefined, hence False.  A
     self-map of the finite coset set is a bijection exactly when it is onto.
+    By the same identity f(lambda x) is zero exactly when f(x) is, and
+    otherwise lies in the coset of f(x), so f is read at the coset
+    representatives only: no zero there, and as many classes log v mod R
+    as representatives.
     """
     _require_do(f)
     ctx = f.ctx
     if f.base_k % ctx.e != 0:
         raise ValueError("coset action needs the grading base to contain F_q")
-    vals = f.values()[1:]
-    if not vals.all():
+    vals = f.values()[_coset_positions(ctx, f.field_k)].tolist()
+    if 0 in vals:
         return False
-    classes = np.unique(ctx.log[vals] % ((ctx.N - 1) // (ctx.q - 1)))
-    return len(classes) == len(vals) // (ctx.q - 1)
+    R, log = (ctx.N - 1) // (ctx.q - 1), memoryview(ctx.log)
+    return len({log[v] % R for v in vals}) == len(vals)
 
 
 # -- quadratic spaces ------------------------------------------------------------

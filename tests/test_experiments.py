@@ -5,6 +5,7 @@ import itertools
 import json
 import multiprocessing.pool as mp_pool
 import os
+import re
 import zlib
 from types import SimpleNamespace
 
@@ -336,6 +337,88 @@ def test_classification_index_matches_per_l_reference(monkeypatch, target):
         assert index.verdict == "counterexample"
         assert index.candidates == (8 * j0 + j1) * 56 + di + 1
         assert index.counterexample == {"L_coeffs": [*flip[:2], 1], "delta": flip[2]}
+
+
+def _even3_predicate_loop(ctx, d0, d1, delta):
+    """Reference: the predicate solving u^(q^2-1) = d1 by a scalar loop over
+    every u in F_{q^3}^*."""
+    q, ne = ctx.q, ctx.n * ctx.e
+    for u in ctx.subfield_elements("qn")[1:].tolist():
+        if ctx.pow(u, q * q - 1) != d1:
+            continue
+        dpi = ctx.inv(ctx.add(ctx.add(delta, d0), ctx.pow(u, q - 1)))
+        c = ctx.mul(ctx.add(dpi, ctx.frob(dpi, ne)), ctx.pow(u, q - 1))
+        if c != 0 and ctx.in_subfield(c, "q"):
+            return True
+    return False
+
+
+def test_even3_predicate_matches_loop_reference_at_q2(c213):
+    # all 3,584 (d0, d1, delta) of the q = 2 scan; the brute verdicts of
+    # their tables against np.unique, and the 448 permutations
+    dom = c213.subfield_elements("qn").tolist()
+    deltas = ex._outside_deltas(c213).tolist()
+    ident, hits = QPoly.identity(c213), 0
+    for d0, d1 in itertools.product(dom, repeat=2):
+        Qs = q_from_pairs(QPoly(c213, [d0, d1, 1]), ident, deltas)
+        for delta, Q in zip(deltas, Qs):
+            pred = even3_perm_predicate(c213, d0, d1, delta)
+            assert pred == _even3_predicate_loop(c213, d0, d1, delta), (d0, d1, delta)
+            vals = Q.values()
+            assert is_permutation_brute(Q) == (len(np.unique(vals)) == len(vals)) == pred
+            hits += pred
+    assert hits == 448
+
+
+def test_even3_predicate_matches_loop_reference_at_q4():
+    # 2,000 seeded (d0, d1, delta) at q = 4, against the loop and against
+    # the brute verdict of their tables
+    ctx = build_tower(2, 2, 3)
+    dom = ctx.subfield_elements("qn")
+    rng = np.random.default_rng(2000)
+    triples = list(zip(rng.choice(dom, 2000).tolist(), rng.choice(dom, 2000).tolist(),
+                       rng.choice(ex._outside_deltas(ctx), 2000).tolist()))
+    ident, hits = QPoly.identity(ctx), 0
+    for d0, d1, delta in triples:
+        pred = even3_perm_predicate(ctx, d0, d1, delta)
+        assert pred == _even3_predicate_loop(ctx, d0, d1, delta), (d0, d1, delta)
+        assert pred == is_permutation_brute(q_from_pair(QPoly(ctx, [d0, d1, 1]), ident, delta))
+        hits += pred
+    assert 0 < hits < len(triples)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_even3_root_table_matches_the_loop(q):
+    # d1 -> u^(q-1): every root u of u^(q^2-1) = d1 has that u^(q-1), and a
+    # d1 without an entry has no root
+    ctx = build_tower(2, q // 2, 3)
+    table = ex._even3_roots(ctx)
+    roots = {}
+    for u in ctx.subfield_elements("qn")[1:].tolist():
+        roots.setdefault(ctx.pow(u, q * q - 1), set()).add(ctx.pow(u, q - 1))
+    assert {d1: {w} for d1, w in table.items()} == roots
+    assert len(table) == q * q + q + 1
+    assert ex._even3_roots(ctx) is table
+
+
+@pytest.mark.parametrize("args, match", [
+    ((1, 1, 0), "delta = 0 is not outside F_{q^3}"),
+    ((0, 1, 1), "delta = 1 is not outside F_{q^3}"),
+    ((1, 1, 1), "delta = 1 is not outside F_{q^3}"),
+    ((3, 1, 9), "d0 = 3 is not in F_{q^3}"),
+    ((1, 3, 9), "d1 = 3 is not in F_{q^3}"),
+], ids=["delta-0", "d0-0-delta-1", "delta-1", "d0-outside", "d1-outside"])
+def test_even3_predicate_refuses_inputs_outside_its_domain(c213, args, match):
+    # (1, 1, 0) and (0, 1, 1) raised ZeroDivisionError; d0 = 3, d1 = 3
+    # (outside F_8) and delta = 1 (inside it) returned False
+    with pytest.raises(ValueError, match=re.escape(match)):
+        even3_perm_predicate(c213, *args)
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 3), (2, 1, 4)], ids=str)
+def test_even3_predicate_refuses_other_towers(tower):
+    with pytest.raises(ValueError, match="even q with n = 3"):
+        even3_perm_predicate(build_tower(*tower), 0, 0, 0)
 
 
 # -- Hermite coefficient ---------------------------------------------------------------

@@ -1,17 +1,22 @@
-"""Property tests: random inputs against slow, independent partners."""
+"""Property tests: random and exhaustive inputs against slow, independent
+partners."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+import spreadlab.experiments as ex
 import spreadlab.spread as spread_mod
 from spreadlab import (DOPoly, QPoly, QuadSpace, Spread, Subspace, adjoint, build_even_n3,
-                       build_tower, build_typeC, build_typeH, compose, even3_admissible,
-                       orbit, q_from_pair, q_from_pairs)
+                       build_tower, build_typeC, build_typeH, compose, coset_representatives,
+                       even3_admissible, is_permutation_brute, orbit, permutes_cosets,
+                       q_from_component, q_from_pair, q_from_pairs)
 from spreadlab.cli import main
+from spreadlab.experiments import even3_perm_predicate
 from spreadlab.linpoly import _lin_rows
-from spreadlab.quadform import _polar
+from spreadlab.quadform import _key_rows, _polar
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -304,3 +309,219 @@ def test_compose_and_adjoint_respect_the_trace_pairing(case):
                 == ctx.trace(ctx.mul(adjoint(P)(u), v), k, kb))
     assert compose(L, M)(v) == L(M(v))
     assert adjoint(compose(L, M)) == compose(adjoint(M), adjoint(L))
+
+
+# -- the per-candidate verdicts against their np.unique forms ------------------------
+
+
+def _permutes_cosets_unique(f):
+    """Reference: every unit's value nonzero, and the classes log v mod R
+    of all of them counted by np.unique."""
+    ctx = f.ctx
+    vals = f.values()[1:]
+    if not vals.all():
+        return False
+    classes = np.unique(ctx.log[vals] % ((ctx.N - 1) // (ctx.q - 1)))
+    return len(classes) == len(vals) // (ctx.q - 1)
+
+
+def _is_permutation_unique(f):
+    """Reference: the distinct values of the table counted by np.unique."""
+    vals = f.values()
+    return len(np.unique(vals)) == len(vals)
+
+
+def _assert_verdicts_match(forms):
+    """Both verdicts of every form equal their references; returns the
+    (coset, bijection) verdict pairs."""
+    out = []
+    for f in forms:
+        pair = (permutes_cosets(f), is_permutation_brute(f))
+        assert pair == (_permutes_cosets_unique(f), _is_permutation_unique(f)), f
+        out.append(pair)
+    return out
+
+
+@pytest.mark.parametrize("q, n", [(3, 2), (5, 2)])
+def test_verdicts_match_references_on_every_odd_candidate(q, n):
+    # every Q = (X + dL)(X + d^(q^n)L) of the no-type-C scan; none permutes
+    # the cosets, the theorem being checked
+    state = ex._odd_setup(q, 1, n)
+    total, seen = q ** (n * n), 0
+    for lo in range(0, total, 50):
+        _, polys = ex._odd_rows(state, lo, min(lo + 50, total))
+        verdicts = _assert_verdicts_match(polys)
+        assert not any(c for c, _ in verdicts)
+        seen += len(polys)
+    assert seen == total * (q ** n - 1)
+
+
+def _form_with_zero_at(ctx, x0, c):
+    """c (X^2 - x0^(1-q) X^(q+1)): zero at x0 != 0, so it permutes neither
+    the field nor the cosets."""
+    a = ctx.neg(ctx.mul(c, ctx.pow(x0, 1 - ctx.q)))
+    return DOPoly(ctx, {(0, 0): c, (0, 1): a})
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (2, 1, 3), (3, 2, 2)],
+                         ids=str)
+def test_verdicts_match_references_on_explicit_forms(tower):
+    ctx = build_tower(*tower)
+    units = ctx.subfield_elements("qn")[1:].tolist()
+    square = DOPoly(ctx, {(0, 0): 1})
+    # X^2 permutes the cosets exactly when 2 is prime to (q^n - 1)/(q - 1),
+    # and F_{q^n} exactly when q is even
+    ncos = (ctx.q ** ctx.n - 1) // (ctx.q - 1)
+    assert _assert_verdicts_match([square]) == [(ncos % 2 == 1, ctx.p == 2)]
+    # a zero at a representative, at a unit that is not one (lambda times a
+    # representative, lambda in F_q^* other than 1) and at spread-out units:
+    # both verdicts False
+    reps = coset_representatives(ctx, "qn")
+    lam = ctx.subfield_primitive("q")
+    zeros = [reps[0], ctx.mul(lam, reps[-1])] + units[::max(1, len(units) // 6)]
+    forms = [_form_with_zero_at(ctx, x0, c) for x0 in zeros for c in (1, units[-1])]
+    assert all(f(x0) == 0 for f, x0 in zip(forms, [x for x in zeros for _ in (1, 2)]))
+    assert _assert_verdicts_match(forms) == [(False, False)] * len(forms)
+
+
+DO_TOWERS = [(3, 1, 2), (5, 1, 2), (3, 1, 3), (2, 1, 3), (3, 2, 2), (2, 2, 3)]
+
+
+@st.composite
+def do_forms(draw):
+    """A random DO polynomial on F_{q^n} graded by q (when e > 1 also one
+    graded by p, for the bijection test only), sometimes shifted by a
+    multiple of X^2 to vanish at a random unit."""
+    ctx = build_tower(*draw(st.sampled_from(DO_TOWERS)))
+    base = draw(st.sampled_from(["q", "p"] if ctx.e > 1 else ["q"]))
+    m = ctx.n * ctx.e // ctx.tag_degree(base)
+    coeff = st.sampled_from(ctx.subfield_elements("qn").tolist())
+    f = DOPoly(ctx, {(i, j): draw(coeff) for i in range(m) for j in range(i, m)
+                     if draw(st.booleans())}, "qn", base)
+    if draw(st.booleans()):
+        x0 = draw(st.sampled_from(ctx.subfield_elements("qn")[1:].tolist()))
+        shift = ctx.neg(ctx.div(f(x0), ctx.mul(x0, x0)))
+        f = DOPoly(ctx, [*f.coeffs, (0, 0, shift)], "qn", base)
+        assert f(x0) == 0
+    return f
+
+
+@hypothesis.settings(max_examples=80, deadline=None, database=None)
+@hypothesis.given(do_forms())
+def test_verdicts_match_references_on_random_forms(f):
+    if f.base_k % f.ctx.e == 0:
+        _assert_verdicts_match([f])
+    else:
+        assert is_permutation_brute(f) == _is_permutation_unique(f)
+
+
+@st.composite
+def row_blocks_with_zeros(draw):
+    """A tower, a grading, and a block of coefficient rows over the
+    canonical keys with some entries zero."""
+    ctx = build_tower(*draw(st.sampled_from(DO_TOWERS)))
+    field_k, base_k = ctx.n * ctx.e, ctx.tag_degree(draw(st.sampled_from(["q", "p"])))
+    m = field_k // base_k
+    keys = [(i, j) for i in range(m) for j in range(i, m)]
+    units = st.sampled_from(ctx.subfield_elements(field_k)[1:].tolist())
+    entry = st.one_of(st.just(0), units)
+    block = draw(st.lists(st.lists(entry, min_size=len(keys), max_size=len(keys)),
+                          min_size=1, max_size=6))
+    return ctx, field_k, base_k, keys, np.array(block, dtype=np.int64)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(row_blocks_with_zeros())
+def test_dopoly_rows_keep_the_filtered_coefficients(case):
+    # the zip of the key columns gives the terms the filtering genexpr gives,
+    # rows with zero coefficients (and all-zero rows) included
+    ctx, field_k, base_k, keys, block = case
+    made = DOPoly._rows(ctx, field_k, base_k, keys, block,
+                        _key_rows(ctx, field_k, base_k, keys, block))
+    assert [f.coeffs for f in made] == [tuple((i, j, c) for (i, j), c in zip(keys, row) if c)
+                                        for row in block.tolist()]
+    assert all(type(t) is tuple and all(type(v) is int for v in t)
+               for f in made for t in f.coeffs)
+
+
+# -- the scans' symmetries: groundwork for verdicts read off one row -------------------
+
+
+@st.composite
+def odd_l_and_units(draw):
+    """An odd tower (q, 2), a q-polynomial L on F_{q^2} and a unit c."""
+    ctx = build_tower(draw(st.sampled_from([3, 5, 7])), 1, 2)
+    dom = ctx.subfield_elements("qn").tolist()
+    L = QPoly(ctx, draw(st.lists(st.sampled_from(dom), min_size=2, max_size=2)))
+    return L, draw(st.sampled_from(dom[1:]))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(odd_l_and_units())
+def test_odd_delta_scaling_moves_into_l(case):
+    # the admissible deltas are delta0 c, c in F_{q^n}^*, and
+    # Q_{L, delta0 c} = Q_{cL, delta0} since c^(q^n) = c
+    L, c = case
+    ctx = L.ctx
+    deltas = ctx.find_deltas()
+    d0 = deltas[0]
+    assert ctx.mul(d0, c) in deltas
+    cL = QPoly(ctx, [ctx.mul(c, a) for a in L.coeffs])
+    Q, Qc = q_from_component(L, ctx.mul(d0, c)), q_from_component(cL, d0)
+    assert Q == Qc and np.array_equal(Q.values(), Qc.values())
+    assert permutes_cosets(Q) == permutes_cosets(Qc)
+
+
+@functools.lru_cache(maxsize=None)
+def _even3_hits_at_q2():
+    """The (d1, delta') at q = 2, d0 = 0, where the predicate holds."""
+    ctx = build_tower(2, 1, 3)
+    return [(d1, d) for d1 in ctx.subfield_elements("qn").tolist()
+            for d in ex._outside_deltas(ctx).tolist() if even3_perm_predicate(ctx, 0, d1, d)]
+
+
+def _even3_q(ctx, d0, d1, delta):
+    """(L + delta X)(L + delta^(q^3) X) for L = X^(q^2) + d1 X^q + d0 X."""
+    return q_from_pair(QPoly(ctx, [d0, d1, 1]), QPoly.identity(ctx), delta)
+
+
+@st.composite
+def even3_triples(draw):
+    """An even tower (q, 3), q = 2 or 4, d1 in F_{q^3}, delta' outside it,
+    and at q = 2 sometimes a (d1, delta') where the predicate holds."""
+    ctx = build_tower(2, draw(st.sampled_from([1, 2])), 3)
+    dom = ctx.subfield_elements("qn").tolist()
+    if ctx.e == 1 and draw(st.booleans()):
+        d1, dprime = draw(st.sampled_from(_even3_hits_at_q2()))
+    else:
+        d1 = draw(st.sampled_from(dom))
+        dprime = draw(st.sampled_from(ex._outside_deltas(ctx).tolist()))
+    return ctx, draw(st.sampled_from(dom)), d1, dprime, draw(st.sampled_from(dom[1:]))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(even3_triples())
+def test_even3_table_depends_only_on_d1_and_delta_prime(case):
+    # L + delta X has X-coefficient delta' = d0 + delta, and d0 in F_{q^3}
+    # makes d0 + delta^(q^3) = delta'^(q^3): the table is that of d0 = 0
+    ctx, d0, d1, dprime, _ = case
+    delta = ctx.add(dprime, d0)
+    Q, Q0 = _even3_q(ctx, d0, d1, delta), _even3_q(ctx, 0, d1, dprime)
+    assert np.array_equal(Q.values(), Q0.values())
+    assert even3_perm_predicate(ctx, d0, d1, delta) == even3_perm_predicate(ctx, 0, d1, dprime)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(even3_triples())
+def test_even3_substitution_keeps_both_verdicts(case):
+    # x = c y: Q_{d1, delta'}(c y) = c^(2 q^2) Q_{d1 c^(q-q^2), delta' c^(1-q^2)}(y)
+    ctx, _, d1, dprime, c = case
+    q = ctx.q
+    d1c, dc = ctx.mul(d1, ctx.pow(c, q - q * q)), ctx.mul(dprime, ctx.pow(c, 1 - q * q))
+    Q, Qc = _even3_q(ctx, 0, d1, dprime), _even3_q(ctx, 0, d1c, dc)
+    dom = ctx.subfield_elements("qn")
+    scale = ctx.pow(c, 2 * q * q)
+    assert Q.values()[ctx.element_index("qn")[ctx.vmul(c, dom)]].tolist() == \
+        ctx.vmul(scale, Qc.values()).tolist()
+    assert is_permutation_brute(Q) == is_permutation_brute(Qc)
+    assert even3_perm_predicate(ctx, 0, d1, dprime) == even3_perm_predicate(ctx, 0, d1c, dc)
