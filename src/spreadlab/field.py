@@ -366,12 +366,16 @@ class FieldCtx:
         return self._exp.take(L * (m % M) % M + L // M * M).astype(np.int64)
 
     def frob_table(self, k: int) -> np.ndarray:
-        """Lookup table x -> x^(p^k) over the whole ambient field."""
+        """Lookup table x -> x^(p^k) over the whole ambient field; for
+        k = 0 mod d the identity, np.arange(N)."""
         k = k % self.d
         if k not in self._frob_cache:
-            t = np.zeros(self.N, dtype=np.int64)
-            idx = (np.arange(self.N - 1, dtype=np.int64) * (self.p ** k)) % (self.N - 1)
-            t[self.exp] = self.exp[idx]
+            if k == 0:
+                t = np.arange(self.N, dtype=np.int64)
+            else:
+                t = np.zeros(self.N, dtype=np.int64)
+                idx = (np.arange(self.N - 1, dtype=np.int64) * (self.p ** k)) % (self.N - 1)
+                t[self.exp] = self.exp[idx]
             t.flags.writeable = False
             self._frob_cache[k] = t
         return self._frob_cache[k]

@@ -18,6 +18,8 @@ from .field import Elt, FieldCtx
 from .linpoly import QPoly
 from .quadform import DOPoly, _key_rows, _polar, _require_do
 
+_BLOCK = 1 << 16          # entries per block of a row table
+
 
 def is_planar_direct(f: DOPoly) -> bool:
     """Planarity by checking every difference map for bijectivity.  Odd
@@ -132,7 +134,8 @@ def normalize(S: Presemifield, e: Elt) -> Presemifield:
     M = S.size
     Rinv = np.empty(M, dtype=np.int64)
     Linv = np.empty(M, dtype=np.int64)
-    if len(np.unique(R)) != M or len(np.unique(L)) != M:
+    # a permutation of 0..M-1 takes every value once
+    if (np.bincount(R, minlength=M) != 1).any() or (np.bincount(L, minlength=M) != 1).any():
         raise ValueError("multiplication by e is not invertible")
     Rinv[R] = np.arange(M)
     Linv[L] = np.arange(M)
@@ -144,13 +147,19 @@ def normalize(S: Presemifield, e: Elt) -> Presemifield:
 
 
 def _nucleus_masks(S: Presemifield) -> tuple[np.ndarray, np.ndarray]:
+    """Which a have (a*x)*y = a*(x*y), and which (x*a)*y = x*(a*y), for all
+    x, y: one (a, x, y) table per side for a block of a, of about _BLOCK
+    entries."""
     T = S.table
     M = S.size
-    left = np.zeros(M, dtype=bool)
-    middle = np.zeros(M, dtype=bool)
-    for a in range(M):
-        left[a] = np.array_equal(T[T[a, :], :], T[a][T])
-        middle[a] = np.array_equal(T[T[:, a], :], T[:, T[a, :]])
+    per = max(1, _BLOCK // (M * M))
+    left = np.empty(M, dtype=bool)
+    middle = np.empty(M, dtype=bool)
+    for lo in range(0, M, per):
+        A = T[lo:lo + per]                  # rows a of the block: y -> a*y
+        left[lo:lo + per] = (T[A] == A[:, T]).all(axis=(1, 2))
+        middle[lo:lo + per] = (T[T[:, lo:lo + per].T]
+                               == T[:, A].transpose(1, 0, 2)).all(axis=(1, 2))
     return left, middle
 
 

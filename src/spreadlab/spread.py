@@ -21,13 +21,10 @@ import numpy as np
 from .field import Elt, FieldCtx, _json_int, ctx_from_json, factor_prime_power
 from .linpoly import QPoly, nullspace, rref
 from .quadform import is_permutation_brute, is_permutation_via_rank, permutes_cosets
-from .semifield import is_planar_2to1, q_from_component
+from .semifield import _BLOCK, is_planar_2to1, q_from_component
 
 
 # -- subspaces -------------------------------------------------------------------
-
-
-_BLOCK = 1 << 16          # elements per block of an orbit or image table
 
 
 def _subspace_dim(ctx: FieldCtx, rows: np.ndarray) -> int:
@@ -38,7 +35,7 @@ def _subspace_dim(ctx: FieldCtx, rows: np.ndarray) -> int:
     while ctx.q ** dim < size:
         dim += 1
     if (ctx.q ** dim != size or (rows[:, 0] != 0).any()
-            or (np.diff(rows, axis=1) <= 0).any()):
+            or (rows[:, 1:] <= rows[:, :-1]).any()):
         raise ValueError("element set is not an F_q-subspace")
     return dim
 
@@ -58,7 +55,10 @@ class Subspace:
             raise ValueError("give exactly one of elements or basis")
         if basis is not None:
             elements = ctx.span(basis, "q")
-        els = np.unique(np.asarray(elements, dtype=np.int64))
+        els = np.sort(np.asarray(elements, dtype=np.int64), axis=None)
+        keep = np.ones(els.size, dtype=bool)
+        keep[1:] = els[1:] != els[:-1]      # sorted: repeats are neighbours
+        els = els[keep]
         dim = _subspace_dim(ctx, els[None, :])
         if basis is None:
             mask = np.zeros(ctx.N, dtype=bool)
@@ -126,18 +126,18 @@ def component_from_pair(A: QPoly, B: QPoly, delta: Elt) -> Subspace:
         raise ValueError("components are parametrized by q-polynomials on F_{q^n}")
     if ctx.in_subfield(delta, ne):
         raise ValueError("delta must lie outside F_{q^n}")
-    vals = ctx.vadd(A.values(), ctx.vmul(delta, B.values()))
-    W = Subspace._rows(ctx, np.unique(vals)[None, :])[0]
-    if W.dim != ctx.n:
+    vals = np.sort(ctx.vadd(A.values(), ctx.vmul(delta, B.values())))
+    if (vals[1:] == vals[:-1]).any():
         raise ValueError("parametrization is not injective; dimension would drop")
-    return W
+    return Subspace._rows(ctx, vals[None, :])[0]
 
 
 def _images(ctx: FieldCtx, table: np.ndarray, g, k: int = 0) -> np.ndarray:
     """Each row's image {g x^(p^k)} under an F_q-linear bijection, sorted as
     Subspace.elements (compare via .tobytes()); g is one element or a column
-    of one multiplier per row."""
-    els = ctx.frob_table(k)[table] if k else table
+    of one multiplier per row.  x^(p^k) comes from vpow, not a whole-field
+    Frobenius table: 4.25 MB at (9,3), kept for the life of the tower."""
+    els = ctx.vpow(table, ctx.p ** k) if k else table
     return np.sort(ctx.vmul(g, els), axis=1)
 
 
@@ -182,19 +182,27 @@ def _coverage(components) -> np.ndarray:
         raise ValueError(f"components of mixed dimensions {sorted(dims)}")
     if any(C.ctx != ctx for C in components):
         raise ValueError("components from different towers")
-    # never a copy of all components; 0 lies in every one, uncounted.  A
-    # bincount makes a table of N counts, so it counts chunks of at most
-    # _BLOCK elements when N <= _BLOCK; in a larger field each component's
-    # distinct elements are counted in place by one fancy-index +=
-    counts = np.zeros(ctx.N, dtype=np.int32)
+    # never a copy of all components: chunks of at most _BLOCK elements
     if ctx.N <= _BLOCK:
         per = max(1, _BLOCK // components[0].elements.size)
-        for lo in range(0, len(components), per):
-            chunk = np.concatenate([C.elements for C in components[lo:lo + per]])
-            counts += np.bincount(chunk, minlength=ctx.N)
-    else:
-        for C in components:
-            counts[C.elements] += 1
+        return _count(ctx, (np.stack([C.elements for C in components[lo:lo + per]])
+                            for lo in range(0, len(components), per)))
+    return _count(ctx, (C.elements[None, :] for C in components))
+
+
+def _count(ctx: FieldCtx, tables) -> np.ndarray:
+    """How often each nonzero element lies in a row of the tables, each row
+    an element set; 0 lies in every one and is not counted.  A bincount
+    makes a table of N counts, so it counts a whole table when N <= _BLOCK;
+    in a larger field each row's distinct elements are counted in place by
+    one fancy-index +=."""
+    counts = np.zeros(ctx.N, dtype=np.int32)
+    for T in tables:
+        if ctx.N <= _BLOCK:
+            counts += np.bincount(T.ravel(), minlength=ctx.N)
+        else:
+            for row in T:
+                counts[row] += 1
     counts[0] = 0
     return counts
 
@@ -268,7 +276,10 @@ def kernel_of_spread(S: Spread) -> int:
 
     Starts from all of End_{F_p}(V) and keeps, component by component, the
     maps T with T(W_j) <= W_j; returns p^dim of the rest, also stored in
-    S.kernel.  Warns if that is not a field or its size not a power of q.
+    S.kernel.  Every component is an F_q-subspace, so the e-dimensional
+    space of F_q-scalar maps is always kept: once dim K = e, K is that space
+    and the remaining components are not read.  Warns if K is not a field or
+    its size not a power of q.
     """
     if not isinstance(S, Spread) or not S.verified:
         raise ValueError("kernel is defined for verified spreads")
@@ -283,6 +294,8 @@ def kernel_of_spread(S: Spread) -> int:
         # one row a (x) w per pair (w in D, a in ann), a_i w_j at i * d + j
         rows = (ann[None, :, :, None] * D[:, None, None, :]).reshape(-1, d * d) % p
         K = nullspace(ctx, rows @ K.T % p) @ K % p
+        if len(K) == ctx.e:
+            break
     s = len(K)
     size = p ** s
     if s % ctx.e != 0:
@@ -338,7 +351,18 @@ def build_typeC(ctx: FieldCtx, i: int, delta: Elt) -> Spread:
 
 
 def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
-    """Two beta^2-orbits, of {x + delta x^(q^k)} and of its psi-image."""
+    """Two beta^2-orbits, of W = {x + delta x^(q^k)} and of its psi-image.
+
+    psi(z) = eta z^(q^n) is F_q-linear with psi(beta^(2j) x) =
+    beta^(2j q^n) psi(x).  beta^(q^n + 1) lies in F_q^*, which fixes every
+    component, and q^n = -1 mod half = (q^n + 1)/2, so the second orbit is
+    the psi-image of the first read backwards: second[i] = psi(first[-i]),
+    indices mod half.  The rows are built that way and checked: the first
+    orbit closes with half rows, beta^2 second[i] = second[i + 1], the union
+    covers every nonzero vector once, and psi maps each row of the second
+    half to a component.  Then beta^2 is transitive on each half and psi
+    joins them, so <beta^2, psi> is transitive on the components.
+    """
     if ctx.p == 2 or ctx.n % 2 == 0:
         raise ValueError("this construction needs odd q and odd n")
     if not (1 <= k <= ctx.n - 1) or math.gcd(k, ctx.n) != 1:
@@ -351,29 +375,49 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
     if ctx.is_square(eta):
         raise ValueError("eta must be a nonsquare")
     W = component_from_pair(*_twisted_pair(ctx, k), delta)
-    half = (qn + 1) // 2
-    # psi(z) = eta z^(q^n), an F_q-linear bijection of the ambient field
-    ne = ctx.n * ctx.e
-    first = orbit(W, "beta2")
-    second = orbit(Subspace._rows(ctx, _images(ctx, W.elements[None, :], eta, ne))[0],
-                   "beta2")
-    comps = first + second
-    if len(first) != half or len(second) != half or not is_spread(comps):
+    half, ne, size = (qn + 1) // 2, ctx.n * ctx.e, W.elements.size
+    b2 = ctx.mul(ctx.beta, ctx.beta)
+    log_b2 = int(ctx.log[b2])
+    if not np.array_equal(_images(ctx, W.elements[None, :],
+                                  ctx.exp[half * log_b2 % (ctx.N - 1)])[0], W.elements):
+        raise RuntimeError("the first beta^2-orbit does not close with (q^n + 1)/2 rows")
+    # the components, rows first + second, in blocks of at most _BLOCK
+    # entries: each block is the table of its images (the one block that
+    # holds the end of the first orbit joins two), and `rows` a view of every
+    # row built so far
+    per = max(1, _BLOCK // size)
+    blocks, rows = [], []
+
+    def take(idx):
+        return np.stack([rows[r] for r in idx])
+
+    for lo in range(0, 2 * half, per):
+        hi = min(lo + per, 2 * half)
+        parts = []
+        if lo < half:
+            j = np.arange(lo, min(hi, half))
+            parts.append(_images(ctx, W.elements[None, :],
+                                 ctx.exp[j * log_b2 % (ctx.N - 1)][:, None]))
+            rows += list(parts[0])
+        if hi > half:
+            parts.append(_images(ctx, take([-r % half for r in range(max(lo, half), hi)]),
+                                 eta, ne))
+        blocks.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        rows[lo:] = blocks[-1]
+    if not (_count(ctx, blocks)[1:] == 1).all():
         raise RuntimeError("two-orbit union failed spread verification")
-    # transitivity of <beta^2, psi> on the components: orbit() closed each
-    # beta^2-orbit, so beta^2 permutes both halves, and psi, mapping every
-    # component to one, joins them when psi(W) lies in the second half
-    index = {C.elements.tobytes(): i for i, C in enumerate(comps)}
-    rows = max(1, _BLOCK // W.elements.size)
-    psi = []
-    for lo in range(0, len(comps), rows):
-        T = np.stack([C.elements for C in comps[lo:lo + rows]])
-        for img in _images(ctx, T, eta, ne):
-            if img.tobytes() not in index:
-                raise RuntimeError("group action leaves the component set")
-            psi.append(index[img.tobytes()])
-    if psi[0] < half:
-        raise RuntimeError("<beta^2, psi> is not transitive on components")
+    # the second-half rows of each block, from s on
+    seconds = [(lo, max(lo, half) - lo, B) for lo, B in zip(range(0, 2 * half, per), blocks)
+               if lo + len(B) > half]
+    for lo, s, B in seconds:
+        after = [half + (r + 1) % half for r in range(lo + s, lo + len(B))]
+        if not np.array_equal(_images(ctx, B[s:], b2), take(after)):
+            raise RuntimeError("beta^2 does not cycle the second orbit")
+    members = {row.tobytes() for row in rows}
+    for lo, s, B in seconds:
+        if any(img.tobytes() not in members for img in _images(ctx, B[s:], eta, ne)):
+            raise RuntimeError("group action leaves the component set")
+    comps = [C for B in blocks for C in Subspace._rows(ctx, B)]
     return Spread(ctx, comps, "typeH", verified=True)
 
 

@@ -124,6 +124,28 @@ def test_frobenius_and_unit_group(c313):
         assert c313.pow(x, c313.N - 1) == 1
 
 
+def _frob_table_by_exponent(ctx, k):
+    """The Frobenius table's reference: x = g^i -> g^(i p^k), 0 -> 0."""
+    t = np.zeros(ctx.N, dtype=np.int64)
+    idx = (np.arange(ctx.N - 1, dtype=np.int64) * (ctx.p ** (k % ctx.d))) % (ctx.N - 1)
+    t[ctx.exp] = ctx.exp[idx]
+    return t
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 2), (3, 1, 3), (2, 1, 3), (2, 1, 4), (2, 1, 2),
+                                   (3, 1, 1), (3, 2, 1), (5, 1, 3)])
+def test_identity_frobenius_table_matches_the_exponent_build(tower):
+    # every conftest tower: k = 0 mod d is the read-only identity, cached
+    # once; k = 1 still goes through the exponents
+    ctx = build_tower(*tower)
+    for k in (0, ctx.d, 2 * ctx.d, -ctx.d, 1):
+        t = ctx.frob_table(k)
+        assert np.array_equal(t, _frob_table_by_exponent(ctx, k)) and t.dtype == np.int64
+        assert not t.flags.writeable
+    assert ctx.frob_table(0) is ctx.frob_table(ctx.d)
+    assert np.array_equal(ctx.frob_table(0), np.arange(ctx.N))
+
+
 def test_beta_power_in_fq(c313):
     b = c313.pow(c313.beta, c313.q ** c313.n + 1)
     assert b != 0 and c313.in_subfield(b, "q")

@@ -87,6 +87,21 @@ def test_normalize_installs_identity(c312):
     assert np.array_equal(again.table, T.table)
 
 
+def test_normalize_refuses_a_non_invertible_e(c312):
+    # x * y = x y except that row e maps two y to one value (then column e
+    # too): multiplication by e is no permutation on either side
+    S = planar_to_presemifield(DOPoly(c312, {(0, 0): 1}))
+    e = 5
+    for side in ("row", "column"):
+        table = S.table.copy()
+        if side == "row":
+            table[e, 1] = table[e, 2]
+        else:
+            table[1, e] = table[2, e]
+        with pytest.raises(ValueError, match="not invertible"):
+            normalize(Presemifield(c312, table, "qn"), int(S.elems[e]))
+
+
 @pytest.mark.parametrize("x", [-1, 729], ids=["minus-1", "N"])
 def test_presemifield_refuses_non_encodings(c313, x):
     # -1 and N are no encodings: neither may wrap to the end of the
@@ -118,6 +133,54 @@ def test_nucleus_elements_form_subfield(c312):
     S = planar_to_presemifield(DOPoly(c312, {(0, 0): 1}))
     els = nucleus_elements(S)
     assert sorted(els) == [int(x) for x in c312.subfield_elements("qn")]
+
+
+def _nucleus_masks_by_element(S):
+    """The nuclei's reference: one a at a time, (a*x)*y against a*(x*y) and
+    (x*a)*y against x*(a*y) as two whole M x M tables."""
+    T = S.table
+    M = S.size
+    left = np.zeros(M, dtype=bool)
+    middle = np.zeros(M, dtype=bool)
+    for a in range(M):
+        left[a] = np.array_equal(T[T[a, :], :], T[a][T])
+        middle[a] = np.array_equal(T[T[:, a], :], T[:, T[a, :]])
+    return left, middle
+
+
+def _twisted_semifields(ctx):
+    """The normalized presemifields of the planar L(x)^2 - w x^2, L = x^(q^i),
+    w = delta^-2, over every admissible delta and i = 1, 2."""
+    out = []
+    for i in (1, 2):
+        for d in ctx.find_deltas():
+            w = ctx.inv(ctx.mul(int(d), int(d)))
+            Q = DOPoly(ctx, {(i, i): 1, (0, 0): ctx.neg(w)})
+            if is_planar_2to1(Q):
+                out.append(normalize(planar_to_presemifield(Q), 1))
+    return out
+
+
+def test_nucleus_masks_match_the_per_element_reference(c313, c321):
+    # the 52 twisted instances at (3,3), and the Dickson semifield at q = 9,
+    # whose nucleus (F_3) is smaller than its middle nucleus (F_9)
+    instances = _twisted_semifields(c313) + [rtcs_build(_dickson(c321, 1))]
+    assert len(instances) == 53
+    for S in instances:
+        got, want = semifield._nucleus_masks(S), _nucleus_masks_by_element(S)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("per", [1, 5, 26, 27])
+def test_nucleus_masks_on_block_edges(c313, c321, monkeypatch, per):
+    # blocks of `per` values of a: 27 = 5 * 5 + 2 and 26 + 1 leave a short
+    # last block, 27 is one block at (3,3); at q = 9 (M = 81) 81 = 3 * 27
+    instances = [_twisted_semifields(c313)[7], rtcs_build(_dickson(c321, 1))]
+    for S in instances:
+        want = _nucleus_masks_by_element(S)
+        monkeypatch.setattr(semifield, "_BLOCK", per * S.size ** 2)
+        got = semifield._nucleus_masks(S)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # -- rank two commutative semifields ---------------------------------------------------

@@ -2,11 +2,16 @@
 orbit/polynomial correspondence."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spreadlab
 import spreadlab.spread as spread_mod
 from spreadlab import (DOPoly, FieldCtx, KeyLemmaReport, QPoly, Spread, Subspace,
                        build_even_n3, build_typeC,
@@ -268,22 +273,76 @@ def test_build_typeH_second_orbit_starts_at_psi_image(c313):
     assert S.components[len(S) // 2].elements.tolist() == want
 
 
-@pytest.mark.parametrize("fake_psi, message", [
-    (lambda table, imgs: imgs[:, :-1], "leaves the component set"),
-    (lambda table, imgs: table, "not transitive"),
+def _typeH_by_two_orbits(ctx, k, delta, eta):
+    """The type-H build's reference: the beta^2-orbit of W = {x + delta x^(q^k)}
+    followed by the beta^2-orbit of psi(W), each closed by orbit()."""
+    W = component_from_pair(QPoly.identity(ctx), QPoly.monomial(ctx, k, 1), delta)
+    psi_W = np.sort(ctx.vmul(eta, ctx.frob_table(ctx.n * ctx.e)[W.elements]))
+    first, second = orbit(W, "beta2"), orbit(Subspace._rows(ctx, psi_W[None, :])[0], "beta2")
+    assert len(first) == len(second) == (ctx.q ** ctx.n + 1) // 2
+    assert is_spread(first + second)
+    return first + second
+
+
+def _same_components(S, comps):
+    return [C.elements.tobytes() for C in S.components] == [C.elements.tobytes() for C in comps]
+
+
+def test_build_typeH_matches_the_two_orbit_build_at_3_3(c313):
+    # every (delta, eta) at (3,3) with k = 1: the same components in order
+    for d in c313.find_deltas():
+        for h in c313.find_etas(1):
+            S = build_typeH(c313, 1, int(d), int(h))
+            assert _same_components(S, _typeH_by_two_orbits(c313, 1, int(d), int(h))), (d, h)
+
+
+@pytest.mark.parametrize("p, e, n, k", [
+    (3, 1, 3, 2), (5, 1, 3, 1), (3, 2, 3, 1), (3, 1, 5, 2), (7, 1, 3, 1),
+], ids=["3-3-k2", "5-3", "9-3", "3-5-k2", "7-3"])
+def test_build_typeH_matches_the_two_orbit_build_sampled(p, e, n, k):
+    # (9,3) fills 9 blocks of 89 rows, the first four of the first orbit only,
+    # the fifth crossing into the second; the others fit in one block
+    ctx = build_tower(p, e, n)
+    deltas, etas = ctx.find_deltas(), ctx.find_etas(k)
+    rng = np.random.default_rng(p * 100 + e * 10 + n + k)
+    for _ in range(3):
+        d, h = int(rng.choice(deltas)), int(rng.choice(etas))
+        assert _same_components(build_typeH(ctx, k, d, h), _typeH_by_two_orbits(ctx, k, d, h))
+
+
+@pytest.mark.parametrize("rows", [1, 5, 13, 14, 15, 27])
+def test_build_typeH_blocks_cross_the_halves(c313, monkeypatch, rows):
+    # 28 rows in blocks of `rows`: a block may end at, straddle or start
+    # after the end of the first orbit (row 14), and the last may be short
+    d, h = int(c313.find_deltas()[3]), int(c313.find_etas(1)[5])
+    want = _typeH_by_two_orbits(c313, 1, d, h)
+    monkeypatch.setattr(spread_mod, "_BLOCK", rows * c313.q ** c313.n)
+    S = build_typeH(c313, 1, d, h)
+    assert _same_components(S, want)
+    blocks = {C.elements.base.ctypes.data for C in S.components}
+    assert len(blocks) == -(-28 // rows)
+
+
+@pytest.mark.parametrize("fake, message", [
+    # the psi-images of the lookup (the second psi pass at (3,3)) lose a column
+    (lambda ctx, table, g, k, imgs, psi_calls:
+     imgs[:, :-1] if k and psi_calls == 2 else imgs, "leaves the component set"),
+    # psi as the identity: the second half repeats the first
+    (lambda ctx, table, g, k, imgs, psi_calls:
+     table if k else imgs, "failed spread verification"),
+    # the beta^2-images of the shift check, moved down by one row
+    (lambda ctx, table, g, k, imgs, psi_calls:
+     np.roll(imgs, 1, axis=0) if not k and np.ndim(g) == 0
+     and g == ctx.mul(ctx.beta, ctx.beta) else imgs, "does not cycle the second orbit"),
 ])
-def test_build_typeH_group_check(c313, monkeypatch, fake_psi, message):
-    # the first psi-image (a one-row table) seeds the second orbit; fake only
-    # the later ones, which the transitivity check computes for all components
+def test_build_typeH_group_check(c313, monkeypatch, fake, message):
     real = spread_mod._images
-    seeded = []
+    psi_calls = []
 
     def images(ctx, table, g, k=0):
-        if k and seeded:
-            return fake_psi(table, real(ctx, table, g, k))
         if k:
-            seeded.append(table)
-        return real(ctx, table, g, k)
+            psi_calls.append(table)
+        return fake(ctx, table, g, k, real(ctx, table, g, k), len(psi_calls))
 
     monkeypatch.setattr(spread_mod, "_images", images)
     with pytest.raises(RuntimeError, match=message):
@@ -301,8 +360,9 @@ def _typeH_transitive_by_bfs(S: Spread, eta) -> bool:
     index = {C.elements.tobytes(): i for i, C in enumerate(S.components)}
     T = np.stack([C.elements for C in S.components])
     moves = []
+    # psi through the Frobenius table, independently of _images' vpow
     for b2_img, psi_img in zip(spread_mod._images(ctx, T, b2),
-                               spread_mod._images(ctx, T, eta, ne)):
+                               np.sort(ctx.vmul(eta, ctx.frob_table(ne)[T]), axis=1)):
         imgs = [index.get(b2_img.tobytes()), index.get(psi_img.tobytes())]
         if None in imgs:
             raise RuntimeError("group action leaves the component set")
@@ -586,15 +646,31 @@ def _first_spread(kind, p, e, n):
         return build_typeC(ctx, 1, ctx.find_deltas()[0])
     if kind == "typeH":
         return build_typeH(ctx, 1, ctx.find_deltas()[0], ctx.find_etas(1)[0])
+    if kind == "desarguesian":
+        # the beta-orbit of F_{q^n}, whose kernel is all of F_{q^n}
+        W = component_from_pair(QPoly.identity(ctx), QPoly.zero(ctx), ctx.find_deltas()[0])
+        return Spread(ctx, orbit(W, "beta"), "custom", verified=True)
     return build_even_n3(ctx, next(d for d in range(ctx.N) if even3_admissible(ctx, d)))
 
 
 @pytest.mark.parametrize("kind, p, e, n", [
     ("typeC", 3, 1, 3), ("typeH", 3, 1, 3), ("typeC", 5, 1, 3), ("even3", 2, 2, 3),
-], ids=["typeC-3-3", "typeH-3-3", "typeC-5-3", "even3-q4"])
+    ("desarguesian", 3, 1, 3),
+], ids=["typeC-3-3", "typeH-3-3", "typeC-5-3", "even3-q4", "desarguesian-3-3"])
 def test_kernel_matches_one_system_reference(kind, p, e, n):
     S = _first_spread(kind, p, e, n)
     assert kernel_of_spread(S) == _kernel_by_one_system(S)
+
+
+@pytest.mark.parametrize("kind, p, e, n, kernel, read", [
+    ("typeC", 5, 1, 3, 5, 5), ("typeH", 3, 1, 3, 3, 5), ("desarguesian", 3, 1, 3, 27, 28),
+], ids=["typeC-5-3", "typeH-3-3", "desarguesian-3-3"])
+def test_kernel_stops_once_it_is_F_q(kind, p, e, n, kernel, read):
+    # components whose basis the kernel never asked for keep _basis None; a
+    # kernel larger than F_q reads every component
+    S = _first_spread(kind, p, e, n)
+    assert kernel_of_spread(S) == kernel
+    assert sum(C._basis is not None for C in S.components) == read
 
 
 def test_kernel_matches_one_system_reference_even3_q2(c213, even3_deltas):
@@ -699,3 +775,25 @@ def test_kernel_requires_verified(c313, spread_c313):
     S = Spread(c313, spread_c313.components, "custom", verified=False)
     with pytest.raises(ValueError):
         kernel_of_spread(S)
+
+
+def test_builds_and_normalize_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call (13-30 ms); no library
+    # path below calls it, so a fresh interpreter never loads the module
+    code = """if True:
+        import sys
+        import spreadlab as sl
+        c = sl.build_tower(3, 1, 3)
+        d, eta = c.find_deltas()[0], c.find_etas(1)[0]
+        S = sl.build_typeH(c, 1, d, eta)
+        sl.Subspace(c, elements=S.components[3].elements)
+        w = c.inv(c.mul(d, d))
+        P = sl.normalize(sl.planar_to_presemifield(sl.DOPoly(c, {(1, 1): 1, (0, 0): c.neg(w)})), 1)
+        assert sl.nucleus(P) in (3, 27)
+        print("numpy.ma" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
