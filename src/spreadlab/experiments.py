@@ -194,6 +194,14 @@ def _outside_deltas(ctx: FieldCtx) -> np.ndarray:
     return np.flatnonzero(ctx.outside(np.arange(ctx.N), "qn"))
 
 
+def _coeff_rows(dom: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """The coefficient rows (a_0, ..., a_(n-1)) of the q-polynomials of
+    lexicographic index idx: digit i of the index in base len(dom), most
+    significant first, is the position of a_i in dom."""
+    qn = len(dom)
+    return dom[idx[:, None] // qn ** np.arange(n - 1, -1, -1) % qn]
+
+
 # -- no type C spread, odd q, n even ----------------------------------------------
 
 
@@ -211,10 +219,8 @@ def _odd_rows(state, lo: int, hi: int):
     as DOPolys in (L, delta) order, from one checked _pair_rows call (X for
     A, the rows for B)."""
     ctx, dom = state["ctx"], state["dom"]
-    n, qn, ne = ctx.n, len(dom), ctx.n * ctx.e
-    # digit i of the index, most significant first, is the position of a_i
-    idx = np.arange(lo, hi, dtype=np.int64)
-    coeffs = dom[idx[:, None] // qn ** np.arange(n - 1, -1, -1) % qn]
+    ne = ctx.n * ctx.e
+    coeffs = _coeff_rows(dom, np.arange(lo, hi, dtype=np.int64), ctx.n)
     return coeffs, _pair_rows(ctx, ne, ctx.e, state["ident"], coeffs, dom,
                               _lin_rows(ctx, ne, ctx.e, coeffs), state["deltas"])
 
@@ -259,38 +265,51 @@ def verify_no_typeC_odd(params: dict | None = None, *, jobs: int = 1,
 # -- no type C spread, even q, 8-dimensional ambient space --------------------------
 
 
-def _even8_rows(ctx, ltab, dom, norm, delta):
-    """One bool per row of the L-value table ltab: does
-    Q(x) = (L(x) + delta x)^(1+q^4) permute F_{q^4}?  A row of Q-values is
-    a permutation when its sorted values are distinct."""
-    w = ctx.vadd(ltab, ctx.vmul(int(delta), dom)[None, :])
+def _even8_rows(ctx, rows, shift, norm):
+    """One bool per row of the value table rows plus the one row shift:
+    with W(x) = row(x) + shift(x), does Q(x) = W(x)^(1+q^4) permute
+    F_{q^4}?  A row of Q-values is a permutation when its sorted values are
+    distinct."""
+    w = ctx.vadd(rows, shift[None, :])
     qv = np.sort(norm[w], axis=1)
     return (qv[:, 1:] != qv[:, :-1]).all(axis=1)
 
 
 def _even8_setup(p, e):
-    """The coefficient rows, the least delta outside F_{q^4}, delta0, and
-    the rows of the L that permute at delta0; _even8_check reads every
-    other delta off them."""
+    """F_{q^4}, the norm table x -> x^(1+q^4), the least delta outside
+    F_{q^4}, delta0, and the lexicographic indices of the L that permute at
+    delta0; _even8_check reads every other delta off them.
+
+    The delta0 pass goes one block of L at a time.  The trailing t
+    coefficients are outer-summed once into an inner table of q^(4t) rows,
+    t <= 3 the largest whose table fits _ROW_BLOCK entries; each prefix of
+    leading coefficients is one shift row, sum a_i x^(q^i) over the prefix
+    plus delta0 x, added to every inner row.  So L of index
+    prefix * q^(4t) + r is inner row r under the shift of its prefix, and no
+    table grows with the number of L."""
     ctx = build_tower(p, e, 4)
-    ne = ctx.n * ctx.e
     dom = ctx.subfield_elements("qn").astype(np.int64)
     qn = len(dom)
     amb = np.arange(ctx.N, dtype=np.int64)
-    # every coefficient row (a0, a1, a2, a3), in lexicographic order
-    coeffs = dom[np.indices((qn,) * 4).reshape(4, -1).T]
-    # L-value table in the same row order: the outer sum of the monomial
-    # tables a x^(q^i) (row a, column x), 4 q^8 vmul entries against the
-    # 4 q^20 of _lin_rows on every row
-    ltab = np.zeros((1, qn), dtype=np.int64)
-    for i in range(4):
-        mono = ctx.vmul(dom[:, None], ctx.frob_table(ctx.e * i)[dom][None, :])
-        ltab = ctx.vadd(ltab[:, None, :], mono[None, :, :]).reshape(-1, qn)
+    # the monomial tables a x^(q^i) (row a, column x): 4 q^8 vmul entries
+    mono = [ctx.vmul(dom[:, None], ctx.vpow(dom, ctx.q ** i)[None, :]) for i in range(4)]
     # int32 Q-values: the row sort then moves half the bytes
-    norm = ctx.vmul(amb, ctx.frob_table(ne)[amb]).astype(np.int32)
+    norm = ctx.vmul(amb, ctx.vpow(amb, ctx.q ** 4)).astype(np.int32)
     d0 = int(_outside_deltas(ctx)[0])
-    return {"ctx": ctx, "dom": dom, "coeffs": coeffs, "norm": norm, "d0": d0,
-            "hits0": np.flatnonzero(_even8_rows(ctx, ltab, dom, norm, d0))}
+    t = max(t for t in range(4) if qn ** (t + 1) <= _ROW_BLOCK)
+    inner = np.zeros((1, qn), dtype=np.int64)
+    for m in mono[4 - t:]:
+        inner = ctx.vadd(inner[:, None, :], m[None, :, :]).reshape(-1, qn)
+    d0x = ctx.vmul(d0, dom)
+    hits = []
+    for prefix, digits in enumerate(np.ndindex(*(qn,) * (4 - t))):
+        shift = d0x
+        for m, a in zip(mono, digits):
+            shift = ctx.vadd(shift, m[a])
+        hits.append(prefix * len(inner)
+                    + np.flatnonzero(_even8_rows(ctx, inner, shift, norm)))
+    return {"ctx": ctx, "dom": dom, "norm": norm, "d0": d0,
+            "hits0": np.concatenate(hits)}
 
 
 def _even8_check(state, lo: int, hi: int):
@@ -302,14 +321,16 @@ def _even8_check(state, lo: int, hi: int):
     x = c^-1 y turns L(x) + delta x into L~(y) + delta0 y, where a~i = 0
     exactly when ai = 0 for i = 1, 2, 3.  So every delta has as many hits
     as delta0, all scalar when those at delta0 are.  The scan is one range
-    starting at delta0, so a non-scalar delta0 hit is its counterexample."""
-    coeffs, hits0 = state["coeffs"], state["hits0"]
-    bad = hits0[coeffs[hits0, 1:].any(axis=1)]    # a1 = a2 = a3 = 0 is L = a0 X
+    starting at delta0, so a non-scalar delta0 hit is its counterexample;
+    the coefficients of the delta0 hits are decoded from their indices."""
+    dom, hits0 = state["dom"], state["hits0"]
+    coeffs = _coeff_rows(dom, hits0, 4)
+    bad = np.flatnonzero(coeffs[:, 1:].any(axis=1))  # a1 = a2 = a3 = 0 is L = a0 X
     if not len(bad):
-        return (hi - lo) * len(coeffs), (hi - lo) * len(hits0), None
-    row = int(bad[0])
-    return row + 1, len(hits0), {"L_coeffs": coeffs[row].tolist(),
-                                 "delta": state["d0"]}
+        return (hi - lo) * len(dom) ** 4, (hi - lo) * len(hits0), None
+    k = int(bad[0])
+    return int(hits0[k]) + 1, len(hits0), {"L_coeffs": coeffs[k].tolist(),
+                                           "delta": state["d0"]}
 
 
 def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
@@ -324,7 +345,9 @@ def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
     exactly when every permutation hit is scalar.
 
     The scan is one range of all the deltas, read off the delta0 verdicts,
-    so it has nothing to checkpoint or fork.
+    so it has nothing to checkpoint or fork.  The delta0 verdicts come one
+    block of L at a time (_even8_setup), so its memory does not grow with
+    the q^16 polynomials.
     """
     params = _read_params(params, q=2)
     q = int(params["q"])
@@ -437,7 +460,7 @@ def _hermite_brute(ctx: FieldCtx, delta):
     delta is an int (an int comes back) or an array of deltas: one row of
     Q-values per delta, one vpow, and the rows summed by halving."""
     X = ctx.subfield_elements("qn")
-    Xq = ctx.frob_table(ctx.e)[X]
+    Xq = ctx.vpow(X, ctx.q)
     d = np.asarray(delta, dtype=np.int64)[..., None]
     dconj = ctx.vpow(d, ctx.p ** (ctx.n * ctx.e))
     Q = ctx.vmul(ctx.vadd(Xq, ctx.vmul(d, X)), ctx.vadd(Xq, ctx.vmul(dconj, X)))
@@ -619,6 +642,8 @@ def run_experiment(spec: ExperimentSpec) -> VerdictReport:
                          f"known: {', '.join(sorted(_EXPERIMENTS))}")
     fn = _EXPERIMENTS[spec.name]
     # refuse before the scan, not at its first checkpoint or its report
+    if spec.seed < 0:
+        raise ValueError(f"seed must be at least 0 (got {spec.seed})")
     folder = os.path.dirname(spec.out or "")
     if folder and not os.path.isdir(folder):
         raise ValueError(f"cannot write the report {spec.out}: "

@@ -266,6 +266,22 @@ def test_experiment_rejects_params(tmp_path, capsys, argv, msg):
     assert not out.exists()
 
 
+def test_experiment_refuses_negative_seed(tmp_path, capsys, monkeypatch):
+    # refused before any scan is dispatched, with the seed named, not with
+    # numpy's bare "expected non-negative integer" from the sampler
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(ex, "_run_scan", no_scan)
+    out = tmp_path / "p.json"
+    assert main(["experiment", "planar-dichotomy", "--q", "3", "--m", "3", "--k", "1",
+                 "--sample", "10", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be at least 0 (got -1)")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_experiment_refuses_corrupt_state(tmp_path, capsys):
     out = tmp_path / "h.json"
     (tmp_path / "h.json.state").write_text("{broken")

@@ -6,6 +6,7 @@ import json
 import multiprocessing.pool as mp_pool
 import os
 import re
+import tracemalloc
 import zlib
 from types import SimpleNamespace
 
@@ -1129,10 +1130,18 @@ def test_even8_resume_completes(tmp_path):
     assert not os.path.exists(out + ".state")
 
 
+def _even8_coeffs(state) -> np.ndarray:
+    """Reference: every coefficient row (a0, a1, a2, a3) in lexicographic
+    order, as one block (not decoded from the row index)."""
+    dom = state["dom"]
+    return dom[np.indices((len(dom),) * 4).reshape(4, -1).T]
+
+
 def _even8_ltab(state):
-    """The L-value table of the scan's coefficient rows, built column by
-    column from the coefficient block (not as the setup builds it)."""
-    ctx, dom, coeffs = state["ctx"], state["dom"], state["coeffs"]
+    """The L-value table of every coefficient row, built column by column
+    from the coefficient block (not as the setup builds it)."""
+    ctx, dom = state["ctx"], state["dom"]
+    coeffs = _even8_coeffs(state)
     ltab = np.zeros((len(coeffs), len(dom)), dtype=np.int64)
     for i in range(4):
         pw = ctx.frob_table(ctx.e * i)[dom]
@@ -1141,7 +1150,21 @@ def _even8_ltab(state):
 
 
 def _even8_rows(state, ltab, delta):
-    return ex._even8_rows(state["ctx"], ltab, state["dom"], state["norm"], delta)
+    ctx = state["ctx"]
+    return ex._even8_rows(ctx, ltab, ctx.vmul(int(delta), state["dom"]), state["norm"])
+
+
+def _even8_hits0(state) -> np.ndarray:
+    """Reference: the delta0 hit rows from one whole L-value table, the
+    outer sum of the monomial tables a x^(q^i) read off frob_table, and one
+    row sort of all of it."""
+    ctx, dom = state["ctx"], state["dom"]
+    qn = len(dom)
+    ltab = np.zeros((1, qn), dtype=np.int64)
+    for i in range(4):
+        mono = ctx.vmul(dom[:, None], ctx.frob_table(ctx.e * i)[dom][None, :])
+        ltab = ctx.vadd(ltab[:, None, :], mono[None, :, :]).reshape(-1, qn)
+    return np.flatnonzero(_even8_rows(state, ltab, state["d0"]))
 
 
 def _even8_maps(state, delta: int) -> list[np.ndarray]:
@@ -1180,15 +1203,17 @@ def _even8_hits(state, base, delta: int) -> np.ndarray:
 
 def _even8_first(state, base, delta: int):
     """Reference: all L against one delta in row order, up to the first hit
-    whose L is not a scalar multiple of X."""
-    coeffs = state["coeffs"]
+    whose L is not a scalar multiple of X; the coefficients of the hit rows
+    come from the scan's decoding."""
     hit = _even8_hits(state, base, int(delta))
     hits = np.flatnonzero(hit)
-    bad = hits[coeffs[hits, 1:].any(axis=1)]
+    coeffs = ex._coeff_rows(state["dom"], hits, 4)
+    bad = np.flatnonzero(coeffs[:, 1:].any(axis=1))
     if not len(bad):
         return len(hit), len(hits), None
-    row = int(bad[0])
-    return row + 1, len(hits), {"L_coeffs": coeffs[row].tolist(), "delta": int(delta)}
+    k = int(bad[0])
+    return int(hits[k]) + 1, len(hits), {"L_coeffs": coeffs[k].tolist(),
+                                         "delta": int(delta)}
 
 
 def _even8_ordered_pass(state):
@@ -1234,13 +1259,15 @@ def _even8_bitmask_hits(state, ltab, delta):
     return np.nonzero(occ == (1 << len(dom)) - 1)[0]
 
 
-def test_even8_row_sort_matches_bitmask():
+def test_even8_row_sort_matches_bitmask(monkeypatch):
     state = ex._even8_setup(2, 1)
-    ctx, dom, coeffs = state["ctx"], state["dom"], state["coeffs"]
+    ctx, dom = state["ctx"], state["dom"]
+    coeffs = _even8_coeffs(state)
     ltab = _even8_ltab(state)
     qn = len(dom)
     rows = np.arange(qn ** 4)
-    # the coefficient block is the lexicographic order the row index encodes
+    # the row index decodes to the lexicographic coefficient block
+    assert np.array_equal(ex._coeff_rows(dom, rows, 4), coeffs)
     for i in range(4):
         assert np.array_equal(coeffs[:, i], dom[(rows // qn ** (3 - i)) % qn])
     deltas = [d for d in range(1, ctx.N) if not ctx.in_subfield(d, "qn")]
@@ -1260,10 +1287,10 @@ def test_even8_row_sort_matches_bitmask():
     assert np.array_equal(state["hits0"], want)
     assert ex._even8_check(state, 0, 240) == (240 * qn ** 4, 240 * 16, None)
     # a delta0 hit whose row is marked non-scalar is reported as the counterexample
-    marked = coeffs.copy()
-    marked[:, 1] = 1
-    assert ex._even8_check(dict(state, coeffs=marked), 0, 240) == (
-        want[0] + 1, 16, {"L_coeffs": marked[want[0]].tolist(), "delta": deltas[0]})
+    _marked(monkeypatch)
+    marked = [int(dom[want[0] // qn ** 3]), 1, 0, 0]
+    assert ex._even8_check(state, 0, 240) == (
+        want[0] + 1, 16, {"L_coeffs": marked, "delta": deltas[0]})
 
 
 def test_even8_reparametrized_hits_match_row_sort():
@@ -1291,16 +1318,69 @@ def _count_calls(log, name, fn):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_even8_sorts_once_per_scan(tmp_path, monkeypatch, jobs):
-    # setup, and with it the only row sort, runs once in the parent; forked
-    # workers read the inherited table and never sort again
+    # setup, and with it every row sort, runs once in the parent; forked
+    # workers read the inherited hits and never sort again.  At q = 2 the
+    # inner table of the two trailing coefficients has 256 rows of 16
+    # entries (4,096 <= _ROW_BLOCK; three would take 65,536), so the delta0
+    # pass sorts once per block, one block for each of the 256 prefixes
+    # (a0, a1)
     log = tmp_path / "calls"
     monkeypatch.setattr(ex, "_even8_setup", _count_calls(log, "setup", ex._even8_setup))
     monkeypatch.setattr(ex, "_even8_rows", _count_calls(log, "rows", ex._even8_rows))
     rep = verify_no_typeC_even_8dim({"q": 2}, jobs=jobs)
     assert (rep.verdict, rep.candidates) == ("confirmed", 15728640)
     assert rep.details["permutation_pairs"] == rep.details["desarguesian_pairs"] == 3840
-    assert log.read_text().splitlines() == [f"setup {os.getpid()}",
-                                            f"rows {os.getpid()}"]
+    assert log.read_text().splitlines() == ([f"setup {os.getpid()}"]
+                                            + [f"rows {os.getpid()}"] * 256)
+
+
+@pytest.mark.parametrize("row_block, prefix", [(ex._ROW_BLOCK, 2), (1 << 16, 1),
+                                               (1 << 8, 3)])
+def test_even8_blocked_hits_match_one_table(tmp_path, monkeypatch, row_block, prefix):
+    # the delta0 hits of the blocked pass are byte for byte those of one
+    # whole L-value table, whether a block holds the L of 1, 2 or 3 leading
+    # coefficients (q^(4 prefix) blocks of one row sort each)
+    state = ex._even8_setup(2, 1)
+    want = _even8_hits0(state)
+    assert len(want) == 16
+    log = tmp_path / "calls"
+    monkeypatch.setattr(ex, "_ROW_BLOCK", row_block)
+    monkeypatch.setattr(ex, "_even8_rows", _count_calls(log, "rows", ex._even8_rows))
+    got = ex._even8_setup(2, 1)["hits0"]
+    assert len(log.read_text().splitlines()) == 16 ** prefix
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_even8_setup_peak_memory():
+    # no table grows with the number of L: the whole L-value table of
+    # 65,536 x 16 entries took a 26 MB peak
+    build_tower(2, 1, 4)
+    tracemalloc.start()
+    try:
+        ex._even8_setup(2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+
+
+def test_even8_and_hermite_build_no_frobenius_table(monkeypatch, c213):
+    # the powers x^(q^i) come from vpow on F_{q^4} (F_{q^3}), and the norm
+    # x^(1+q^4) from vpow on the whole field: no whole-field frob_table is
+    # built or cached; frob_table stays the reference
+    state = ex._even8_setup(2, 1)
+    ctx = state["ctx"]
+    amb = np.arange(ctx.N)
+    assert np.array_equal(state["norm"], ctx.vmul(amb, ctx.frob_table(ctx.n * ctx.e)[amb]))
+    deltas = ex._outside_deltas(c213)
+    want = ex._hermite_brute(c213, deltas)
+
+    def no_table(self, k):
+        raise AssertionError(f"frob_table({k}) called")
+
+    monkeypatch.setattr(type(ctx), "frob_table", no_table)
+    assert np.array_equal(ex._even8_setup(2, 1)["hits0"], state["hits0"])
+    assert np.array_equal(ex._hermite_brute(c213, deltas), want)
 
 
 def test_even8_preconditions():
@@ -1337,21 +1417,30 @@ def test_even8_maps_are_bijections_fixing_zero():
                 assert m[zero] == zero, (delta, i)
 
 
-def _marked(state):
-    """state, with every coefficient row marked non-scalar (a1 = 1)."""
-    coeffs = state["coeffs"].copy()
-    coeffs[:, 1] = 1
-    return dict(state, coeffs=coeffs)
+def _marked(monkeypatch, k: int = 0):
+    """Patch the hit-row coefficient decoding: every row whose leading digit
+    (the position of a0) is at least k decodes with a1 = 1, non-scalar."""
+    decode = ex._coeff_rows
+
+    def marked(dom, idx, n):
+        coeffs = decode(dom, idx, n)
+        coeffs[idx // len(dom) ** (n - 1) >= k, 1] = 1
+        return coeffs
+
+    monkeypatch.setattr(ex, "_coeff_rows", marked)
 
 
-def test_even8_check_matches_the_ordered_pass():
+def test_even8_check_matches_the_ordered_pass(monkeypatch):
     # the one-range delta0 check against the per-delta gather at every delta
     # in order, with the real coefficient rows (no counterexample anywhere)
-    # and with every row marked non-scalar (one at every delta, so the
-    # ordered pass stops at delta0)
+    # and with the rows of leading digit >= k marked non-scalar (one at
+    # every delta, so the ordered pass stops at delta0)
     state = ex._even8_setup(2, 1)
-    for st in (state, _marked(state)):
-        assert ex._even8_check(st, 0, 240) == _even8_ordered_pass(st)
+    assert ex._even8_check(state, 0, 240) == _even8_ordered_pass(state)
+    for k in (0, 9):
+        with monkeypatch.context() as mp:
+            _marked(mp, k)
+            assert ex._even8_check(state, 0, 240) == _even8_ordered_pass(state)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1383,22 +1472,37 @@ def test_even8_counterexample_at_the_first_delta_scanned(tmp_path, monkeypatch):
     # not resumed, and the finished scan removes it
     state = ex._even8_setup(2, 1)
     ltab = _even8_ltab(state)
-    marked = _marked(state)["coeffs"]
     delta = ex._outside_deltas(state["ctx"])[0]
     first = int(np.flatnonzero(_even8_rows(state, ltab, delta))[0])
-    setup = ex._even8_setup
-    monkeypatch.setattr(ex, "_even8_setup", lambda *args: _marked(setup(*args)))
+    marked = _even8_coeffs(state)[first].tolist()
+    marked[1] = 1
+    _marked(monkeypatch)
     out = str(tmp_path / "even8.json")
     _save_state(out, ex._state_key("no-typec-even8", {"q": 2}, 240, 1),
                 pos=7, candidates=7 * 65536, hits=7 * 16, seconds=0.0)
     for path in (None, out):
         rep = verify_no_typeC_even_8dim({"q": 2}, out=path)
         assert rep.verdict == "counterexample"
-        assert rep.counterexample == {"L_coeffs": marked[first].tolist(), "delta": delta}
+        assert rep.counterexample == {"L_coeffs": marked, "delta": delta}
         assert rep.candidates == first + 1
         assert rep.details["permutation_pairs"] == 16
         assert rep.details["desarguesian_pairs"] is None
     assert not os.path.exists(out + ".state")
+
+
+@pytest.mark.parametrize("k", [1, 7, 15])
+def test_even8_counterexample_in_a_later_block(monkeypatch, k):
+    # with only the rows of leading digit >= k marked non-scalar, the first
+    # marked delta0 hit is L = a0 X with a0 = dom[k], row k q^12, in block
+    # 16 k of the delta0 pass
+    state = ex._even8_setup(2, 1)
+    _marked(monkeypatch, k)
+    rep = verify_no_typeC_even_8dim({"q": 2})
+    assert rep.verdict == "counterexample"
+    assert rep.candidates == k * 2 ** 12 + 1
+    assert rep.counterexample == {"L_coeffs": [int(state["dom"][k]), 1, 0, 0],
+                                  "delta": state["d0"]}
+    assert rep.details["permutation_pairs"] == 16
 
 
 # -- dispatch and reports --------------------------------------------------------------------
