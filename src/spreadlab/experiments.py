@@ -23,13 +23,12 @@ import numpy as np
 from .field import FieldCtx, build_tower, factor_prime_power
 from .linpoly import QPoly, _lin_rows
 from .quadform import is_permutation_brute, permutes_cosets
-from .semifield import _pair_rows, _two_to_one, q_from_pairs
-from .spread import _BLOCK, _check_element
+from .semifield import _check_element, _pair_rows, _two_to_one, q_from_pairs
 
 CHECKPOINT_EVERY = 1_000_000
 
-# entries in the widest table of one block of the odd, Hermite and full
-# planar scans
+# entries in the widest table of one block of the odd, Hermite and planar
+# scans
 _ROW_BLOCK = 1 << 14
 
 
@@ -550,10 +549,9 @@ def _planar_setup(p, e, m, k, codes):
     """The value table of -w X^(2 q^k) on F_{q^2m}, and the pair codes
     a N + b of the scan's items (None: item i is pair code i)."""
     ctx = build_tower(p, e, m)
-    amb = np.arange(ctx.N, dtype=np.int64)
     w = ctx.least_nonsquare("q2n")
     return {"ctx": ctx, "w": w, "codes": codes,
-            "negw": ctx.vmul(ctx.neg(w), ctx.frob_table(ctx.e * k)[ctx.vmul(amb, amb)])}
+            "negw": ctx.vmul(ctx.neg(w), ctx.vpow(np.arange(ctx.N), 2 * ctx.q ** k))}
 
 
 def _planar_rows(state, A, B) -> np.ndarray:
@@ -602,26 +600,21 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
     N = q ** (2 * m)          # pairs: N^2 in full, 2N - 1 boundary + sample
     if (N * N if sample is None else 2 * N - 1 + int(sample)) > 10 ** 6:
         raise ValueError("search space exceeds the desk-scale budget")
-    ctx = build_tower(p, e, m)
-    if sample is None:
-        # ranges whose value rows fill about _ROW_BLOCK entries: with nothing
-        # else on the heap, glibc returns temporaries above its 128 KiB mmap
-        # threshold to the system after every block, and every block then
-        # faults them in again
-        codes, total, size = None, N * N, max(1, _ROW_BLOCK // N)
-    else:
+    codes = None
+    if sample is not None:
         # (0, 0), (a, 0), (0, b), then one (sample, 2) draw: the same pairs
         # as 2 * sample scalar draws, a then b
         ab = np.random.default_rng(seed).integers(1, N, (int(sample), 2))
         span = np.arange(1, N, dtype=np.int64)
         codes = np.concatenate([[0], span * N, span, ab[:, 0] * N + ab[:, 1]])
-        # ranges whose value rows fill one table of about _BLOCK entries
-        total, size = len(codes), max(1, _BLOCK // N)
-    w = int(ctx.least_nonsquare("q2n"))
+    w = int(build_tower(p, e, m).least_nonsquare("q2n"))
+    # ranges whose value rows fill about _ROW_BLOCK entries, in both modes:
+    # glibc maps a temporary above its 128 KiB mmap threshold afresh, and
+    # faults its pages in again, on every block
     return _run_scan(
         "planar-dichotomy", {"q": q, "m": m, "k": k, "sample": sample, "seed": seed},
-        total, size, _planar_setup, (p, e, m, k, codes), _planar_check,
-        lambda hits, cex: {"w": w}, jobs, out)
+        N * N if codes is None else len(codes), max(1, _ROW_BLOCK // N), _planar_setup,
+        (p, e, m, k, codes), _planar_check, lambda hits, cex: {"w": w}, jobs, out)
 
 
 # -- dispatcher and reporting --------------------------------------------------------

@@ -49,10 +49,12 @@ F_q^*-coset exactly when their logs agree mod (N-1)/(q-1).  in_subfield (one
 encoding) and outside (an array) are the one membership rule; every other
 module tests membership through them, not through element_index.
 
-Besides the arithmetic tables, a FieldCtx keeps the Frobenius tables, the
-sorted subfield element lists and, in _index_cache, the element_index and
-coord_index lookups; span is recomputed on every call.  This module alone
-knows their layout: other modules go through the methods.
+Frobenius powers x^(p^k) come from vpow on just the values needed;
+frob_table builds the whole-field table only as a reference for tests.
+Besides the arithmetic tables, a FieldCtx keeps the sorted subfield element
+lists and, in _index_cache, the element_index and coord_index lookups; span
+is recomputed on every call.  This module alone knows their layout: other
+modules go through the methods.
 """
 
 from __future__ import annotations
@@ -366,16 +368,14 @@ class FieldCtx:
         return self._exp.take(L * (m % M) % M + L // M * M).astype(np.int64)
 
     def frob_table(self, k: int) -> np.ndarray:
-        """Lookup table x -> x^(p^k) over the whole ambient field; for
-        k = 0 mod d the identity, np.arange(N)."""
+        """Lookup table x -> x^(p^k) over the whole ambient field, N int64
+        entries cached for the life of the tower: a reference for tests,
+        read by no library path, which takes x^(p^k) from vpow."""
         k = k % self.d
         if k not in self._frob_cache:
-            if k == 0:
-                t = np.arange(self.N, dtype=np.int64)
-            else:
-                t = np.zeros(self.N, dtype=np.int64)
-                idx = (np.arange(self.N - 1, dtype=np.int64) * (self.p ** k)) % (self.N - 1)
-                t[self.exp] = self.exp[idx]
+            t = np.zeros(self.N, dtype=np.int64)
+            idx = (np.arange(self.N - 1, dtype=np.int64) * (self.p ** k)) % (self.N - 1)
+            t[self.exp] = self.exp[idx]
             t.flags.writeable = False
             self._frob_cache[k] = t
         return self._frob_cache[k]
@@ -418,11 +418,12 @@ class FieldCtx:
 
     def outside(self, X, tag) -> np.ndarray:
         """Mask of the entries of X that are not encodings of the tagged
-        subfield: not in_subfield, elementwise."""
+        subfield: not in_subfield, elementwise, integers past int64 included."""
         k = self.tag_degree(tag)
-        X = np.asarray(X, dtype=np.int64)
+        X = np.asarray(X)
         bad = (X < 0) | (X >= self.N)       # these read log 0 = 2(N-1) instead
-        return bad | (self.log[np.where(bad, 0, X)] % ((self.N - 1) // (self.p ** k - 1)) != 0)
+        at = np.where(bad, 0, X).astype(np.int64, copy=False)
+        return bad | (self.log[at] % ((self.N - 1) // (self.p ** k - 1)) != 0)
 
     def subfield_primitive(self, tag) -> Elt:
         """gamma^((N-1)/(p^k-1)): a generator of the tagged subfield's units."""
@@ -446,31 +447,23 @@ class FieldCtx:
         return [self.pow(mu, i) for i in range(m)]
 
     def trace(self, x: Elt, frm="qn", to="q") -> Elt:
-        """Relative trace from the frm field down to the to field."""
-        kf, kt = self.tag_degree(frm), self.tag_degree(to)
-        if kf % kt != 0:
-            raise ValueError("trace target is not a subfield of the source")
-        if not self.in_subfield(x, kf):
-            raise ValueError(f"element {x} is not in the source field")
-        s = self.p ** kt
-        out, t = 0, x
-        for _ in range(kf // kt):
-            out = self.add(out, t)
-            t = self.pow(t, s)
-        return out
+        """Relative trace from the frm field down to the to field: the
+        one-element case of vtrace, with its refusals."""
+        return int(self.vtrace(x, frm, to))
 
     def vtrace(self, X, frm="qn", to="q") -> np.ndarray:
-        """trace elementwise on an array of encodings, through frob_table(to)."""
+        """Relative trace elementwise on an array of encodings: the sum of
+        the conjugates x^(s^i), s the size of the to field, each from vpow."""
         kf, kt = self.tag_degree(frm), self.tag_degree(to)
         if kf % kt != 0:
             raise ValueError("trace target is not a subfield of the source")
-        X = np.asarray(X, dtype=np.int64)
+        X = np.asarray(X)
         bad = self.outside(X, kf)
         if np.any(bad):
             raise ValueError(f"element {X[bad][0]} is not in the source field")
-        out, t = X, X
+        out = t = X.astype(np.int64, copy=False)
         for _ in range(kf // kt - 1):
-            t = self.frob_table(kt)[t]
+            t = self.vpow(t, self.p ** kt)
             out = self.vadd(out, t)
         return out
 

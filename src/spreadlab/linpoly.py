@@ -160,14 +160,14 @@ def _lin_rows(ctx: FieldCtx, field_k: int, base_k: int, coeffs) -> np.ndarray:
     coefficients lie along the last axis of coeffs: shape
     coeffs.shape[:-1] + (p^field_k,)."""
     dom = ctx.subfield_elements(field_k)
-    return _sum_rows(ctx, coeffs, len(dom), lambda i: ctx.frob_table(base_k * i)[dom])
+    return _sum_rows(ctx, coeffs, len(dom), lambda i: ctx.vpow(dom, ctx.p ** (base_k * i)))
 
 
 def _sum_rows(ctx: FieldCtx, coeffs, width: int, mono) -> np.ndarray:
     """The sum over k of coeffs[..., k] times the monomial table mono(k),
     width entries, one k at a time so no temporary is wider than the
     result.  A k with coefficient 0 in every row is skipped, its mono(k)
-    (and any Frobenius table it needs) never built."""
+    never computed."""
     coeffs = np.asarray(coeffs, dtype=np.int64)
     used = np.flatnonzero(coeffs.any(axis=tuple(range(coeffs.ndim - 1)))).tolist()
     if not used:

@@ -91,10 +91,11 @@ class DOPoly(_GradedPoly):
 def _key_rows(ctx: FieldCtx, field_k: int, base_k: int, keys, coeffs) -> np.ndarray:
     """The value tables of DO polynomials whose coefficients over keys lie
     along the last axis of coeffs: shape coeffs.shape[:-1] + (p^field_k,),
-    the sum over (i, j) of the coefficient times x^(s^i) x^(s^j)."""
+    the sum over (i, j) of the coefficient times x^(s^i) x^(s^j), each
+    power x^(s^i) computed once."""
     dom = ctx.subfield_elements(field_k)
-    return _sum_rows(ctx, coeffs, len(dom), lambda k: ctx.vmul(
-        *(ctx.frob_table(base_k * i)[dom] for i in keys[k])))
+    power = functools.cache(lambda i: ctx.vpow(dom, ctx.p ** (base_k * i)))
+    return _sum_rows(ctx, coeffs, len(dom), lambda k: ctx.vmul(*map(power, keys[k])))
 
 
 def _polar(ctx: FieldCtx, field_k: int, vals, X, Y) -> np.ndarray:

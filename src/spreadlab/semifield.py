@@ -250,7 +250,7 @@ def rtcs_build(spec: RtcsSpec) -> Presemifield:
     t = spec.t
     tq = ctx.frob(t, ctx.e)
     dinv = ctx.inv(ctx.sub(t, tq))
-    zq = ctx.frob_table(ctx.e)[els]
+    zq = ctx.vpow(els, ctx.q)
     X = ctx.vmul(ctx.vsub(els, zq), dinv)      # t-coordinate, lies in F_q
     Y = ctx.vsub(els, ctx.vmul(X, t))          # constant coordinate
     xu = ctx.vmul(X[:, None], X[None, :])
@@ -272,6 +272,11 @@ def rtcs_build(spec: RtcsSpec) -> Presemifield:
 # -- products of conjugate linear factors -----------------------------------------
 
 
+def _check_element(ctx: FieldCtx, name: str, x) -> None:
+    if not ctx.in_subfield(x, "q2n"):
+        raise ValueError(f"{name} = {x} is not an element encoding in 0..{ctx.N - 1}")
+
+
 def q_from_pairs(A: QPoly, B: QPoly, deltas) -> list[DOPoly]:
     """The DO polynomials (A(X) + d B(X)) * (A(X) + d^(q^n) B(X)), one per d
     in deltas, in order: the one-row case of _pair_rows, with the same
@@ -288,13 +293,17 @@ def _pair_rows(ctx: FieldCtx, field_k: int, base_k: int, a, b, va, vb,
     F_p^base_k.
 
     a and b are the coefficient rows of A and B (last axis, broadcast
-    against each other), va and vb their value rows.  Every d must lie
-    outside the domain field so the two factors are genuinely conjugate;
-    every coefficient of the expansion (_pair_coeffs) must then lie in it.
+    against each other), va and vb their value rows.  Every d must be an
+    encoding outside the domain field so the two factors are genuinely
+    conjugate; every coefficient of the expansion (_pair_coeffs) must then
+    lie in it.
     The (rows x deltas x q^n) value table is computed from those
     coefficients (_key_rows) and compared with the defining product in one
     check; each result keeps its checked row as its value table."""
     d = np.asarray(deltas, dtype=np.int64)
+    bad = ctx.outside(d, "q2n")
+    if bad.any():
+        _check_element(ctx, "delta", int(d[bad][0]))
     dconj = ctx.vpow(d, ctx.p ** field_k)
     if np.any(dconj == d):
         raise ValueError("delta must lie outside the domain field")
@@ -355,6 +364,8 @@ def psi_map(ctx: FieldCtx, x: Elt, y: Elt) -> tuple[Elt, Elt, Elt]:
     and return (x1 y1, x0 y0, x0 y1 + x1 y0)."""
     if ctx.p == 2:
         raise ValueError("the pair map needs odd q")
+    _check_element(ctx, "x", x)
+    _check_element(ctx, "y", y)
     return _psi(ctx, zeta_element(ctx), x, y)
 
 
@@ -409,6 +420,8 @@ def planar_family_check(ctx: FieldCtx, a: Elt, b: Elt, w: Elt, k: int) -> bool:
     m = ctx.n
     if ctx.p == 2:
         raise ValueError("planar families need odd q")
+    _check_element(ctx, "a", a)
+    _check_element(ctx, "b", b)
     if ctx.is_square(w, "q2n"):
         raise ValueError("w must be a nonsquare")
     if math.gcd(k, m) != 1 or m < 3:

@@ -21,7 +21,7 @@ import numpy as np
 from .field import Elt, FieldCtx, _json_int, ctx_from_json, factor_prime_power
 from .linpoly import QPoly, nullspace, rref
 from .quadform import is_permutation_brute, is_permutation_via_rank, permutes_cosets
-from .semifield import _BLOCK, is_planar_2to1, q_from_component
+from .semifield import _BLOCK, _check_element, is_planar_2to1, q_from_component
 
 
 # -- subspaces -------------------------------------------------------------------
@@ -124,6 +124,7 @@ def component_from_pair(A: QPoly, B: QPoly, delta: Elt) -> Subspace:
     ne = ctx.n * ctx.e
     if A.field_k != ne or A.base_k != ctx.e:
         raise ValueError("components are parametrized by q-polynomials on F_{q^n}")
+    _check_element(ctx, "delta", delta)
     if ctx.in_subfield(delta, ne):
         raise ValueError("delta must lie outside F_{q^n}")
     vals = np.sort(ctx.vadd(A.values(), ctx.vmul(delta, B.values())))
@@ -135,8 +136,7 @@ def component_from_pair(A: QPoly, B: QPoly, delta: Elt) -> Subspace:
 def _images(ctx: FieldCtx, table: np.ndarray, g, k: int = 0) -> np.ndarray:
     """Each row's image {g x^(p^k)} under an F_q-linear bijection, sorted as
     Subspace.elements (compare via .tobytes()); g is one element or a column
-    of one multiplier per row.  x^(p^k) comes from vpow, not a whole-field
-    Frobenius table: 4.25 MB at (9,3), kept for the life of the tower."""
+    of one multiplier per row; x^(p^k) comes from vpow."""
     els = ctx.vpow(table, ctx.p ** k) if k else table
     return np.sort(ctx.vmul(g, els), axis=1)
 
@@ -317,11 +317,6 @@ def kernel_of_spread(S: Spread) -> int:
 # -- the named constructions -------------------------------------------------------
 
 
-def _check_element(ctx: FieldCtx, name: str, x) -> None:
-    if not ctx.in_subfield(x, "q2n"):
-        raise ValueError(f"{name} = {x} is not an element encoding in 0..{ctx.N - 1}")
-
-
 def _check_delta(ctx: FieldCtx, delta: Elt) -> None:
     _check_element(ctx, "delta", delta)
     qn = ctx.q ** ctx.n
@@ -467,7 +462,7 @@ def symplectic_check(S: Spread, delta: Elt) -> bool:
 
     def gram(basis):
         x = np.asarray(basis, dtype=np.int64)
-        M = ctx.vmul(c, ctx.vmul(x[:, None], ctx.frob_table(ne)[x][None, :]))
+        M = ctx.vmul(c, ctx.vmul(x[:, None], ctx.vpow(x, ctx.p ** ne)[None, :]))
         return ctx.vtrace(M, ctx.d, ctx.e)
 
     G = gram(ctx.subfield_basis(ctx.d, "q"))
@@ -524,6 +519,7 @@ def check_key_lemma(ctx: FieldCtx, L: QPoly, delta: Elt) -> KeyLemmaReport:
     ne = ctx.n * ctx.e
     if L.field_k != ne or L.base_k != ctx.e:
         raise ValueError("L must be a q-polynomial on F_{q^n}")
+    _check_element(ctx, "delta", delta)
     if ctx.in_subfield(delta, ne):
         raise ValueError("delta must lie outside F_{q^n}")
     return KeyLemmaReport(ctx, L, delta)

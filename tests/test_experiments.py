@@ -825,9 +825,9 @@ def test_planar_sample_matches_listed_pairs_reference(c313, sample, seed):
 
 
 def test_planar_full_items_are_pair_index_ranges(monkeypatch):
-    # full mode scans the 531,441 pair codes a N + b in ranges of 22 pairs
-    # (2^14 // 729), with no list of codes; sample mode in ranges of 89
-    # (2^16 // 729) over a list of them
+    # both modes scan in ranges of 22 pairs (2^14 // 729): full mode the
+    # 531,441 pair codes a N + b with no list of codes, sample mode a list
+    # of them
     seen = []
 
     def fake_scan(name, params, total, size, setup, args, check, *rest):
@@ -839,7 +839,7 @@ def test_planar_full_items_are_pair_index_ranges(monkeypatch):
     assert seen.pop() == (729 ** 2, 22, None, ex._planar_check)
     assert verify_planar_dichotomy({"q": 3, "m": 3, "k": 1, "sample": 100}) == "scanned"
     total, size, codes, check = seen.pop()
-    assert (total, size, len(codes), check) == (1557, 89, 1557, ex._planar_check)
+    assert (total, size, len(codes), check) == (1557, 22, 1557, ex._planar_check)
 
 
 def test_planar_range_decodes_the_pair_order(monkeypatch):

@@ -1,5 +1,6 @@
 """Field tower construction, special elements, and arithmetic invariants."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -135,8 +136,8 @@ def _frob_table_by_exponent(ctx, k):
 @pytest.mark.parametrize("tower", [(3, 1, 2), (3, 1, 3), (2, 1, 3), (2, 1, 4), (2, 1, 2),
                                    (3, 1, 1), (3, 2, 1), (5, 1, 3)])
 def test_identity_frobenius_table_matches_the_exponent_build(tower):
-    # every conftest tower: k = 0 mod d is the read-only identity, cached
-    # once; k = 1 still goes through the exponents
+    # every conftest tower: every k goes through the exponents, and
+    # k = 0 mod d gives the read-only identity, cached once
     ctx = build_tower(*tower)
     for k in (0, ctx.d, 2 * ctx.d, -ctx.d, 1):
         t = ctx.frob_table(k)
@@ -300,25 +301,36 @@ def test_coordinate_map_rejects_outside_elements(tower, tag):
 
 @pytest.mark.parametrize("tower", COORD_TOWERS, ids=str)
 def test_vtrace_matches_scalar_trace(tower):
+    # the reference sums the conjugates x^(s^i) with the scalar kernels;
+    # trace is the one-element case of vtrace, with the same refusals
     ctx = build_tower(*tower)
     for frm, to in (("q2n", "qn"), ("q2n", "q"), ("qn", "q")):
         X = ctx.subfield_elements(frm)
-        want = [ctx.trace(x, frm, to) for x in X.tolist()]
+        s, m = ctx.subfield_size(to), ctx.tag_degree(frm) // ctx.tag_degree(to)
+        want = [functools.reduce(ctx.add, (ctx.pow(x, s ** i) for i in range(m)))
+                for x in X.tolist()]
+        assert [ctx.trace(x, frm, to) for x in X.tolist()] == want
         assert ctx.vtrace(X, frm, to).tolist() == want
         # leading axes are kept, 0-d included
         block = X[:6].reshape(2, 3) if len(X) >= 6 else X[:, None]
         assert ctx.vtrace(block, frm, to).tolist() == np.reshape(
             want[:block.size], block.shape).tolist()
         assert int(ctx.vtrace(X[-1], frm, to)) == want[-1]
-        for not_encoding in (-1, ctx.N):
+        for not_encoding in (-1, ctx.N, 2 ** 70):
             with pytest.raises(ValueError, match=f"element {not_encoding} "):
                 ctx.vtrace([0, not_encoding], frm, to)
+            with pytest.raises(ValueError, match=f"element {not_encoding} "):
+                ctx.trace(not_encoding, frm, to)
     outside = next(x for x in range(ctx.N) if not ctx.in_subfield(x, "qn"))
     with pytest.raises(ValueError, match=f"element {outside} "):
         ctx.vtrace(np.array([[0], [outside]]), "qn", "q")
+    with pytest.raises(ValueError, match=f"element {outside} "):
+        ctx.trace(outside, "qn", "q")
     if ctx.n > 1:
         with pytest.raises(ValueError, match="not a subfield"):
             ctx.vtrace([0], "q", "qn")
+        with pytest.raises(ValueError, match="not a subfield"):
+            ctx.trace(0, "q", "qn")
 
 
 def test_tower_construction_memory():

@@ -267,21 +267,22 @@ def test_polar_form_agrees_with_bilinear(case):
 @st.composite
 def towers_tags_and_integers(draw):
     """A tower, a field tag and integers around the encodings 0..N-1,
-    always with -1 and N among them."""
+    always with -1 and N among them, then -2^70 and 2^70 past int64."""
     ctx = build_tower(*draw(st.sampled_from(ROW_TOWERS)))
     tag = draw(st.sampled_from(["p", "q", "qn", "q2n"]))
     xs = draw(st.lists(st.integers(-ctx.N, 2 * ctx.N), max_size=30))
-    return ctx, tag, [-1, ctx.N, *xs]
+    return ctx, tag, [-1, ctx.N, *xs, -2 ** 70, 2 ** 70]
 
 
 @hypothesis.settings(max_examples=60, deadline=None, database=None)
 @hypothesis.given(towers_tags_and_integers())
 def test_outside_is_not_in_subfield_elementwise(case):
     ctx, tag, xs = case
-    X = np.array(xs, dtype=np.int64)
+    X = np.array(xs[:-2], dtype=np.int64)
     want = [not ctx.in_subfield(x, tag) for x in xs]
-    assert ctx.outside(X, tag).tolist() == want
-    assert ctx.outside(X.reshape(1, -1), tag).tolist() == [want]
+    assert ctx.outside(X, tag).tolist() == want[:-2]
+    assert ctx.outside(X.reshape(1, -1), tag).tolist() == [want[:-2]]
+    assert ctx.outside(xs, tag).tolist() == want
 
 
 @st.composite
@@ -470,6 +471,46 @@ def test_odd_delta_scaling_moves_into_l(case):
     Q, Qc = q_from_component(L, ctx.mul(d0, c)), q_from_component(cL, d0)
     assert Q == Qc and np.array_equal(Q.values(), Qc.values())
     assert permutes_cosets(Q) == permutes_cosets(Qc)
+
+
+@st.composite
+def l_units_and_deltas(draw):
+    """A q-polynomial L on F_{q^n}, a unit c of F_{q^n} and a delta outside
+    F_{q^n}: odd q with an admissible delta, or even q with n = 4."""
+    ctx = build_tower(*draw(st.sampled_from([(3, 1, 2), (5, 1, 2), (3, 1, 3),
+                                             (2, 1, 4), (2, 2, 4)])))
+    dom = ctx.subfield_elements("qn").tolist()
+    L = QPoly(ctx, draw(st.lists(st.sampled_from(dom), min_size=ctx.n, max_size=ctx.n)))
+    deltas = ctx.find_deltas() if ctx.p != 2 else ex._outside_deltas(ctx).tolist()
+    return L, draw(st.sampled_from(dom[1:])), draw(st.sampled_from(deltas))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(l_units_and_deltas())
+def test_conjugating_l_scales_q(case):
+    # L_c(x) = c^-1 L(c x), that is a_i -> a_i c^(q^i - 1), scales both
+    # factors of Q by c^-1: Q_{L_c, delta}(x) = c^-2 Q_{L, delta}(c x)
+    L, c, delta = case
+    ctx, q = L.ctx, L.ctx.q
+    Lc = QPoly(ctx, [ctx.mul(a, ctx.pow(c, q ** i - 1)) for i, a in enumerate(L.coeffs)])
+    dom = ctx.subfield_elements("qn")
+    at_cx = ctx.element_index("qn")[ctx.vmul(c, dom)]
+    assert Lc.values().tolist() == ctx.vmul(ctx.inv(c), L.values()[at_cx]).tolist()
+    if ctx.p != 2:
+        Q, Qc = q_from_component(L, delta), q_from_component(Lc, delta)
+        verdict = permutes_cosets
+    else:
+        # n = 4: W = L + delta X and Q = W^(1 + q^4), the library's product
+        def q_of(M):
+            Q = q_from_pair(M, QPoly.identity(ctx), delta)
+            W = ctx.vadd(M.values(), ctx.vmul(delta, dom))
+            assert Q.values().tolist() == ctx.vpow(W, 1 + q ** 4).tolist()
+            return Q
+        Q, Qc = q_of(L), q_of(Lc)
+        verdict = is_permutation_brute
+    assert Qc.values().tolist() == \
+        ctx.vmul(ctx.inv(ctx.mul(c, c)), Q.values()[at_cx]).tolist()
+    assert verdict(Q) == verdict(Qc)
 
 
 @functools.lru_cache(maxsize=None)

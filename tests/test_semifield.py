@@ -396,6 +396,16 @@ def test_psi_image(c312):
     assert psi_image_check(c312)
 
 
+def test_psi_map_refuses_non_encodings():
+    # unchecked, -3 reads as N - 3 and N + 3 raises numpy's bare IndexError
+    ctx = build_tower(3, 1, 3)
+    for bad in (-3, ctx.N + 3):
+        with pytest.raises(ValueError, match=f"x = {bad} is not an element encoding"):
+            psi_map(ctx, bad, 1)
+        with pytest.raises(ValueError, match=f"y = {bad} is not an element encoding"):
+            psi_map(ctx, 1, bad)
+
+
 def test_psi_rejects_char2(c212):
     with pytest.raises(ValueError):
         psi_map(c212, 1, 1)
@@ -419,3 +429,16 @@ def test_planar_family_preconditions(c313, c312):
         planar_family_check(c313, 1, 0, w, 3)        # gcd(k, m) != 1
     with pytest.raises(ValueError):
         planar_family_check(c312, 1, 0, c312.least_nonsquare("q2n"), 1)   # m < 3
+
+
+def test_planar_family_refuses_non_encodings(c313):
+    # unchecked, a = -3 reads as N - 3 (planar, since b = 0) and N + 3
+    # raises numpy's bare IndexError; is_square refuses a bad w
+    w = c313.least_nonsquare("q2n")
+    for bad in (-3, c313.N + 3):
+        with pytest.raises(ValueError, match=f"a = {bad} is not an element encoding"):
+            planar_family_check(c313, bad, 0, w, 1)
+        with pytest.raises(ValueError, match=f"b = {bad} is not an element encoding"):
+            planar_family_check(c313, 0, bad, w, 1)
+        with pytest.raises(ValueError, match=f"element {bad} "):
+            planar_family_check(c313, 1, 0, bad, 1)

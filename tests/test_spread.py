@@ -19,7 +19,8 @@ from spreadlab import (DOPoly, FieldCtx, KeyLemmaReport, QPoly, Spread, Subspace
                        even3_admissible, gcd_condition, is_partial_spread,
                        is_spread, is_permutation_brute, is_permutation_via_rank,
                        kernel_of_spread, orbit,
-                       q_from_pair, symplectic_check, build_tower)
+                       q_from_component, q_from_pair, q_from_pairs, symplectic_check,
+                       build_tower)
 from spreadlab.linpoly import nullspace, rref
 
 
@@ -580,6 +581,24 @@ def test_key_lemma_guards(c313):
         check_key_lemma(c313, QPoly.identity(c313, "q", 1), c313.find_deltas()[0])
     with pytest.raises(ValueError):
         check_key_lemma(c313, QPoly.identity(c313), 2)
+
+
+def test_delta_that_is_no_encoding_is_refused(c312):
+    # unchecked, a negative delta wraps to an element (check_key_lemma at
+    # -3 reports on N - 3) and one past N raises numpy's bare IndexError
+    L = QPoly(c312, [1, 2])
+    for delta in (-1, -3, c312.N, c312.N + 5):
+        msg = f"delta = {delta} is not an element encoding"
+        with pytest.raises(ValueError, match=msg):
+            check_key_lemma(c312, L, delta)
+        with pytest.raises(ValueError, match=msg):
+            component_from_pair(QPoly.identity(c312), L, delta)
+        with pytest.raises(ValueError, match=msg):
+            q_from_pair(QPoly.identity(c312), L, delta)
+        with pytest.raises(ValueError, match=msg):
+            q_from_component(L, delta)
+        with pytest.raises(ValueError, match=msg):
+            q_from_pairs(QPoly.identity(c312), L, [c312.find_deltas()[0], delta])
 
 
 def test_key_lemma_random_property(c313):
