@@ -21,9 +21,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .field import FieldCtx, build_tower, factor_prime_power
-from .linpoly import QPoly, _lin_rows
-from .quadform import is_permutation_brute, permutes_cosets
-from .semifield import _check_element, _pair_rows, _two_to_one, q_from_pairs
+from .linpoly import QPoly, _lin_rows, _sum_rows
+from .quadform import coset_representatives, is_permutation_brute, permutes_cosets
+from .semifield import _check_element, _pair_rows, _two_to_one_at_reps, q_from_pairs
 
 CHECKPOINT_EVERY = 1_000_000
 
@@ -546,22 +546,26 @@ def verify_hermite(params: dict | None = None, *, jobs: int = 1,
 
 
 def _planar_setup(p, e, m, k, codes):
-    """The value table of -w X^(2 q^k) on F_{q^2m}, and the pair codes
-    a N + b of the scan's items (None: item i is pair code i)."""
+    """F_{q^2m}, its least nonsquare w, the pair codes a N + b of the scan's
+    items (None: item i is pair code i), and three rows read at the
+    representatives X of F_{q^2m}^* / F_q^*: X, X^(q^m) and -w X^(2 q^k)."""
     ctx = build_tower(p, e, m)
     w = ctx.least_nonsquare("q2n")
-    return {"ctx": ctx, "w": w, "codes": codes,
-            "negw": ctx.vmul(ctx.neg(w), ctx.vpow(np.arange(ctx.N), 2 * ctx.q ** k))}
+    X = np.array(coset_representatives(ctx, "q2n"), dtype=np.int64)
+    return {"ctx": ctx, "w": w, "codes": codes, "mono": (X, ctx.vpow(X, ctx.q ** m)),
+            "negw": ctx.vmul(ctx.neg(w), ctx.vpow(X, 2 * ctx.q ** k))}
 
 
 def _planar_rows(state, A, B) -> np.ndarray:
     """Is (a X + b X^(q^m))^2 - w X^(2 q^k) planar, for each (a, b) of the
-    coefficient columns A, B?  One value row per pair, L^2 - w X^(2 q^k)
-    with L = a X + b X^(q^m), a two-term q^m-polynomial on F_{q^2m};
-    semifield.planar_family_check is the independent reference."""
-    ctx = state["ctx"]
-    L = _lin_rows(ctx, ctx.d, ctx.n * ctx.e, np.stack([A, B], axis=-1))
-    return _two_to_one(ctx, ctx.vadd(ctx.vmul(L, L), state["negw"][None, :]))
+    coefficient columns A, B?  f is DO and L = a X + b X^(q^m) is
+    F_q-linear, so f is read at the coset representatives only: one row of
+    R = (N-1)/(q-1) values per pair, decided by one row sort
+    (semifield._two_to_one_at_reps).  semifield.planar_family_check is the
+    independent reference."""
+    ctx, mono = state["ctx"], state["mono"]
+    L = _sum_rows(ctx, np.stack([A, B], axis=-1), len(mono[0]), lambda i: mono[i])
+    return _two_to_one_at_reps(ctx, ctx.vadd(ctx.vmul(L, L), state["negw"][None, :]))
 
 
 def _planar_check(state, lo: int, hi: int):
@@ -608,9 +612,10 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
         span = np.arange(1, N, dtype=np.int64)
         codes = np.concatenate([[0], span * N, span, ab[:, 0] * N + ab[:, 1]])
     w = int(build_tower(p, e, m).least_nonsquare("q2n"))
-    # ranges whose value rows fill about _ROW_BLOCK entries, in both modes:
-    # glibc maps a temporary above its 128 KiB mmap threshold afresh, and
-    # faults its pages in again, on every block
+    # ranges of _ROW_BLOCK // N pairs in both modes, whose rows of
+    # (N-1)/(q-1) values keep each block's temporaries under glibc's
+    # 128 KiB mmap threshold: one above it is mapped afresh, and its pages
+    # faulted in again, on every block
     return _run_scan(
         "planar-dichotomy", {"q": q, "m": m, "k": k, "sample": sample, "seed": seed},
         N * N if codes is None else len(codes), max(1, _ROW_BLOCK // N), _planar_setup,

@@ -539,11 +539,11 @@ class FieldCtx:
         """Coordinates of the encodings X over the smaller field w.r.t.
         subfield_basis(tag, over), along a new last axis."""
         k, ko = self.tag_degree(tag), self.tag_degree(over)
-        X = np.asarray(X, dtype=np.int64)
+        X = np.asarray(X)
         bad = self.outside(X, k)
         if np.any(bad):
             raise ValueError(f"element {X[bad][0]} is not in the tagged field")
-        idx = self.coord_index(k, ko)[X]
+        idx = self.coord_index(k, ko)[X.astype(np.int64, copy=False)]
         qo = self.p ** ko
         return self.subfield_elements(ko)[idx[..., None] // self._place_values(k, ko) % qo]
 
@@ -551,13 +551,14 @@ class FieldCtx:
         """Inverse of to_coords: the encodings whose coordinates lie along the
         last axis of C."""
         k, ko = self.tag_degree(tag), self.tag_degree(over)
-        C = np.asarray(C, dtype=np.int64)
+        C = np.asarray(C)
         if C.shape[-1:] != (k // ko,):
             raise ValueError(f"expected {k // ko} coordinates along the last axis")
         wrong = self.outside(C, ko)
         if np.any(wrong):
             raise ValueError(f"coordinate {C[wrong][0]} is not in the smaller field")
-        terms = self.vmul(C, np.array(self.subfield_basis(k, ko), dtype=np.int64))
+        terms = self.vmul(C.astype(np.int64, copy=False),
+                          np.array(self.subfield_basis(k, ko), dtype=np.int64))
         out = terms[..., 0]
         for j in range(1, k // ko):
             out = self.vadd(out, terms[..., j])

@@ -57,6 +57,23 @@ def _two_to_one(ctx: FieldCtx, vals) -> np.ndarray:
     return ok.reshape(vals.shape[:-1])
 
 
+def _two_to_one_at_reps(ctx: FieldCtx, vals) -> np.ndarray:
+    """_two_to_one for a DO polynomial f graded over F_q, read only at
+    representatives r of its domain's units modulo F_q^*, one value row
+    per last axis.
+
+    f(lambda x) = lambda^2 f(x) for lambda in F_q, so the values on the
+    coset of r are f(r) times the squares of F_q^*, each taken twice
+    (lambda and -lambda), or 0 throughout.  So f is 2-to-1 with only 0
+    above 0 exactly when no f(r) is 0 and the square classes of the f(r)
+    are distinct: (F_q^*)^2 = <gamma^(2R)>, R = (N-1)/(q-1), so the class
+    of v is log v mod 2R, and log 0 = 2(N-1) marks a zero."""
+    logs = ctx.log[np.asarray(vals, dtype=np.int64)]
+    classes = np.sort(logs % (2 * ((ctx.N - 1) // (ctx.q - 1))), axis=-1)
+    return ((logs < ctx.N - 1).all(axis=-1)
+            & (classes[..., 1:] != classes[..., :-1]).all(axis=-1))
+
+
 # -- presemifields ------------------------------------------------------------
 
 

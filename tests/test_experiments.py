@@ -736,6 +736,23 @@ def test_planar_fast_path_matches_reference():
         assert planar == planar_family_check(ctx, a, b, w, 1)
 
 
+def test_planar_fast_path_matches_reference_at_q5():
+    # the same at (5,3,1), where a square class of F_q^* holds two values:
+    # (0, 0), 40 seeded boundary pairs of each kind and 40 seeded ab != 0
+    # pairs, as one table of value rows
+    state = ex._planar_setup(5, 1, 3, 1, None)
+    ctx, w = state["ctx"], state["w"]
+    N = ctx.N
+    rng = np.random.default_rng(23)
+    side, bulk = rng.integers(1, N, 80).tolist(), rng.integers(1, N, (40, 2)).tolist()
+    pairs = ([(0, 0)] + [(a, 0) for a in side[:40]] + [(0, b) for b in side[40:]]
+             + [tuple(ab) for ab in bulk])
+    ab = np.array(pairs)
+    got = ex._planar_rows(state, ab[:, 0], ab[:, 1]).tolist()
+    assert got == [planar_family_check(ctx, a, b, w, 1) for a, b in pairs]
+    assert got == [a == 0 or b == 0 for a, b in pairs]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 5, 11, 2024])
 def test_planar_sample_drawn_in_one_call(seed):
     # one (sample, 2) draw gives the pairs of 2 * sample scalar draws, a then b
@@ -794,13 +811,20 @@ def _planar_per_pair(ctx, sample, seed):
                         _planar_check_per_pair, lambda hits, cex: {"w": w}, 1, None)
 
 
+# pairs per range of the (3,3,1) scan, in both modes
+_PLANAR_RANGE = max(1, ex._ROW_BLOCK // 729)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("index", [88, 89, 2 * 729 - 1, 17 * 89])
+@pytest.mark.parametrize("index", [_PLANAR_RANGE - 1, _PLANAR_RANGE, 66 * _PLANAR_RANGE,
+                                   2 * 729 - 1, 88, 89, 1513])
 def test_planar_counterexample_just_after_a_block_boundary(c313, monkeypatch, jobs, index):
-    # blocks hold 2^16 // 729 = 89 pairs; flipping the verdict of the last or
-    # first pair of a block (a boundary pair, or a sampled one; 2N - 1 is
-    # the first sampled pair) must stop the scan there, with exactly
-    # index + 1 candidates and the report of the listed pairs
+    # flipping the verdict of a boundary pair on a range edge (size - 1
+    # closes the first range, size opens the second and 66 size the 67th:
+    # 21, 22 and 1452 at 22 pairs a range), of the first sampled
+    # pair 2N - 1, or of a pair inside a range (88, 89, 1513) must stop the
+    # scan there, with exactly index + 1 candidates and the report of the
+    # listed pairs
     sample = 100
     a, b = _planar_listed_pairs(729, sample, 0)[index]
     real = ex._planar_rows

@@ -283,7 +283,8 @@ def test_coordinate_map_rejects_outside_elements(tower, tag):
     for bad in (outside, [int(inside[-1]), outside, 0], np.array([[0], [outside]])):
         with pytest.raises(ValueError, match=f"element {outside} "):
             ctx.to_coords(bad, tag, "q")
-    for not_encoding in (-1, ctx.N):
+    # past int64 too: converted only after the check, not by numpy first
+    for not_encoding in (-1, ctx.N, 2 ** 70):
         with pytest.raises(ValueError, match=f"element {not_encoding} "):
             ctx.to_coords([0, not_encoding], tag, "q")
     with pytest.raises(ValueError):
@@ -293,8 +294,9 @@ def test_coordinate_map_rejects_outside_elements(tower, tag):
     not_fq = next(x for x in range(ctx.N) if not ctx.in_subfield(x, "q"))
     with pytest.raises(ValueError, match=f"coordinate {not_fq} "):
         ctx.from_coords([[0] * m, [not_fq] + [0] * (m - 1)], "q2n", "q")
-    with pytest.raises(ValueError, match="coordinate -1 "):
-        ctx.from_coords([-1] + [0] * (m - 1), "q2n", "q")
+    for not_encoding in (-1, 2 ** 70):
+        with pytest.raises(ValueError, match=f"coordinate {not_encoding} "):
+            ctx.from_coords([not_encoding] + [0] * (m - 1), "q2n", "q")
     with pytest.raises(ValueError):
         ctx.from_coords([0] * (m + 1), "q2n", "q")
 

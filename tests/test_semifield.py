@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from spreadlab import (DOPoly, QPoly, RtcsSpec, build_tower, is_planar_2to1,
-                       is_planar_direct, middle_nucleus, middle_nucleus_elements,
+from spreadlab import (DOPoly, QPoly, RtcsSpec, build_tower, coset_representatives,
+                       is_planar_2to1, is_planar_direct, middle_nucleus, middle_nucleus_elements,
                        normalize, nucleus, nucleus_elements,
                        planar_family_check, planar_to_presemifield, psi_image_check,
                        psi_map, q_from_component, q_from_pair, q_from_pairs,
@@ -55,6 +55,39 @@ def test_direct_matches_2to1_random(c312):
                   for i in range(2) for j in range(i, 2)}
         f = DOPoly(c312, coeffs)
         assert is_planar_direct(f) == is_planar_2to1(f)
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 1), (3, 1, 2), (5, 1, 1), (7, 1, 1), (3, 2, 1)],
+                         ids=str)
+def test_two_to_one_at_reps_matches_both_references(tower):
+    # seeded DO tables on F_{q^2n} graded over F_q, read at the
+    # representatives of F_{q^2n}^* / F_q^*, against the full-row count and
+    # the difference maps; half are random, half c L(x)^2 for a random
+    # q-polynomial L (planar exactly when L permutes), so both verdicts show
+    ctx = build_tower(*tower)
+    rng = np.random.default_rng(17)
+    m = 2 * ctx.n
+    keys = [(i, j) for i in range(m) for j in range(i, m)]
+    polys = []
+    for _ in range(20):
+        polys.append(DOPoly(ctx, {k: int(rng.integers(ctx.N)) for k in keys}, "q2n", "q"))
+        a, c = rng.integers(ctx.N, size=m).tolist(), int(rng.integers(1, ctx.N))
+        polys.append(DOPoly(ctx, {(i, j): ctx.mul(ctx.mul(c, 1 if i == j else 2),
+                                                  ctx.mul(a[i], a[j]))
+                                  for i, j in keys}, "q2n", "q"))
+    table = np.stack([f.values() for f in polys])      # aligned with 0 .. N-1
+    reps = np.array(coset_representatives(ctx, "q2n"))
+    got = semifield._two_to_one_at_reps(ctx, table[:, reps])
+    assert got.dtype == bool and got.shape == (len(polys),)
+    assert got.tolist() == semifield._two_to_one(ctx, table).tolist()
+    assert got.tolist() == [is_planar_direct(f) for f in polys]
+    assert 0 < got.sum() < len(polys)
+    assert semifield._two_to_one_at_reps(ctx, table[:, reps].reshape(4, 10, -1)) \
+        .reshape(-1).tolist() == got.tolist()
+    # for q > 3 a class holds (q-1)/2 values: rows whose values at the
+    # representatives are distinct and nonzero need not be planar
+    distinct = [0 not in row and len(set(row)) == len(row) for row in table[:, reps].tolist()]
+    assert (ctx.q > 3) == any(d and not g for d, g in zip(distinct, got.tolist()))
 
 
 # -- presemifields from planar functions ---------------------------------------------
