@@ -31,6 +31,11 @@ CHECKPOINT_EVERY = 1_000_000
 # scans
 _ROW_BLOCK = 1 << 14
 
+# pairs per range of the planar scan, which reads each pair's verdict off a
+# table: its int64 temporaries (32 KiB) stay on the heap, and a 2^14-pair
+# range was no faster on the full (3,3,1) scan
+_PLANAR_RANGE = 1 << 12
+
 
 @dataclass
 class ExperimentSpec:
@@ -545,15 +550,76 @@ def verify_hermite(params: dict | None = None, *, jobs: int = 1,
 # -- planarity dichotomy for the two-term family -------------------------------------
 
 
+def _planar_group(ctx: FieldCtx, k: int) -> tuple[int, int, int, int]:
+    """u = 1 - q^k and v = q^m - q^k modulo M = N - 1, m = ctx.n, and
+    g1 = gcd(u, M), g2 = gcd(v, M)."""
+    M, q = ctx.N - 1, ctx.q
+    u, v = (1 - q ** k) % M, (q ** ctx.n - q ** k) % M
+    return u, v, math.gcd(u, M), math.gcd(v, M)
+
+
+def _planar_rep(ctx: FieldCtx, k: int, A, B):
+    """The orbit representative of each pair (a, b) of the coefficient
+    columns A, B, as (index, t).
+
+    x -> c x turns f_(a,b) into c^(2 q^k) f_(a',b') with
+    (a', b') = (a c^u, b c^v) (_planar_group), so planarity and ab = 0 are
+    constant on the orbits of F_{q^2m}^*.  The map takes c = gamma^t, t
+    solving u t = (log a mod g1) - log a when a != 0, v t = (log b mod g2)
+    - log b when a = 0 != b, modulo M = N - 1, and t = 0 at (0, 0).  index
+    numbers the (a', b') reached: i N + b' for a' = gamma^i, i < g1;
+    g1 N + j for (0, gamma^j), j < g2; g1 N + g2 for (0, 0)."""
+    N, M = ctx.N, ctx.N - 1
+    u, v, g1, g2 = _planar_group(ctx, k)
+    la, lb = ctx.log[A].astype(np.int64), ctx.log[B].astype(np.int64)
+    t = np.zeros_like(la)
+    for s, g, logs, on in ((u, g1, la, A > 0), (v, g2, lb, (A == 0) & (B > 0))):
+        t = np.where(on, (logs % g - logs) // g * pow(s // g, -1, M // g) % (M // g), t)
+    lb = (lb + v * t) % M
+    index = np.where(A > 0, (la + u * t) % M * N + np.where(B > 0, ctx.exp[lb], 0),
+                     g1 * N + np.where(B > 0, lb, g2))
+    return index, t
+
+
+def _planar_rep_pairs(ctx: FieldCtx, k: int, index):
+    """The pairs (a', b') of representative indices of _planar_rep."""
+    g1, g2 = _planar_group(ctx, k)[2:]
+    i, b = np.divmod(index, ctx.N)
+    j = index - g1 * ctx.N                   # 0 .. g2 off the a' != 0 rows
+    return (np.where(i < g1, ctx.exp[i % g1], 0),
+            np.where(i < g1, b, np.where(j < g2, ctx.exp[j % g2], 0)))
+
+
 def _planar_setup(p, e, m, k, codes):
     """F_{q^2m}, its least nonsquare w, the pair codes a N + b of the scan's
-    items (None: item i is pair code i), and three rows read at the
-    representatives X of F_{q^2m}^* / F_q^*: X, X^(q^m) and -w X^(2 q^k)."""
+    items (None: item i is pair code i), and the planarity verdict of each
+    orbit representative (_planar_rep) those items read: full mode reads
+    all g1 N + g2 + 1 of them.  The verdicts come from _planar_rows, one
+    block of rows at a time, from three rows read at the representatives X
+    of F_{q^2m}^* / F_q^*: X, X^(q^m) and -w X^(2 q^k)."""
     ctx = build_tower(p, e, m)
     w = ctx.least_nonsquare("q2n")
     X = np.array(coset_representatives(ctx, "q2n"), dtype=np.int64)
-    return {"ctx": ctx, "w": w, "codes": codes, "mono": (X, ctx.vpow(X, ctx.q ** m)),
-            "negw": ctx.vmul(ctx.neg(w), ctx.vpow(X, 2 * ctx.q ** k))}
+    state = {"ctx": ctx, "w": w, "k": k, "codes": codes,
+             "mono": (X, ctx.vpow(X, ctx.q ** m)),
+             "negw": ctx.vmul(ctx.neg(w), ctx.vpow(X, 2 * ctx.q ** k))}
+    g1, g2 = _planar_group(ctx, k)[2:]
+    verdict = np.zeros(g1 * ctx.N + g2 + 1, dtype=bool)
+    if codes is None:
+        reps = np.arange(len(verdict))
+    else:
+        need = np.zeros_like(verdict)
+        need[_planar_rep(ctx, k, *np.divmod(codes, ctx.N))[0]] = True
+        reps = np.flatnonzero(need)
+    # blocks of _ROW_BLOCK // N rows of (N-1)/(q-1) values keep their
+    # temporaries under glibc's 128 KiB mmap threshold: one above it is
+    # mapped afresh, and its pages faulted in again, on every block
+    rows = max(1, _ROW_BLOCK // ctx.N)
+    for lo in range(0, len(reps), rows):
+        block = reps[lo:lo + rows]
+        verdict[block] = _planar_rows(state, *_planar_rep_pairs(ctx, k, block))
+    state["verdict"] = verdict
+    return state
 
 
 def _planar_rows(state, A, B) -> np.ndarray:
@@ -569,12 +635,13 @@ def _planar_rows(state, A, B) -> np.ndarray:
 
 
 def _planar_check(state, lo: int, hi: int):
-    """The pairs of items lo..hi-1, up to the first whose planarity is not
-    ab = 0."""
-    codes = state["codes"]
+    """The pairs of items lo..hi-1, each read off the verdict of its orbit
+    representative, up to the first whose planarity is not ab = 0."""
+    ctx, codes = state["ctx"], state["codes"]
     code = np.arange(lo, hi, dtype=np.int64) if codes is None else codes[lo:hi]
-    A, B = np.divmod(code, state["ctx"].N)
-    bad = np.flatnonzero(_planar_rows(state, A, B) != ((A == 0) | (B == 0)))
+    A, B = np.divmod(code, ctx.N)
+    planar = state["verdict"][_planar_rep(ctx, state["k"], A, B)[0]]
+    bad = np.flatnonzero(planar != ((A == 0) | (B == 0)))
     if not len(bad):
         return len(A), 0, None
     i = int(bad[0])
@@ -587,9 +654,10 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
 
     Sample mode scans the full ab = 0 boundary plus `sample` seeded random
     ab != 0 pairs, listed as pair codes a N + b; full mode scans every pair
-    code.  Each range of items is checked as one table of value rows and
-    stops at its first counterexample, so counts and counterexamples are
-    those of a pair-by-pair scan.
+    code.  Each pair reads the verdict of its orbit representative
+    (_planar_rep), computed once by the set-up, and a range stops at its
+    first counterexample, so counts and counterexamples are those of a
+    pair-by-pair scan.
     """
     params = _read_params(params, q=3, m=3, k=1, sample=None)
     q, m, k = int(params["q"]), int(params["m"]), int(params["k"])
@@ -597,6 +665,8 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
     p, e = factor_prime_power(q)
     if p == 2:
         raise ValueError("planar functions need odd q")
+    if k < 1:
+        raise ValueError(f"need k >= 1 (got {k})")
     if math.gcd(k, m) != 1 or m < 3:
         raise ValueError("need gcd(k, m) = 1 and m >= 3")
     if sample is not None and int(sample) < 0:
@@ -612,13 +682,9 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
         span = np.arange(1, N, dtype=np.int64)
         codes = np.concatenate([[0], span * N, span, ab[:, 0] * N + ab[:, 1]])
     w = int(build_tower(p, e, m).least_nonsquare("q2n"))
-    # ranges of _ROW_BLOCK // N pairs in both modes, whose rows of
-    # (N-1)/(q-1) values keep each block's temporaries under glibc's
-    # 128 KiB mmap threshold: one above it is mapped afresh, and its pages
-    # faulted in again, on every block
     return _run_scan(
         "planar-dichotomy", {"q": q, "m": m, "k": k, "sample": sample, "seed": seed},
-        N * N if codes is None else len(codes), max(1, _ROW_BLOCK // N), _planar_setup,
+        N * N if codes is None else len(codes), _PLANAR_RANGE, _planar_setup,
         (p, e, m, k, codes), _planar_check, lambda hits, cex: {"w": w}, jobs, out)
 
 

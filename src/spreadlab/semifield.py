@@ -441,6 +441,8 @@ def planar_family_check(ctx: FieldCtx, a: Elt, b: Elt, w: Elt, k: int) -> bool:
     _check_element(ctx, "b", b)
     if ctx.is_square(w, "q2n"):
         raise ValueError("w must be a nonsquare")
+    if k < 1:
+        raise ValueError(f"need k >= 1 (got {k})")
     if math.gcd(k, m) != 1 or m < 3:
         raise ValueError("need gcd(k, m) = 1 and m >= 3")
     terms = [(0, 0, ctx.pow(a, 2)),

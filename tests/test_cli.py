@@ -266,6 +266,20 @@ def test_experiment_rejects_params(tmp_path, capsys, argv, msg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_planar_refuses_k_below_1(tmp_path, capsys, monkeypatch, k):
+    # refused before the tower is built: math.gcd(-1, 3) == 1 let k = -1
+    # through to a numpy TypeError in vpow, since 2 q^k was a float
+    monkeypatch.setattr(ex, "build_tower", None)
+    out = tmp_path / "p.json"
+    assert main(["experiment", "planar-dichotomy", "--q", "3", "--m", "3", "--k", k,
+                 "--sample", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"need k >= 1 (got {k})" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_experiment_refuses_negative_seed(tmp_path, capsys, monkeypatch):
     # refused before any scan is dispatched, with the seed named, not with
     # numpy's bare "expected non-negative integer" from the sampler

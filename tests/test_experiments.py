@@ -739,18 +739,20 @@ def test_planar_fast_path_matches_reference():
 def test_planar_fast_path_matches_reference_at_q5():
     # the same at (5,3,1), where a square class of F_q^* holds two values:
     # (0, 0), 40 seeded boundary pairs of each kind and 40 seeded ab != 0
-    # pairs, as one table of value rows
-    state = ex._planar_setup(5, 1, 3, 1, None)
-    ctx, w = state["ctx"], state["w"]
-    N = ctx.N
+    # pairs, as one table of value rows; the set-up, given their codes,
+    # fills the verdicts of their orbit representatives only
+    N = 5 ** 6
     rng = np.random.default_rng(23)
     side, bulk = rng.integers(1, N, 80).tolist(), rng.integers(1, N, (40, 2)).tolist()
     pairs = ([(0, 0)] + [(a, 0) for a in side[:40]] + [(0, b) for b in side[40:]]
              + [tuple(ab) for ab in bulk])
     ab = np.array(pairs)
+    state = ex._planar_setup(5, 1, 3, 1, ab[:, 0] * N + ab[:, 1])
+    ctx, w = state["ctx"], state["w"]
     got = ex._planar_rows(state, ab[:, 0], ab[:, 1]).tolist()
     assert got == [planar_family_check(ctx, a, b, w, 1) for a, b in pairs]
     assert got == [a == 0 or b == 0 for a, b in pairs]
+    assert state["verdict"][ex._planar_rep(ctx, 1, ab[:, 0], ab[:, 1])[0]].tolist() == got
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 11, 2024])
@@ -811,31 +813,97 @@ def _planar_per_pair(ctx, sample, seed):
                         _planar_check_per_pair, lambda hits, cex: {"w": w}, 1, None)
 
 
-# pairs per range of the (3,3,1) scan, in both modes
-_PLANAR_RANGE = max(1, ex._ROW_BLOCK // 729)
+def _planar_orbit(ctx, k, a, b):
+    """Reference: the pair codes a' N + b' of the orbit of (a, b), by a
+    brute search over c in F_{q^2m}^*: (a', b') = (a c^(1-q^k),
+    b c^(q^m-q^k)), from x -> c x."""
+    c = np.arange(1, ctx.N, dtype=np.int64)
+    q, m = ctx.q, ctx.n
+    return np.unique(ctx.vmul(a, ctx.vpow(c, 1 - q ** k)) * ctx.N
+                     + ctx.vmul(b, ctx.vpow(c, q ** m - q ** k)))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("index", [_PLANAR_RANGE - 1, _PLANAR_RANGE, 66 * _PLANAR_RANGE,
-                                   2 * 729 - 1, 88, 89, 1513])
-def test_planar_counterexample_just_after_a_block_boundary(c313, monkeypatch, jobs, index):
-    # flipping the verdict of a boundary pair on a range edge (size - 1
-    # closes the first range, size opens the second and 66 size the 67th:
-    # 21, 22 and 1452 at 22 pairs a range), of the first sampled
-    # pair 2N - 1, or of a pair inside a range (88, 89, 1513) must stop the
-    # scan there, with exactly index + 1 candidates and the report of the
-    # listed pairs
-    sample = 100
-    a, b = _planar_listed_pairs(729, sample, 0)[index]
+def _planar_flip_orbit(monkeypatch, ctx, a, b):
+    """Flip the _planar_rows verdict of every pair in the orbit of (a, b),
+    its representative included, so the scan's table and the per-pair
+    reference see the same fault."""
+    orbit = _planar_orbit(ctx, 1, a, b)
     real = ex._planar_rows
 
     def flipped(state, A, B):
-        return real(state, A, B) ^ ((A == a) & (B == b))
+        return real(state, A, B) ^ np.isin(A * ctx.N + B, orbit)
 
     monkeypatch.setattr(ex, "_planar_rows", flipped)
+    return orbit
+
+
+def _planar_values(ctx, k, w, A, B, X):
+    """(a x + b x^(q^m))^2 - w x^(2 q^k), one row of values at X per
+    (a, b) of the columns A, B, straight from the field operations."""
+    L = ctx.vadd(ctx.vmul(A[:, None], X), ctx.vmul(B[:, None], ctx.vpow(X, ctx.q ** ctx.n)))
+    return ctx.vsub(ctx.vmul(L, L), ctx.vmul(w, ctx.vpow(X, 2 * ctx.q ** k)))
+
+
+@pytest.mark.parametrize("p, m, k", [(3, 3, 1), (3, 3, 2), (5, 3, 1)])
+def test_planar_rep_is_the_substitution_x_to_cx(p, m, k):
+    # c^(-2 q^k) f_(a,b)(c x) = f_(a',b')(x) on the whole field, with
+    # c = gamma^t and (a', b') the representative the map gives, for the
+    # boundary, (0, 0) and seeded ab != 0 pairs: so planarity and ab = 0
+    # are the same at a pair and at its representative.  The identity does
+    # not rest on the dichotomy
+    ctx = build_tower(p, 1, m)
+    N, w = ctx.N, ctx.least_nonsquare("q2n")
+    rng = np.random.default_rng(7 * p + k)
+    side = rng.integers(1, N, 20)
+    bulk = rng.integers(1, N, (40, 2))
+    A = np.concatenate([[0], side[:10], np.zeros(10, dtype=np.int64), bulk[:, 0]])
+    B = np.concatenate([[0], np.zeros(10, dtype=np.int64), side[10:], bulk[:, 1]])
+    index, t = ex._planar_rep(ctx, k, A, B)
+    A2, B2 = ex._planar_rep_pairs(ctx, k, index)
+    assert ((A2 == 0) == (A == 0)).all() and ((B2 == 0) == (B == 0)).all()
+    c = ctx.exp[t][:, None]
+    X = np.arange(N, dtype=np.int64)
+    lhs = ctx.vmul(ctx.vpow(c, -2 * ctx.q ** k), _planar_values(ctx, k, w, A, B, ctx.vmul(c, X)))
+    assert np.array_equal(lhs, _planar_values(ctx, k, w, A2, B2, X[None, :]))
+
+
+def test_planar_rep_lies_in_the_orbit_and_names_it(c313):
+    # at (3,3,1) the representative of each of 300 seeded pairs, boundary
+    # included, lies in the pair's orbit (brute search over c), and two
+    # pairs share a representative exactly when they share an orbit: the
+    # 531,441 pairs reach 1,467 indices, the orbit count by Burnside,
+    # sum over c of the pairs c fixes, divided by N - 1
+    N, M = c313.N, c313.N - 1
+    rng = np.random.default_rng(3)
+    A = np.concatenate([[0, 0, 5], rng.integers(0, N, 297)])
+    B = np.concatenate([[0, 9, 0], rng.integers(0, N, 297)])
+    index = ex._planar_rep(c313, 1, A, B)[0]
+    A2, B2 = ex._planar_rep_pairs(c313, 1, index)
+    for a, b, rep in zip(A.tolist(), B.tolist(), (A2 * N + B2).tolist()):
+        assert rep in _planar_orbit(c313, 1, a, b)
+    c = np.arange(1, N, dtype=np.int64)
+    fixed = [np.where(c313.vpow(c, s) == 1, N, 1) for s in (1 - 3, 27 - 3)]
+    assert (fixed[0] * fixed[1]).sum() == 1467 * M
+    a, b = np.divmod(np.arange(N * N, dtype=np.int64), N)
+    assert np.count_nonzero(np.bincount(ex._planar_rep(c313, 1, a, b)[0])) == 1467
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("index", [21, 22, 1452, 2 * 729 - 1, 88, 89, 1513])
+def test_planar_counterexample_just_after_a_block_boundary(c313, monkeypatch, jobs, index):
+    # flipping the verdict of the representative of listed pair index, a
+    # boundary pair (21, 22, 88, 89, 1452), the first sampled pair 2N - 1
+    # or a later one (1513), stops the scan at the first listed pair of
+    # that orbit, with its index + 1 candidates and the report of the
+    # per-pair reference, which reads the same flipped verdicts pair by pair
+    sample = 100
+    pairs = _planar_listed_pairs(729, sample, 0)
+    orbit = _planar_flip_orbit(monkeypatch, c313, *pairs[index])
+    first = next(i for i, (a, b) in enumerate(pairs) if a * 729 + b in orbit)
     rep = verify_planar_dichotomy({"q": 3, "m": 3, "k": 1, "sample": sample}, jobs=jobs)
     assert rep.verdict == "counterexample"
-    assert rep.candidates == index + 1
+    assert rep.candidates == first + 1
+    a, b = pairs[first]
     assert rep.counterexample == {"a": a, "b": b, "w": rep.details["w"]}
     _same_report(rep, _planar_per_pair(c313, sample, 0))
 
@@ -849,7 +917,7 @@ def test_planar_sample_matches_listed_pairs_reference(c313, sample, seed):
 
 
 def test_planar_full_items_are_pair_index_ranges(monkeypatch):
-    # both modes scan in ranges of 22 pairs (2^14 // 729): full mode the
+    # both modes scan in ranges of 4,096 pairs, whatever N: full mode the
     # 531,441 pair codes a N + b with no list of codes, sample mode a list
     # of them
     seen = []
@@ -860,29 +928,33 @@ def test_planar_full_items_are_pair_index_ranges(monkeypatch):
 
     monkeypatch.setattr(ex, "_run_scan", fake_scan)
     assert verify_planar_dichotomy({"q": 3, "m": 3, "k": 1}) == "scanned"
-    assert seen.pop() == (729 ** 2, 22, None, ex._planar_check)
+    assert seen.pop() == (729 ** 2, 4096, None, ex._planar_check)
     assert verify_planar_dichotomy({"q": 3, "m": 3, "k": 1, "sample": 100}) == "scanned"
     total, size, codes, check = seen.pop()
-    assert (total, size, len(codes), check) == (1557, 22, 1557, ex._planar_check)
+    assert (total, size, len(codes), check) == (1557, 4096, 1557, ex._planar_check)
+    assert verify_planar_dichotomy({"q": 5, "m": 3, "k": 1, "sample": 10}) == "scanned"
+    assert seen.pop()[:2] == (2 * 5 ** 6 - 1 + 10, 4096)
 
 
 def test_planar_range_decodes_the_pair_order(monkeypatch):
     # a range of the full scan's index is the same slice of
     # itertools.product(range(N), range(N)), and of sample mode's the same
-    # slice of the listed pairs; a range stops at its first bad pair
+    # slice of the listed pairs; a range stops at its first pair whose
+    # representative's verdict is wrong
     full = ex._planar_setup(3, 1, 3, 1, None)
-    N = full["ctx"].N
+    ctx = full["ctx"]
+    N = ctx.N
     pairs = _planar_listed_pairs(N, 100, 0)
     codes = np.array([a * N + b for a, b in pairs])
     sample = ex._planar_setup(3, 1, 3, 1, codes)
     seen = []
-    real = ex._planar_rows
+    real = ex._planar_rep
 
-    def recorded(state, A, B):
+    def recorded(ctx, k, A, B):
         seen.append(list(zip(A.tolist(), B.tolist())))
-        return real(state, A, B)
+        return real(ctx, k, A, B)
 
-    monkeypatch.setattr(ex, "_planar_rows", recorded)
+    monkeypatch.setattr(ex, "_planar_rep", recorded)
     for lo, hi in ((0, 89), (700, 789), (N * N - 40, N * N)):
         assert ex._planar_check(full, lo, hi) == (hi - lo, 0, None)
         assert seen.pop() == list(itertools.islice(
@@ -890,28 +962,28 @@ def test_planar_range_decodes_the_pair_order(monkeypatch):
     for lo, hi in ((0, 89), (1424, 1513), (1513, 1557)):
         assert ex._planar_check(sample, lo, hi) == (hi - lo, 0, None)
         assert seen.pop() == pairs[lo:hi]
-    monkeypatch.setattr(ex, "_planar_rows",
-                        lambda state, A, B: real(state, A, B) ^ ((A == 3) & (B == 5)))
-    assert ex._planar_check(full, 3 * N, 3 * N + 89) == \
-        (6, 0, {"a": 3, "b": 5, "w": full["w"]})
+    monkeypatch.setattr(ex, "_planar_rep", real)
+    verdict = full["verdict"].copy()
+    verdict[real(ctx, 1, np.array([3]), np.array([5]))[0]] ^= True
+    orbit = _planar_orbit(ctx, 1, 3, 5)
+    first = next(i for i in range(89) if 3 * N + i in orbit)
+    assert first == 5                   # only c = +-1 fixes a = 3, and they fix b
+    assert ex._planar_check({**full, "verdict": verdict}, 3 * N, 3 * N + 89) == \
+        (first + 1, 0, {"a": 3, "b": first, "w": full["w"]})
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("index", [22, 43, 22 * 40])
-def test_planar_full_counterexample_on_a_block_edge(monkeypatch, jobs, index):
-    # full mode: pairs 22 = (0, 22) and 43 = (0, 43) open and close the
-    # second range, 880 = (1, 151) opens the 41st; a flipped verdict there
-    # stops the scan at index + 1
-    a, b = divmod(index, 729)
-    real = ex._planar_rows
-
-    def flipped(state, A, B):
-        return real(state, A, B) ^ ((A == a) & (B == b))
-
-    monkeypatch.setattr(ex, "_planar_rows", flipped)
+def test_planar_full_counterexample_on_a_block_edge(c313, monkeypatch, jobs, index):
+    # full mode: flipping the verdict of the representative of pair code
+    # 22 = (0, 22), 43 = (0, 43) or 880 = (1, 151) stops the scan at the
+    # least pair code of that orbit, the first pair that reads the flip
+    orbit = _planar_flip_orbit(monkeypatch, c313, *divmod(index, 729))
+    first = int(orbit.min())
     rep = verify_planar_dichotomy({"q": 3, "m": 3, "k": 1}, jobs=jobs)
     assert rep.verdict == "counterexample"
-    assert rep.candidates == index + 1
+    assert rep.candidates == first + 1
+    a, b = divmod(first, 729)
     assert rep.counterexample == {"a": a, "b": b, "w": rep.details["w"]}
 
 

@@ -462,6 +462,9 @@ def test_planar_family_preconditions(c313, c312):
         planar_family_check(c313, 1, 0, w, 3)        # gcd(k, m) != 1
     with pytest.raises(ValueError):
         planar_family_check(c312, 1, 0, c312.least_nonsquare("q2n"), 1)   # m < 3
+    for k in (-1, 0):              # gcd(-1, 3) = 1, and k = -1 read as 2m - 1
+        with pytest.raises(ValueError, match=f"need k >= 1 \\(got {k}\\)"):
+            planar_family_check(c313, 1, 0, w, k)
 
 
 def test_planar_family_refuses_non_encodings(c313):
