@@ -42,7 +42,8 @@ The rows go in blocks of _EXP_BLOCK; the table must cycle back to 1 and hit
 every unit once.
 
 to_coords and from_coords are the one map between encodings and coordinates
-over a subfield: to_coords reads coord_index, from_coords sums c_j * b_j with
+over a subfield: to_coords reads the base-p digits of the ambient field over
+F_p and coord_index for every other pair, from_coords sums c_j * b_j with
 vmul and vadd.  Subfields and cosets are read off the log table: gamma^i lies
 in F_p^k exactly when (N-1)/(p^k-1) divides i, and two units share an
 F_q^*-coset exactly when their logs agree mod (N-1)/(q-1).  in_subfield (one
@@ -543,7 +544,12 @@ class FieldCtx:
         bad = self.outside(X, k)
         if np.any(bad):
             raise ValueError(f"element {X[bad][0]} is not in the tagged field")
-        idx = self.coord_index(k, ko)[X.astype(np.int64, copy=False)]
+        X = X.astype(np.int64, copy=False)
+        if k == self.d and ko == 1:
+            # the power basis of subfield_basis: the base-p digits, least
+            # significant first, and nothing cached
+            return X[..., None] // self.p ** np.arange(k, dtype=np.int64) % self.p
+        idx = self.coord_index(k, ko)[X]
         qo = self.p ** ko
         return self.subfield_elements(ko)[idx[..., None] // self._place_values(k, ko) % qo]
 

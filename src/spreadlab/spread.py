@@ -88,11 +88,9 @@ class Subspace:
 
     @property
     def basis(self) -> list[Elt]:
-        """Canonical reduced-echelon F_q-basis."""
+        """Canonical reduced-echelon F_q-basis, read off the element set."""
         if self._basis is None:
-            ctx = self.ctx
-            R = rref(ctx, ctx.to_coords(self.elements[1:], ctx.d, "q"))[0]
-            self._basis = ctx.from_coords(R, ctx.d, "q").tolist()
+            self._basis = _echelon_rows(self.ctx, self.elements[None, :], self.dim)[0].tolist()
         return self._basis
 
     def __contains__(self, x: Elt) -> bool:
@@ -111,6 +109,48 @@ class Subspace:
 
     def to_json(self) -> list[int]:
         return [int(b) for b in self.basis]
+
+
+def _echelon_rows(ctx: FieldCtx, table: np.ndarray, dim: int) -> np.ndarray:
+    """The reduced echelon F_q-bases of the rows of a table of sorted element
+    sets of dimension dim, one row of dim encodings each, read off the
+    elements without elimination.
+
+    In coordinates over F_q (to_coords, in the order of subfield_basis), the
+    pivot columns of a subspace's reduced echelon form are the leading
+    positions of its nonzero elements, and basis row i is the one element whose pivot
+    coordinates are the i-th unit vector.  The encodings 0 and 1 are the
+    field's 0 and 1, so coordinates are compared with them directly."""
+    E = table[:, 1:]                       # the nonzero elements
+    C = ctx.to_coords(E, ctx.d, "q")
+    nz = C != 0
+    lead = nz.argmax(axis=2)
+    piv = np.zeros((len(E), C.shape[2]), dtype=bool)
+    piv[np.arange(len(E))[:, None], lead] = True
+    at_piv = nz & piv[:, None, :]
+    unit = (at_piv.sum(axis=2) == 1) & ((C == 1) & at_piv).any(axis=2)
+    r, j = unit.nonzero()
+    out = np.zeros(piv.shape, dtype=np.int64)
+    out[r, lead[r, j]] = E[r, j]
+    if (piv.sum(axis=1) != dim).any() or (unit.sum(axis=1) != dim).any():
+        raise ValueError("element set is not an F_q-subspace")
+    return out[piv].reshape(len(E), dim)
+
+
+def _fill_bases(components) -> None:
+    """Read off every missing basis: one _echelon_rows pass per block of at
+    most _BLOCK elements, over subspaces of one tower and dimension."""
+    groups: dict = {}
+    for C in components:
+        if C._basis is None:
+            groups.setdefault((C.ctx, C.dim), []).append(C)
+    for (ctx, dim), todo in groups.items():
+        per = max(1, _BLOCK // ctx.q ** dim)
+        for lo in range(0, len(todo), per):
+            part = todo[lo:lo + per]
+            rows = _echelon_rows(ctx, np.stack([C.elements for C in part]), dim)
+            for C, row in zip(part, rows.tolist()):
+                C._basis = row
 
 
 def component_from_pair(A: QPoly, B: QPoly, delta: Elt) -> Subspace:
@@ -214,11 +254,12 @@ def is_partial_spread(components) -> bool:
 
 def is_spread(components) -> bool:
     """Exactly q^n + 1 components of dimension n covering each nonzero
-    ambient vector exactly once."""
+    ambient vector exactly once; a component of another dimension makes it
+    False before coverage is counted."""
     if not components:
         raise ValueError("no components")
     ctx = components[0].ctx
-    if components[0].dim != ctx.n or len(components) != ctx.q ** ctx.n + 1:
+    if len(components) != ctx.q ** ctx.n + 1 or any(C.dim != ctx.n for C in components):
         return False
     return bool((_coverage(components)[1:] == 1).all())
 
@@ -252,6 +293,7 @@ class Spread:
     def to_json(self) -> dict:
         if self.kernel is None and self.verified:
             self.kernel = kernel_of_spread(self)
+        _fill_bases(self.components)
         return {
             "ctx": self.ctx.to_json(),
             "kind": self.kind,
@@ -345,18 +387,35 @@ def build_typeC(ctx: FieldCtx, i: int, delta: Elt) -> Spread:
     return Spread(ctx, comps, "typeC", verified=True)
 
 
+@functools.lru_cache(maxsize=32)
+def _typeH_seeds(ctx: FieldCtx, k: int, delta: Elt) -> np.ndarray:
+    """The seed rows of the two type-H halves, W = {x + delta x^(q^k)} and
+    W^(q^n), sorted, as one read-only table of two rows; built and checked
+    once per (tower, k, delta), since only the multipliers depend on eta.
+    Raises unless beta^(2 half) W = W, half = (q^n + 1)/2."""
+    W = component_from_pair(*_twisted_pair(ctx, k), delta).elements
+    b2h = ctx.pow(ctx.beta, ctx.q ** ctx.n + 1)          # beta^(2 half)
+    if not np.array_equal(_images(ctx, W[None, :], b2h)[0], W):
+        raise RuntimeError("the first beta^2-orbit does not close with (q^n + 1)/2 rows")
+    seeds = np.stack([W, _images(ctx, W[None, :], 1, ctx.n * ctx.e)[0]])
+    seeds.flags.writeable = False
+    return seeds
+
+
 def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
     """Two beta^2-orbits, of W = {x + delta x^(q^k)} and of its psi-image.
 
     psi(z) = eta z^(q^n) is F_q-linear with psi(beta^(2j) x) =
     beta^(2j q^n) psi(x).  beta^(q^n + 1) lies in F_q^*, which fixes every
     component, and q^n = -1 mod half = (q^n + 1)/2, so the second orbit is
-    the psi-image of the first read backwards: second[i] = psi(first[-i]),
-    indices mod half.  The rows are built that way and checked: the first
-    orbit closes with half rows, beta^2 second[i] = second[i + 1], the union
-    covers every nonzero vector once, and psi maps each row of the second
-    half to a component.  Then beta^2 is transitive on each half and psi
-    joins them, so <beta^2, psi> is transitive on the components.
+    the psi-image of the first read backwards: second[i] = psi(first[-i]) =
+    eta beta^(-2i q^n) W^(q^n), indices mod half.  So each row is one seed
+    row times one multiplier: first[j] = beta^(2j) W, and second[i] from the
+    seed W^(q^n).  The rows are built that way and checked: the first orbit
+    closes with half rows, beta^2 second[i] = second[i + 1], the union covers
+    every nonzero vector once, and psi maps each row of the second half to a
+    component.  Then beta^2 is transitive on each half and psi joins them
+    (second[0] = psi(W)), so <beta^2, psi> is transitive on the components.
     """
     if ctx.p == 2 or ctx.n % 2 == 0:
         raise ValueError("this construction needs odd q and odd n")
@@ -369,47 +428,34 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
         raise ValueError("eta must satisfy eta^((1+q^n)(q^k-1)) = 1")
     if ctx.is_square(eta):
         raise ValueError("eta must be a nonsquare")
-    W = component_from_pair(*_twisted_pair(ctx, k), delta)
-    half, ne, size = (qn + 1) // 2, ctx.n * ctx.e, W.elements.size
+    seeds = _typeH_seeds(ctx, k, delta)
+    half, M, ne = (qn + 1) // 2, ctx.N - 1, ctx.n * ctx.e
     b2 = ctx.mul(ctx.beta, ctx.beta)
-    log_b2 = int(ctx.log[b2])
-    if not np.array_equal(_images(ctx, W.elements[None, :],
-                                  ctx.exp[half * log_b2 % (ctx.N - 1)])[0], W.elements):
-        raise RuntimeError("the first beta^2-orbit does not close with (q^n + 1)/2 rows")
-    # the components, rows first + second, in blocks of at most _BLOCK
-    # entries: each block is the table of its images (the one block that
-    # holds the end of the first orbit joins two), and `rows` a view of every
-    # row built so far
-    per = max(1, _BLOCK // size)
-    blocks, rows = [], []
-
-    def take(idx):
-        return np.stack([rows[r] for r in idx])
-
+    log_b2, log_eta = int(ctx.log[b2]), int(ctx.log[eta])
+    # rows first + second in blocks of at most _BLOCK entries, each block
+    # its seed rows times a column of multipliers, by log: 2j log beta for
+    # first[j], log eta - 2i q^n log beta for second[i]
+    per = max(1, _BLOCK // seeds.shape[1])
+    blocks = []
     for lo in range(0, 2 * half, per):
-        hi = min(lo + per, 2 * half)
-        parts = []
-        if lo < half:
-            j = np.arange(lo, min(hi, half))
-            parts.append(_images(ctx, W.elements[None, :],
-                                 ctx.exp[j * log_b2 % (ctx.N - 1)][:, None]))
-            rows += list(parts[0])
-        if hi > half:
-            parts.append(_images(ctx, take([-r % half for r in range(max(lo, half), hi)]),
-                                 eta, ne))
-        blocks.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
-        rows[lo:] = blocks[-1]
+        r = np.arange(lo, min(lo + per, 2 * half), dtype=np.int64)
+        second = r >= half
+        logs = np.where(second, log_eta - (r - half) * (qn * log_b2 % M), r * log_b2) % M
+        blocks.append(_images(ctx, seeds[second.astype(np.intp)], ctx.exp[logs][:, None]))
     if not (_count(ctx, blocks)[1:] == 1).all():
         raise RuntimeError("two-orbit union failed spread verification")
-    # the second-half rows of each block, from s on
-    seconds = [(lo, max(lo, half) - lo, B) for lo, B in zip(range(0, 2 * half, per), blocks)
+
+    # the second-half rows of each block, from s on; beta^2 moves each to
+    # the next built row, the last to second[0]
+    seconds = [(max(lo, half) - lo, B) for lo, B in zip(range(0, 2 * half, per), blocks)
                if lo + len(B) > half]
-    for lo, s, B in seconds:
-        after = [half + (r + 1) % half for r in range(lo + s, lo + len(B))]
-        if not np.array_equal(_images(ctx, B[s:], b2), take(after)):
+    after = [B[0] for _, B in seconds[1:]] + [blocks[half // per][half % per]]
+    for (s, B), nxt in zip(seconds, after):
+        img = _images(ctx, B[s:], b2)
+        if not (np.array_equal(img[:-1], B[s + 1:]) and np.array_equal(img[-1], nxt)):
             raise RuntimeError("beta^2 does not cycle the second orbit")
-    members = {row.tobytes() for row in rows}
-    for lo, s, B in seconds:
+    members = {C.tobytes() for B in blocks for C in B}
+    for s, B in seconds:
         if any(img.tobytes() not in members for img in _images(ctx, B[s:], eta, ne)):
             raise RuntimeError("group action leaves the component set")
     comps = [C for B in blocks for C in Subspace._rows(ctx, B)]
@@ -469,6 +515,7 @@ def symplectic_check(S: Spread, delta: Elt) -> bool:
     if (np.any(np.diagonal(G)) or np.any(ctx.vadd(G, G.T))
             or len(rref(ctx, G)[1]) != 2 * ctx.n):
         return False
+    _fill_bases(S.components)
     return not any(np.any(gram(C.basis)) for C in S.components)
 
 

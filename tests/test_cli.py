@@ -121,6 +121,30 @@ def test_verify_corrupt_file_exits_1(tmp_path, capsys, corrupt):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("index", [0, 5])
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_verify_component_of_wrong_dimension_exits_2(tmp_path, index, edit):
+    # a well-formed file whose component has dimension 2 or 4, not n = 3, is
+    # no spread, wherever the component stands
+    out = str(tmp_path / "s.json")
+    assert main(["build", "typec", "--p", "3", "--n", "3", "--out", out]) == 0
+    with open(out) as fh:
+        doc = json.load(fh)
+    basis = doc["components"][index]
+    if edit == "drop":
+        basis.pop()
+    else:
+        basis.append(doc["components"][6][0])      # outside component `index`
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spreadlab.cli", "verify", out],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "NOT a spread (28 components)" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv, name", [
     (["typec", "--p", "3", "--n", "3", "--delta", "-717"], "delta"),
     (["typec", "--p", "3", "--n", "3", "--delta", "1000000"], "delta"),

@@ -274,6 +274,22 @@ def test_coordinates_over_prime_field_are_digits(tower):
     assert ctx.coords(ctx.N - 1, ctx.d, "p") == tuple([ctx.p - 1] * ctx.d)
 
 
+@pytest.mark.parametrize("tower", [(3, 1, 3), (3, 2, 3), (2, 2, 3), (5, 1, 3)], ids=str)
+def test_prime_field_coordinates_match_the_span_index(tower):
+    # every encoding: the digits, least significant first, against the
+    # position in span(subfield_basis), first basis vector most significant;
+    # the digits leave nothing in the tower's caches
+    ctx = build_tower(*tower)
+    every = np.arange(ctx.N)
+    cached = set(ctx._index_cache)
+    got = ctx.to_coords(every, ctx.d, "p")
+    assert set(ctx._index_cache) == cached
+    idx = ctx.coord_index(ctx.d, "p")[every]
+    place = ctx.p ** np.arange(ctx.d - 1, -1, -1)
+    want = ctx.subfield_elements("p")[idx[:, None] // place % ctx.p]
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("tower", COORD_TOWERS, ids=str)
 @pytest.mark.parametrize("tag", ["q", "qn"])
 def test_coordinate_map_rejects_outside_elements(tower, tag):

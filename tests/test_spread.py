@@ -197,15 +197,20 @@ def test_coverage_counts_agree_across_chunks_and_fields(spread_c313, c313, monke
 
 def test_component_polynomials_are_built_once_per_tower(c313):
     # every build at one (tower, k) reuses one X and one X^(q^k), so their
-    # value tables are computed once
+    # value tables are computed once; every type-H build at one (tower, k,
+    # delta) reuses one pair of seed rows, whatever its eta
     spread_mod._twisted_pair.cache_clear()
-    deltas, eta = c313.find_deltas(), int(c313.find_etas(1)[0])
+    spread_mod._typeH_seeds.cache_clear()
+    deltas, etas = c313.find_deltas(), c313.find_etas(1)
     for d in deltas[:3]:
         build_typeC(c313, 1, int(d))
         build_typeC(c313, 2, int(d))
-        build_typeH(c313, 1, int(d), eta)
+        for h in etas[:4]:
+            build_typeH(c313, 1, int(d), int(h))
     info = spread_mod._twisted_pair.cache_info()
     assert (info.misses, info.hits) == (2, 7)
+    seeds = spread_mod._typeH_seeds.cache_info()
+    assert (seeds.misses, seeds.hits) == (3, 9)
     X, Xq = spread_mod._twisted_pair(c313, 1)
     assert X == QPoly.identity(c313) and Xq == QPoly.monomial(c313, 1, 1)
 
@@ -325,29 +330,37 @@ def test_build_typeH_blocks_cross_the_halves(c313, monkeypatch, rows):
 
 
 @pytest.mark.parametrize("fake, message", [
-    # the psi-images of the lookup (the second psi pass at (3,3)) lose a column
-    (lambda ctx, table, g, k, imgs, psi_calls:
-     imgs[:, :-1] if k and psi_calls == 2 else imgs, "leaves the component set"),
-    # psi as the identity: the second half repeats the first
-    (lambda ctx, table, g, k, imgs, psi_calls:
-     table if k else imgs, "failed spread verification"),
+    # the seed row W^(q^n) (the one psi-image without eta) replaced by W:
+    # the second half becomes eta beta^(-2i q^n) W, the odd beta-powers of
+    # W, so the union is the type-C spread, which psi does not preserve
+    (lambda ctx, table, g, k, imgs:
+     table if k and np.ndim(g) == 0 and g == 1 else imgs, "leaves the component set"),
+    # the seed row replaced by eta^-1 W, psi as the identity: the second
+    # half repeats the first
+    (lambda ctx, table, g, k, imgs:
+     np.sort(ctx.vmul(ctx.inv(ctx.find_etas(1)[0]), table), axis=1)
+     if k and np.ndim(g) == 0 and g == 1 else imgs, "failed spread verification"),
     # the beta^2-images of the shift check, moved down by one row
-    (lambda ctx, table, g, k, imgs, psi_calls:
+    (lambda ctx, table, g, k, imgs:
      np.roll(imgs, 1, axis=0) if not k and np.ndim(g) == 0
      and g == ctx.mul(ctx.beta, ctx.beta) else imgs, "does not cycle the second orbit"),
+    # the seed check's closure image beta^(q^n + 1) W, times gamma
+    (lambda ctx, table, g, k, imgs:
+     np.sort(ctx.vmul(ctx.gamma, imgs), axis=1) if not k and np.ndim(g) == 0
+     and g == ctx.pow(ctx.beta, ctx.q ** ctx.n + 1) else imgs, "does not close with"),
 ])
 def test_build_typeH_group_check(c313, monkeypatch, fake, message):
+    # the seeds are cached per (tower, k, delta): build them under the
+    # fault, and keep none built that way
     real = spread_mod._images
-    psi_calls = []
-
-    def images(ctx, table, g, k=0):
-        if k:
-            psi_calls.append(table)
-        return fake(ctx, table, g, k, real(ctx, table, g, k), len(psi_calls))
-
-    monkeypatch.setattr(spread_mod, "_images", images)
-    with pytest.raises(RuntimeError, match=message):
-        build_typeH(c313, 1, c313.find_deltas()[0], c313.find_etas(1)[0])
+    monkeypatch.setattr(spread_mod, "_images", lambda ctx, table, g, k=0:
+                        fake(ctx, table, g, k, real(ctx, table, g, k)))
+    spread_mod._typeH_seeds.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=message):
+            build_typeH(c313, 1, c313.find_deltas()[0], c313.find_etas(1)[0])
+    finally:
+        spread_mod._typeH_seeds.cache_clear()
 
 
 def _typeH_transitive_by_bfs(S: Spread, eta) -> bool:
@@ -780,6 +793,81 @@ def test_index_cache_stays_small():
         coeffs = {(i, j): int(rng.choice(dom)) for i in range(4) for j in range(i, 4)}
         is_permutation_via_rank(DOPoly(c214, coeffs))
     assert len(c214._index_cache) <= 2
+
+
+def _basis_by_elimination(C):
+    """The reference for the read-off basis: rref of the coordinates of every
+    nonzero element."""
+    ctx = C.ctx
+    R = rref(ctx, ctx.to_coords(C.elements[1:], ctx.d, "q"))[0]
+    return ctx.from_coords(R, ctx.d, "q").tolist()
+
+
+def _unread(comps):
+    """New subspaces on copies of the element sets, no basis read yet."""
+    return [Subspace._rows(C.ctx, C.elements[None, :].copy())[0] for C in comps]
+
+
+@pytest.mark.parametrize("kind, p, e, n, k", [
+    ("typeC", 5, 1, 3, 1), ("typeC", 3, 1, 5, 1), ("typeC", 3, 2, 3, 1),
+    ("typeH", 3, 1, 3, 1), ("typeH", 3, 1, 3, 2), ("even3", 2, 1, 3, 0), ("even3", 2, 2, 3, 0),
+], ids=["typeC-5-3", "typeC-3-5", "typeC-9-3", "typeH-3-3-k1", "typeH-3-3-k2",
+        "even3-q2", "even3-q4"])
+def test_bases_read_off_match_elimination(monkeypatch, kind, p, e, n, k):
+    # every component, one at a time (Subspace.basis) and in blocks
+    # (Spread.to_json); blocks of 5 components make the last one short
+    ctx = build_tower(p, e, n)
+    if kind == "typeH":
+        S = build_typeH(ctx, k, ctx.find_deltas()[0], ctx.find_etas(k)[0])
+    else:
+        S = _first_spread(kind, p, e, n)
+    want = [_basis_by_elimination(C) for C in S.components]
+    assert [C.basis for C in _unread(S.components)] == want
+    assert Spread(ctx, _unread(S.components)).to_json()["components"] == want
+    monkeypatch.setattr(spread_mod, "_BLOCK", 5 * ctx.q ** ctx.n)
+    assert Spread(ctx, _unread(S.components)).to_json()["components"] == want
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 2), (2, 2, 2)], ids=str)
+def test_bases_read_off_random_subspaces(tower):
+    # seeded random subspaces of every dimension 0 .. 2n, the whole field
+    # included: one at a time, and all together in blocks of one dimension
+    ctx = build_tower(*tower)
+    rng = np.random.default_rng(sum(tower))
+    subs = []
+    for dim in range(2 * ctx.n + 1):
+        while sum(S.dim == dim for S in subs) < 4:
+            S = Subspace(ctx, basis=rng.integers(1, ctx.N, size=dim).tolist())
+            if S.dim == dim:
+                subs.append(S)
+    want = [_basis_by_elimination(S) for S in subs]
+    assert [S.basis for S in _unread(subs)] == want
+    fresh = _unread(subs)
+    spread_mod._fill_bases(fresh)
+    assert [S._basis for S in fresh] == want
+    assert want[0] == [] and len(want[-1]) == 2 * ctx.n
+
+
+def test_basis_of_a_table_that_is_no_subspace_is_refused(c313):
+    # 27 sorted encodings from 0, the right shape for dimension 3, with
+    # nonzero elements leading at each of the 6 coordinates
+    els = np.sort(np.concatenate([[0], 3 ** np.arange(6), 700 + np.arange(20)]))
+    T = Subspace._rows(c313, els[None, :])[0]
+    with pytest.raises(ValueError, match="not an F_q-subspace"):
+        T.basis
+
+
+def test_is_spread_is_false_for_a_component_of_another_dimension(spread_c313):
+    # before coverage is counted, wherever the component stands;
+    # is_partial_spread still refuses mixed dimensions
+    comps = spread_c313.components
+    for i in (0, 5):
+        for dim in (2, 4):
+            C = Subspace(spread_c313.ctx, basis=(comps[i].basis + comps[6].basis)[:dim])
+            bad = comps[:i] + [C] + comps[i + 1:]
+            assert C.dim == dim and not is_spread(bad)
+            with pytest.raises(ValueError, match="mixed dimensions"):
+                is_partial_spread(bad)
 
 
 def test_corrupt_bases_and_empty_spreads_are_refused(c313):
