@@ -79,12 +79,15 @@ class Subspace:
         return self
 
     @classmethod
-    def _rows(cls, ctx: FieldCtx, table: np.ndarray) -> list[Subspace]:
+    def _rows(cls, ctx: FieldCtx, table: np.ndarray, dim: int | None = None) -> list[Subspace]:
         """One Subspace per row of a table of sorted element sets, each a read-only
-        view of the table: the one path that checks the shape but not closure."""
-        dim = _subspace_dim(ctx, table)
+        view of the table: the one path that checks the shape but not closure.
+        A dim given is the result of an earlier check of the same read-only table."""
+        if dim is None:
+            dim = _subspace_dim(ctx, table)
         table.flags.writeable = False
-        return [cls.__new__(cls)._set(ctx, row, dim) for row in table]
+        new, set_ = cls.__new__, cls._set
+        return [set_(new(cls), ctx, row, dim) for row in table]
 
     @property
     def basis(self) -> list[Elt]:
@@ -402,6 +405,62 @@ def _typeH_seeds(ctx: FieldCtx, k: int, delta: Elt) -> np.ndarray:
     return seeds
 
 
+def _typeH_class(ctx: FieldCtx, k: int, delta: Elt, rho: Elt) -> tuple[np.ndarray, ...]:
+    """The checked rows first + second of the type-H spread of (k, delta, rho),
+    in blocks of at most _BLOCK entries; see build_typeH.
+
+    Each row is one seed row times one multiplier, by log: 2j log beta for
+    first[j] = beta^(2j) W, log rho - 2i q^n log beta for second[i] =
+    rho beta^(-2i q^n) W^(q^n).  Checked: the first orbit closes with half
+    rows (in _typeH_seeds), the union covers every nonzero vector once,
+    beta^2 second[i] = second[i + 1], and psi(second[i]) = first[-i mod half]
+    for psi(z) = rho z^(q^n): psi(second[i]) = rho^(1 + q^n) beta^(-2i) W,
+    and rho^(1 + q^n) lies in F_{q^n} (a norm) and in F_{q^k} (its order
+    divides q^k - 1), so in F_q^*, which fixes every component."""
+    seeds = _typeH_seeds(ctx, k, delta)
+    qn = ctx.q ** ctx.n
+    half, M, ne = (qn + 1) // 2, ctx.N - 1, ctx.n * ctx.e
+    b2 = ctx.mul(ctx.beta, ctx.beta)
+    log_b2, log_rho = int(ctx.log[b2]), int(ctx.log[rho])
+    per = max(1, _BLOCK // seeds.shape[1])
+    blocks = []
+    for lo in range(0, 2 * half, per):
+        r = np.arange(lo, min(lo + per, 2 * half), dtype=np.int64)
+        second = r >= half
+        logs = np.where(second, log_rho - (r - half) * (qn * log_b2 % M), r * log_b2) % M
+        blocks.append(_images(ctx, seeds[second.astype(np.intp)], ctx.exp[logs][:, None]))
+    if not (_count(ctx, blocks)[1:] == 1).all():
+        raise RuntimeError("two-orbit union failed spread verification")
+
+    # the second-half rows of each block, from s on; beta^2 moves each to
+    # the next built row, the last to second[0]
+    seconds = [(lo, max(lo, half) - lo, B) for lo, B in zip(range(0, 2 * half, per), blocks)
+               if lo + len(B) > half]
+    after = [B[0] for _, _, B in seconds[1:]] + [blocks[half // per][half % per]]
+    for (lo, s, B), nxt in zip(seconds, after):
+        img = _images(ctx, B[s:], b2)
+        if not (np.array_equal(img[:-1], B[s + 1:]) and np.array_equal(img[-1], nxt)):
+            raise RuntimeError("beta^2 does not cycle the second orbit")
+        j = -np.arange(lo + s - half, lo + len(B) - half) % half
+        want = np.empty_like(img)
+        for b, F in enumerate(blocks[:half // per + 1]):
+            at = j // per == b
+            want[at] = F[j[at] % per]
+        if not np.array_equal(_images(ctx, B[s:], rho, ne), want):
+            raise RuntimeError("group action leaves the component set")
+    for B in blocks:        # Subspace._rows' shape check, made once per table
+        _subspace_dim(ctx, B)
+        B.flags.writeable = False
+    return tuple(blocks)
+
+
+@functools.lru_cache(maxsize=32)
+def _typeH_class_memo(ctx: FieldCtx, k: int, delta: Elt, rho: Elt) -> tuple[np.ndarray, ...]:
+    """_typeH_class, kept for the tables of at most _BLOCK entries (one
+    block); a larger table lives only as long as its build_typeH call."""
+    return _typeH_class(ctx, k, delta, rho)
+
+
 def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
     """Two beta^2-orbits, of W = {x + delta x^(q^k)} and of its psi-image.
 
@@ -409,13 +468,25 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
     beta^(2j q^n) psi(x).  beta^(q^n + 1) lies in F_q^*, which fixes every
     component, and q^n = -1 mod half = (q^n + 1)/2, so the second orbit is
     the psi-image of the first read backwards: second[i] = psi(first[-i]) =
-    eta beta^(-2i q^n) W^(q^n), indices mod half.  So each row is one seed
-    row times one multiplier: first[j] = beta^(2j) W, and second[i] from the
-    seed W^(q^n).  The rows are built that way and checked: the first orbit
-    closes with half rows, beta^2 second[i] = second[i + 1], the union covers
-    every nonzero vector once, and psi maps each row of the second half to a
-    component.  Then beta^2 is transitive on each half and psi joins them
-    (second[0] = psi(W)), so <beta^2, psi> is transitive on the components.
+    eta beta^(-2i q^n) W^(q^n), indices mod half.
+
+    So eta enters only through its class modulo <beta^2> F_q^*, whose logs
+    are the multiples of g = gcd(2 log beta, (N - 1)/(q - 1), N - 1):
+    eta = rho beta^(2t) c with rho = gamma^(log eta mod g) and c in F_q^*,
+    and second_eta[i] = second_rho[i + t mod half].  rho is itself an
+    admissible eta (beta^2 and c are squares, and (beta^(2t) c)^(1 + q^n)
+    lies in F_q^*).  The rows of rho are built and checked once
+    (_typeH_class): the union covers every nonzero vector once, beta^2
+    cycles each half, and psi_rho(second[i]) = first[-i].  Every call then
+    looks psi_eta(W) = eta W^(q^n) up among rho's second half, which
+    finds t (a miss raises), and returns first, then second rotated by t,
+    each row a fresh read-only Subspace view.  The rows equal those of the
+    direct build for eta, and psi_eta = beta^(2t) c psi_rho maps
+    components to components.  So beta^2 is transitive on each half and
+    psi_eta joins them (second[0] = psi_eta(W)): <beta^2, psi_eta> is
+    transitive on the components.  The table of rho is memoized per
+    (tower, k, delta, rho) only when it fits one block of _BLOCK entries
+    (the 28 rows of (3,3), not the 730 of (9,3)).
     """
     if ctx.p == 2 or ctx.n % 2 == 0:
         raise ValueError("this construction needs odd q and odd n")
@@ -428,38 +499,19 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
         raise ValueError("eta must satisfy eta^((1+q^n)(q^k-1)) = 1")
     if ctx.is_square(eta):
         raise ValueError("eta must be a nonsquare")
+    delta, half = int(delta), (qn + 1) // 2
+    g = math.gcd(2 * int(ctx.log[ctx.beta]), (ctx.N - 1) // (ctx.q - 1), ctx.N - 1)
+    rho = int(ctx.exp[int(ctx.log[eta]) % g])
     seeds = _typeH_seeds(ctx, k, delta)
-    half, M, ne = (qn + 1) // 2, ctx.N - 1, ctx.n * ctx.e
-    b2 = ctx.mul(ctx.beta, ctx.beta)
-    log_b2, log_eta = int(ctx.log[b2]), int(ctx.log[eta])
-    # rows first + second in blocks of at most _BLOCK entries, each block
-    # its seed rows times a column of multipliers, by log: 2j log beta for
-    # first[j], log eta - 2i q^n log beta for second[i]
-    per = max(1, _BLOCK // seeds.shape[1])
-    blocks = []
-    for lo in range(0, 2 * half, per):
-        r = np.arange(lo, min(lo + per, 2 * half), dtype=np.int64)
-        second = r >= half
-        logs = np.where(second, log_eta - (r - half) * (qn * log_b2 % M), r * log_b2) % M
-        blocks.append(_images(ctx, seeds[second.astype(np.intp)], ctx.exp[logs][:, None]))
-    if not (_count(ctx, blocks)[1:] == 1).all():
-        raise RuntimeError("two-orbit union failed spread verification")
-
-    # the second-half rows of each block, from s on; beta^2 moves each to
-    # the next built row, the last to second[0]
-    seconds = [(max(lo, half) - lo, B) for lo, B in zip(range(0, 2 * half, per), blocks)
-               if lo + len(B) > half]
-    after = [B[0] for _, B in seconds[1:]] + [blocks[half // per][half % per]]
-    for (s, B), nxt in zip(seconds, after):
-        img = _images(ctx, B[s:], b2)
-        if not (np.array_equal(img[:-1], B[s + 1:]) and np.array_equal(img[-1], nxt)):
-            raise RuntimeError("beta^2 does not cycle the second orbit")
-    members = {C.tobytes() for B in blocks for C in B}
-    for s, B in seconds:
-        if any(img.tobytes() not in members for img in _images(ctx, B[s:], eta, ne)):
-            raise RuntimeError("group action leaves the component set")
-    comps = [C for B in blocks for C in Subspace._rows(ctx, B)]
-    return Spread(ctx, comps, "typeH", verified=True)
+    build = _typeH_class_memo if 2 * half * seeds.shape[1] <= _BLOCK else _typeH_class
+    blocks = build(ctx, k, delta, rho)
+    psi_W = _images(ctx, seeds[1:], eta)[0]
+    hit = np.flatnonzero(np.concatenate([(B == psi_W).all(axis=1) for B in blocks])[half:])
+    if not len(hit):
+        raise RuntimeError("psi(W) is not a component of the second orbit")
+    t = half + int(hit[0])
+    comps = [C for B in blocks for C in Subspace._rows(ctx, B, ctx.n)]
+    return Spread(ctx, comps[:half] + comps[t:] + comps[half:t], "typeH", verified=True)
 
 
 def even3_admissible(ctx: FieldCtx, delta: Elt) -> bool:

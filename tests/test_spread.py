@@ -198,9 +198,11 @@ def test_coverage_counts_agree_across_chunks_and_fields(spread_c313, c313, monke
 def test_component_polynomials_are_built_once_per_tower(c313):
     # every build at one (tower, k) reuses one X and one X^(q^k), so their
     # value tables are computed once; every type-H build at one (tower, k,
-    # delta) reuses one pair of seed rows, whatever its eta
+    # delta) reads one checked table of its eta-class (one class at (3,3)),
+    # and each build reads the seed row W^(q^n) for psi_eta(W)
     spread_mod._twisted_pair.cache_clear()
     spread_mod._typeH_seeds.cache_clear()
+    spread_mod._typeH_class_memo.cache_clear()
     deltas, etas = c313.find_deltas(), c313.find_etas(1)
     for d in deltas[:3]:
         build_typeC(c313, 1, int(d))
@@ -209,8 +211,10 @@ def test_component_polynomials_are_built_once_per_tower(c313):
             build_typeH(c313, 1, int(d), int(h))
     info = spread_mod._twisted_pair.cache_info()
     assert (info.misses, info.hits) == (2, 7)
+    classes = spread_mod._typeH_class_memo.cache_info()
+    assert (classes.misses, classes.hits) == (3, 9)
     seeds = spread_mod._typeH_seeds.cache_info()
-    assert (seeds.misses, seeds.hits) == (3, 9)
+    assert (seeds.misses, seeds.hits) == (3, 12)
     X, Xq = spread_mod._twisted_pair(c313, 1)
     assert X == QPoly.identity(c313) and Xq == QPoly.monomial(c313, 1, 1)
 
@@ -323,10 +327,79 @@ def test_build_typeH_blocks_cross_the_halves(c313, monkeypatch, rows):
     d, h = int(c313.find_deltas()[3]), int(c313.find_etas(1)[5])
     want = _typeH_by_two_orbits(c313, 1, d, h)
     monkeypatch.setattr(spread_mod, "_BLOCK", rows * c313.q ** c313.n)
+    spread_mod._typeH_class_memo.cache_clear()
     S = build_typeH(c313, 1, d, h)
     assert _same_components(S, want)
     blocks = {C.elements.base.ctypes.data for C in S.components}
     assert len(blocks) == -(-28 // rows)
+
+
+def test_build_typeH_class_tables_match_the_two_orbit_build_reversed(c313):
+    # the memo filled afresh from the last eta of each delta: every (delta,
+    # eta) at (3,3), k = 1, still gives the reference's components in order
+    spread_mod._typeH_class_memo.cache_clear()
+    for d in c313.find_deltas():
+        for h in reversed(c313.find_etas(1)):
+            S = build_typeH(c313, 1, int(d), int(h))
+            assert _same_components(S, _typeH_by_two_orbits(c313, 1, int(d), int(h))), (d, h)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_typeH_has_one_eta_class_per_delta_at_3_3(c313, k):
+    # the reference gives one component set over all eta of a delta, and the
+    # build reads one class table per delta
+    deltas, etas = c313.find_deltas(), c313.find_etas(k)
+    spread_mod._typeH_class_memo.cache_clear()
+    for d in deltas:
+        sets = {frozenset(C.elements.tobytes() for C in _typeH_by_two_orbits(c313, k, int(d), int(h)))
+                for h in etas}
+        assert len(sets) == 1, d
+        for h in etas:
+            build_typeH(c313, k, int(d), int(h))
+    info = spread_mod._typeH_class_memo.cache_info()
+    assert (info.misses, info.hits) == (len(deltas), len(deltas) * (len(etas) - 1))
+
+
+def test_build_typeH_refuses_a_memo_entry_without_psi_W(c313, monkeypatch):
+    # a forged class table whose second half repeats the first: psi_eta(W)
+    # is in no second-half row, whatever eta, and the entry stays memoized
+    real = spread_mod._typeH_class
+    half = (c313.q ** c313.n + 1) // 2
+    monkeypatch.setattr(spread_mod, "_typeH_class", lambda ctx, k, delta, rho:
+                        (np.concatenate([real(ctx, k, delta, rho)[0][:half]] * 2),))
+    d = int(c313.find_deltas()[0])
+    spread_mod._typeH_class_memo.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="psi.W. is not a component"):
+            build_typeH(c313, 1, d, int(c313.find_etas(1)[0]))
+        monkeypatch.undo()
+        for h in c313.find_etas(1)[1:]:
+            with pytest.raises(RuntimeError, match="psi.W. is not a component"):
+                build_typeH(c313, 1, d, int(h))
+    finally:
+        spread_mod._typeH_class_memo.cache_clear()
+
+
+def test_build_typeH_memo_keeps_only_one_block_tables():
+    # (9,3): 730 rows of 729 entries, past one block of _BLOCK entries
+    ctx = build_tower(3, 2, 3)
+    before = spread_mod._typeH_class_memo.cache_info()
+    S = build_typeH(ctx, 1, ctx.find_deltas()[0], ctx.find_etas(1)[0])
+    assert len(S) == 730
+    assert spread_mod._typeH_class_memo.cache_info() == before
+
+
+def test_build_typeH_spreads_share_no_subspace(c313):
+    # the same (delta, eta) twice and another eta of its class: fresh views,
+    # so bases filled through one spread stay unset in the others
+    d, etas = int(c313.find_deltas()[0]), c313.find_etas(1)
+    spreads = [build_typeH(c313, 1, d, int(h)) for h in (etas[0], etas[0], etas[1])]
+    ids = [{id(C) for C in S.components} for S in spreads]
+    assert all(len(i) == 28 for i in ids) and not (ids[0] & ids[1] or ids[0] & ids[2]
+                                                   or ids[1] & ids[2])
+    kernel_of_spread(spreads[0])
+    assert any(C._basis is not None for C in spreads[0].components)
+    assert all(C._basis is None for S in spreads[1:] for C in S.components)
 
 
 @pytest.mark.parametrize("fake, message", [
@@ -350,17 +423,20 @@ def test_build_typeH_blocks_cross_the_halves(c313, monkeypatch, rows):
      and g == ctx.pow(ctx.beta, ctx.q ** ctx.n + 1) else imgs, "does not close with"),
 ])
 def test_build_typeH_group_check(c313, monkeypatch, fake, message):
-    # the seeds are cached per (tower, k, delta): build them under the
-    # fault, and keep none built that way
+    # the seeds are cached per (tower, k, delta) and the class tables per
+    # (tower, k, delta, class of eta): build them under the fault, and keep
+    # none built that way
     real = spread_mod._images
     monkeypatch.setattr(spread_mod, "_images", lambda ctx, table, g, k=0:
                         fake(ctx, table, g, k, real(ctx, table, g, k)))
     spread_mod._typeH_seeds.cache_clear()
+    spread_mod._typeH_class_memo.cache_clear()
     try:
         with pytest.raises(RuntimeError, match=message):
             build_typeH(c313, 1, c313.find_deltas()[0], c313.find_etas(1)[0])
     finally:
         spread_mod._typeH_seeds.cache_clear()
+        spread_mod._typeH_class_memo.cache_clear()
 
 
 def _typeH_transitive_by_bfs(S: Spread, eta) -> bool:
