@@ -118,17 +118,15 @@ def _cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot load {args.path}: {exc}", file=sys.stderr)
         return 1
-    ok = is_spread(S.components)
-    kern = None
-    if ok:
-        kern = kernel_of_spread(
-            Spread(S.ctx, S.components, S.kind, verified=True))
-        if doc.get("kernel") is not None and kern != doc["kernel"]:
-            print(f"{args.path}: spread verifies but kernel is {kern}, "
-                  f"file claims {doc['kernel']}")
-            return 2
-    if not ok:
-        print(f"{args.path}: NOT a spread ({len(S)} components)")
+    except RuntimeError:        # components of more than one dimension
+        S = None
+    if S is None or not is_spread(S.components):
+        print(f"{args.path}: NOT a spread ({len(doc['components'])} components)")
+        return 2
+    kern = kernel_of_spread(Spread(S.ctx, S.rows, S.kind, verified=True))
+    if doc.get("kernel") is not None and kern != doc["kernel"]:
+        print(f"{args.path}: spread verifies but kernel is {kern}, "
+              f"file claims {doc['kernel']}")
         return 2
     print(f"{args.path}: verified spread, {len(S)} components, kernel {kern}")
     return 0

@@ -34,7 +34,7 @@ def _subspace_dim(ctx: FieldCtx, rows: np.ndarray) -> int:
     dim = 0
     while ctx.q ** dim < size:
         dim += 1
-    if (ctx.q ** dim != size or (rows[:, 0] != 0).any()
+    if (ctx.q ** dim != size or rows[:, 0].any()
             or (rows[:, 1:] <= rows[:, :-1]).any()):
         raise ValueError("element set is not an F_q-subspace")
     return dim
@@ -45,10 +45,10 @@ class Subspace:
 
     Equality and hashing use the sorted element array; the canonical reduced
     echelon basis (w.r.t. the fixed basis of the ambient field over F_q) is
-    computed lazily for serialization.
+    read off the elements when asked for.
     """
 
-    __slots__ = ("ctx", "elements", "dim", "_basis")
+    __slots__ = ("ctx", "elements", "dim")
 
     def __init__(self, ctx: FieldCtx, elements=None, basis=None):
         if (elements is None) == (basis is None):
@@ -75,7 +75,6 @@ class Subspace:
         self.ctx = ctx
         self.elements = els
         self.dim = dim
-        self._basis: list[Elt] | None = None
         return self
 
     @classmethod
@@ -92,13 +91,14 @@ class Subspace:
     @property
     def basis(self) -> list[Elt]:
         """Canonical reduced-echelon F_q-basis, read off the element set."""
-        if self._basis is None:
-            self._basis = _echelon_rows(self.ctx, self.elements[None, :], self.dim)[0].tolist()
-        return self._basis
+        return _echelon_rows(self.ctx, self.elements[None, :], self.dim)[0].tolist()
 
-    def __contains__(self, x: Elt) -> bool:
-        i = int(np.searchsorted(self.elements, int(x)))
-        return i < len(self.elements) and int(self.elements[i]) == int(x)
+    def __contains__(self, x) -> bool:
+        """x is an integer equal to an element; 13.5, 13.0 and "13" never are."""
+        if not isinstance(x, (int, np.integer)) or not 0 <= x < self.ctx.N:
+            return False
+        i = int(np.searchsorted(self.elements, x))
+        return i < len(self.elements) and int(self.elements[i]) == x
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ctx == other.ctx
@@ -140,28 +140,20 @@ def _echelon_rows(ctx: FieldCtx, table: np.ndarray, dim: int) -> np.ndarray:
     return out[piv].reshape(len(E), dim)
 
 
-def _fill_bases(components) -> None:
-    """Read off every missing basis: one _echelon_rows pass per block of at
-    most _BLOCK elements, over subspaces of one tower and dimension."""
-    groups: dict = {}
-    for C in components:
-        if C._basis is None:
-            groups.setdefault((C.ctx, C.dim), []).append(C)
-    for (ctx, dim), todo in groups.items():
-        per = max(1, _BLOCK // ctx.q ** dim)
-        for lo in range(0, len(todo), per):
-            part = todo[lo:lo + per]
-            rows = _echelon_rows(ctx, np.stack([C.elements for C in part]), dim)
-            for C, row in zip(part, rows.tolist()):
-                C._basis = row
+def _row_blocks(rows, width: int):
+    """Consecutive slices of rows of the given width: at most _BLOCK entries
+    each, and at least one row."""
+    per = max(1, _BLOCK // width)
+    return (rows[lo:lo + per] for lo in range(0, len(rows), per))
 
 
-def component_from_pair(A: QPoly, B: QPoly, delta: Elt) -> Subspace:
-    """W = {A(x) + delta B(x) : x in F_{q^n}} as an n-dimensional subspace.
+def _bases(ctx: FieldCtx, table: np.ndarray, dim: int):
+    """The canonical bases of a table's rows, by blocks of rows."""
+    return (_echelon_rows(ctx, B, dim) for B in _row_blocks(table, table.shape[1]))
 
-    delta must lie outside F_{q^n} and the parametrization must be injective;
-    a dimension drop is an error.
-    """
+
+def _component_row(A: QPoly, B: QPoly, delta: Elt) -> np.ndarray:
+    """The sorted element set of component_from_pair(A, B, delta), checked."""
     A._same_shape(B)
     ctx = A.ctx
     ne = ctx.n * ctx.e
@@ -173,7 +165,16 @@ def component_from_pair(A: QPoly, B: QPoly, delta: Elt) -> Subspace:
     vals = np.sort(ctx.vadd(A.values(), ctx.vmul(delta, B.values())))
     if (vals[1:] == vals[:-1]).any():
         raise ValueError("parametrization is not injective; dimension would drop")
-    return Subspace._rows(ctx, vals[None, :])[0]
+    return vals
+
+
+def component_from_pair(A: QPoly, B: QPoly, delta: Elt) -> Subspace:
+    """W = {A(x) + delta B(x) : x in F_{q^n}} as an n-dimensional subspace.
+
+    delta must lie outside F_{q^n} and the parametrization must be injective;
+    a dimension drop is an error.
+    """
+    return Subspace._rows(A.ctx, _component_row(A, B, delta)[None, :])[0]
 
 
 def _images(ctx: FieldCtx, table: np.ndarray, g, k: int = 0) -> np.ndarray:
@@ -184,6 +185,21 @@ def _images(ctx: FieldCtx, table: np.ndarray, g, k: int = 0) -> np.ndarray:
     return np.sort(ctx.vmul(g, els), axis=1)
 
 
+def _orbit_rows(ctx: FieldCtx, W: np.ndarray, g: Elt) -> np.ndarray:
+    """The rows g^j W of the orbit of the sorted element set W; see orbit."""
+    R = (ctx.N - 1) // (ctx.q - 1)
+    log_g = int(ctx.log[g])
+    M = R // math.gcd(R, log_g)
+    table = np.empty((M + 1, W.size), dtype=np.int64)
+    for j in _row_blocks(np.arange(M + 1), W.size):
+        T = _images(ctx, W[None, :], ctx.exp[j * log_g % (ctx.N - 1)][:, None])
+        table[j] = T
+        back = np.flatnonzero((T == W).all(axis=1) & (j >= 1))
+        if len(back):
+            return table[:j[back[0]]]
+    raise RuntimeError("orbit did not close within the order of g modulo F_q^*")
+
+
 def orbit(W: Subspace, kind: str) -> list[Subspace]:
     """Distinct images of W under <g>, g = beta (kind "beta") or beta^2
     ("beta2"); the i-th component is g^i W.
@@ -191,8 +207,8 @@ def orbit(W: Subspace, kind: str) -> list[Subspace]:
     F_q^* fixes the F_q-subspace W, so the orbit length divides M, the order
     of g modulo F_q^*: M = R / gcd(R, log g) with R = (N - 1)/(q - 1), that
     is q^n + 1 for beta and (q^n + 1)/gcd(2, q^n + 1) for beta^2.  Rows
-    g^j W, j = 0..M, are computed in blocks of rows, and the orbit ends at
-    the first row j >= 1 equal to W.
+    g^j W, j = 0..M, are computed in blocks of rows into one table, and the
+    orbit ends at the first row j >= 1 equal to W.
     """
     ctx = W.ctx
     if kind == "beta":
@@ -201,19 +217,7 @@ def orbit(W: Subspace, kind: str) -> list[Subspace]:
         g = ctx.mul(ctx.beta, ctx.beta)
     else:
         raise ValueError(f"unknown orbit kind {kind!r}")
-    R = (ctx.N - 1) // (ctx.q - 1)
-    log_g = int(ctx.log[g])
-    M = R // math.gcd(R, log_g)
-    rows = max(1, _BLOCK // W.elements.size)
-    out: list[Subspace] = []
-    for lo in range(0, M + 1, rows):
-        j = np.arange(lo, min(lo + rows, M + 1), dtype=np.int64)
-        T = _images(ctx, W.elements[None, :], ctx.exp[j * log_g % (ctx.N - 1)][:, None])
-        back = np.flatnonzero((T == W.elements).all(axis=1) & (j >= 1))
-        if len(back):
-            return out + Subspace._rows(ctx, T[:back[0]])
-        out += Subspace._rows(ctx, T)
-    raise RuntimeError("orbit did not close within the order of g modulo F_q^*")
+    return Subspace._rows(ctx, _orbit_rows(ctx, W.elements, g), W.dim)
 
 
 def _coverage(components) -> np.ndarray:
@@ -226,11 +230,8 @@ def _coverage(components) -> np.ndarray:
     if any(C.ctx != ctx for C in components):
         raise ValueError("components from different towers")
     # never a copy of all components: chunks of at most _BLOCK elements
-    if ctx.N <= _BLOCK:
-        per = max(1, _BLOCK // components[0].elements.size)
-        return _count(ctx, (np.stack([C.elements for C in components[lo:lo + per]])
-                            for lo in range(0, len(components), per)))
-    return _count(ctx, (C.elements[None, :] for C in components))
+    return _count(ctx, (np.stack([C.elements for C in part])
+                        for part in _row_blocks(components, components[0].elements.size)))
 
 
 def _count(ctx: FieldCtx, tables) -> np.ndarray:
@@ -274,33 +275,45 @@ _KINDS = ("typeC", "typeH", "evenC", "custom")
 
 
 class Spread:
-    """A verified (or candidate) spread with a provenance tag."""
+    """A verified (or candidate) spread with a provenance tag, kept as one
+    int64 table `rows`, made read-only in place: row i is the sorted element
+    set of component i, of q^dim entries (its shape is checked, not closure).
+    `components` makes fresh read-only Subspace views of the rows, in order."""
 
-    def __init__(self, ctx: FieldCtx, components, kind="custom",
+    def __init__(self, ctx: FieldCtx, rows, kind="custom",
                  verified=False, kernel=None):
         if kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or not len(rows):
+            raise ValueError("no components")
+        self.dim = _subspace_dim(ctx, rows)
+        rows.flags.writeable = False
         self.ctx = ctx
-        self.components = list(components)
+        self.rows = rows
         self.kind = kind
         self.verified = bool(verified)
         self.kernel = kernel
 
+    @property
+    def components(self) -> list[Subspace]:
+        """Fresh read-only Subspace views of the rows, in order."""
+        return Subspace._rows(self.ctx, self.rows, self.dim)
+
     def __len__(self):
-        return len(self.components)
+        return len(self.rows)
 
     def __repr__(self):
-        return (f"Spread(kind={self.kind}, components={len(self.components)}, "
+        return (f"Spread(kind={self.kind}, components={len(self)}, "
                 f"verified={self.verified})")
 
     def to_json(self) -> dict:
         if self.kernel is None and self.verified:
             self.kernel = kernel_of_spread(self)
-        _fill_bases(self.components)
         return {
             "ctx": self.ctx.to_json(),
             "kind": self.kind,
-            "components": [C.to_json() for C in self.components],
+            "components": [b for B in _bases(self.ctx, self.rows, self.dim) for b in B.tolist()],
             "verified": self.verified,
             "kernel": self.kernel,
         }
@@ -309,11 +322,16 @@ class Spread:
     def from_json(cls, doc: dict, ctx: FieldCtx | None = None) -> "Spread":
         if ctx is None:
             ctx = ctx_from_json(doc["ctx"])
+        verified = doc.get("verified", False)
+        if type(verified) is not bool:
+            raise ValueError(f"verified must be a JSON boolean, got {verified!r}")
         comps = [Subspace(ctx, basis=[_json_int(x, "basis entry") for x in b])
                  for b in doc["components"]]
+        if len({C.dim for C in comps}) > 1:      # fits no table, yet is no malformed document
+            raise RuntimeError("components of two dimensions are no spread")
         kernel = doc.get("kernel")
-        return cls(ctx, comps, doc["kind"], doc.get("verified", False),
-                   None if kernel is None else _json_int(kernel, "kernel"))
+        return cls(ctx, np.array([C.elements for C in comps], dtype=np.int64), doc["kind"],
+                   verified, None if kernel is None else _json_int(kernel, "kernel"))
 
 
 def kernel_of_spread(S: Spread) -> int:
@@ -332,8 +350,9 @@ def kernel_of_spread(S: Spread) -> int:
     p, d = ctx.p, ctx.d
     fq_over_fp = np.array(ctx.subfield_basis("q", 1), dtype=np.int64)
     K = np.eye(d * d, dtype=np.int64)       # rows span the maps kept so far
-    for C in S.components:
-        fp_basis = ctx.vmul(np.array(C.basis, dtype=np.int64)[:, None], fq_over_fp[None, :])
+    for row in S.rows:          # a row at a time: most spreads stop after a few
+        basis = _echelon_rows(ctx, row[None, :], S.dim)[0]
+        fp_basis = ctx.vmul(basis[:, None], fq_over_fp[None, :])
         D = ctx.to_coords(fp_basis.reshape(-1), d, "p")
         ann = nullspace(ctx, D)
         # one row a (x) w per pair (w in D, a in ann), a_i w_j at i * d + j
@@ -383,11 +402,16 @@ def build_typeC(ctx: FieldCtx, i: int, delta: Elt) -> Spread:
     if not (1 <= i <= ctx.n - 1) or math.gcd(i, ctx.n) != 1:
         raise ValueError("need 1 <= i <= n-1 with gcd(i, n) = 1")
     _check_delta(ctx, delta)
-    W = component_from_pair(*_twisted_pair(ctx, i), delta)
-    comps = orbit(W, "beta")
-    if not is_spread(comps):
+    return _beta_spread(ctx, _component_row(*_twisted_pair(ctx, i), delta), "typeC")
+
+
+def _beta_spread(ctx: FieldCtx, W: np.ndarray, kind: str) -> Spread:
+    """The beta-orbit of the n-dimensional element set W, checked to be a
+    spread: covering each nonzero vector once takes q^n + 1 rows."""
+    rows = _orbit_rows(ctx, W, ctx.beta)
+    if (_count(ctx, _row_blocks(rows, W.size))[1:] != 1).any():
         raise RuntimeError("beta-orbit failed spread verification")
-    return Spread(ctx, comps, "typeC", verified=True)
+    return Spread(ctx, rows, kind, verified=True)
 
 
 @functools.lru_cache(maxsize=32)
@@ -396,7 +420,7 @@ def _typeH_seeds(ctx: FieldCtx, k: int, delta: Elt) -> np.ndarray:
     W^(q^n), sorted, as one read-only table of two rows; built and checked
     once per (tower, k, delta), since only the multipliers depend on eta.
     Raises unless beta^(2 half) W = W, half = (q^n + 1)/2."""
-    W = component_from_pair(*_twisted_pair(ctx, k), delta).elements
+    W = _component_row(*_twisted_pair(ctx, k), delta)
     b2h = ctx.pow(ctx.beta, ctx.q ** ctx.n + 1)          # beta^(2 half)
     if not np.array_equal(_images(ctx, W[None, :], b2h)[0], W):
         raise RuntimeError("the first beta^2-orbit does not close with (q^n + 1)/2 rows")
@@ -405,59 +429,43 @@ def _typeH_seeds(ctx: FieldCtx, k: int, delta: Elt) -> np.ndarray:
     return seeds
 
 
-def _typeH_class(ctx: FieldCtx, k: int, delta: Elt, rho: Elt) -> tuple[np.ndarray, ...]:
-    """The checked rows first + second of the type-H spread of (k, delta, rho),
-    in blocks of at most _BLOCK entries; see build_typeH.
+def _typeH_class(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> np.ndarray:
+    """The checked read-only table first + second of the type-H spread of
+    (k, delta, eta), filled in blocks of at most _BLOCK entries; see build_typeH.
 
     Each row is one seed row times one multiplier, by log: 2j log beta for
-    first[j] = beta^(2j) W, log rho - 2i q^n log beta for second[i] =
-    rho beta^(-2i q^n) W^(q^n).  Checked: the first orbit closes with half
-    rows (in _typeH_seeds), the union covers every nonzero vector once,
-    beta^2 second[i] = second[i + 1], and psi(second[i]) = first[-i mod half]
-    for psi(z) = rho z^(q^n): psi(second[i]) = rho^(1 + q^n) beta^(-2i) W,
-    and rho^(1 + q^n) lies in F_{q^n} (a norm) and in F_{q^k} (its order
-    divides q^k - 1), so in F_q^*, which fixes every component."""
+    first[j] = beta^(2j) W, log eta - 2i q^n log beta for second[i] =
+    eta beta^(-2i q^n) W^(q^n).  Checked: the first orbit closes with half
+    rows (in _typeH_seeds), the union covers every nonzero vector once, and
+    per block of second-half rows, beta^2 second[i] = second[i + 1 mod half]
+    and psi(second[i]) = first[-i mod half] for psi(z) = eta z^(q^n):
+    psi(second[i]) = eta^(1 + q^n) beta^(-2i) W, and eta^(1 + q^n) lies in
+    F_{q^n} (a norm) and in F_{q^k} (its order divides q^k - 1), so in
+    F_q^*, which fixes every component."""
     seeds = _typeH_seeds(ctx, k, delta)
     qn = ctx.q ** ctx.n
     half, M, ne = (qn + 1) // 2, ctx.N - 1, ctx.n * ctx.e
     b2 = ctx.mul(ctx.beta, ctx.beta)
-    log_b2, log_rho = int(ctx.log[b2]), int(ctx.log[rho])
-    per = max(1, _BLOCK // seeds.shape[1])
-    blocks = []
-    for lo in range(0, 2 * half, per):
-        r = np.arange(lo, min(lo + per, 2 * half), dtype=np.int64)
+    log_b2, log_eta = int(ctx.log[b2]), int(ctx.log[eta])
+    table = np.empty((2 * half, qn), dtype=np.int64)
+    for r in _row_blocks(np.arange(2 * half), qn):
         second = r >= half
-        logs = np.where(second, log_rho - (r - half) * (qn * log_b2 % M), r * log_b2) % M
-        blocks.append(_images(ctx, seeds[second.astype(np.intp)], ctx.exp[logs][:, None]))
-    if not (_count(ctx, blocks)[1:] == 1).all():
+        logs = np.where(second, log_eta - (r - half) * (qn * log_b2 % M), r * log_b2) % M
+        table[r] = _images(ctx, seeds[second.astype(np.intp)], ctx.exp[logs][:, None])
+    if (_count(ctx, _row_blocks(table, qn))[1:] != 1).any():
         raise RuntimeError("two-orbit union failed spread verification")
-
-    # the second-half rows of each block, from s on; beta^2 moves each to
-    # the next built row, the last to second[0]
-    seconds = [(lo, max(lo, half) - lo, B) for lo, B in zip(range(0, 2 * half, per), blocks)
-               if lo + len(B) > half]
-    after = [B[0] for _, _, B in seconds[1:]] + [blocks[half // per][half % per]]
-    for (lo, s, B), nxt in zip(seconds, after):
-        img = _images(ctx, B[s:], b2)
-        if not (np.array_equal(img[:-1], B[s + 1:]) and np.array_equal(img[-1], nxt)):
+    for r in _row_blocks(np.arange(half, 2 * half), qn):
+        if not np.array_equal(_images(ctx, table[r], b2), table[half + (r + 1) % half]):
             raise RuntimeError("beta^2 does not cycle the second orbit")
-        j = -np.arange(lo + s - half, lo + len(B) - half) % half
-        want = np.empty_like(img)
-        for b, F in enumerate(blocks[:half // per + 1]):
-            at = j // per == b
-            want[at] = F[j[at] % per]
-        if not np.array_equal(_images(ctx, B[s:], rho, ne), want):
+        if not np.array_equal(_images(ctx, table[r], eta, ne), table[-r % half]):
             raise RuntimeError("group action leaves the component set")
-    for B in blocks:        # Subspace._rows' shape check, made once per table
-        _subspace_dim(ctx, B)
-        B.flags.writeable = False
-    return tuple(blocks)
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=32)
-def _typeH_class_memo(ctx: FieldCtx, k: int, delta: Elt, rho: Elt) -> tuple[np.ndarray, ...]:
-    """_typeH_class, kept for the tables of at most _BLOCK entries (one
-    block); a larger table lives only as long as its build_typeH call."""
+def _typeH_class_memo(ctx: FieldCtx, k: int, delta: Elt, rho: Elt) -> np.ndarray:
+    """_typeH_class of a class representative, for tables of one block."""
     return _typeH_class(ctx, k, delta, rho)
 
 
@@ -468,25 +476,23 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
     beta^(2j q^n) psi(x).  beta^(q^n + 1) lies in F_q^*, which fixes every
     component, and q^n = -1 mod half = (q^n + 1)/2, so the second orbit is
     the psi-image of the first read backwards: second[i] = psi(first[-i]) =
-    eta beta^(-2i q^n) W^(q^n), indices mod half.
+    eta beta^(-2i q^n) W^(q^n), indices mod half.  _typeH_class checks that
+    the union covers every nonzero vector once, that beta^2 cycles each half
+    and that psi(second[i]) = first[-i]: so <beta^2, psi> is transitive on
+    the components (second[0] = psi(W)).
 
-    So eta enters only through its class modulo <beta^2> F_q^*, whose logs
+    eta enters only through its class modulo <beta^2> F_q^*, whose logs
     are the multiples of g = gcd(2 log beta, (N - 1)/(q - 1), N - 1):
     eta = rho beta^(2t) c with rho = gamma^(log eta mod g) and c in F_q^*,
     and second_eta[i] = second_rho[i + t mod half].  rho is itself an
     admissible eta (beta^2 and c are squares, and (beta^(2t) c)^(1 + q^n)
-    lies in F_q^*).  The rows of rho are built and checked once
-    (_typeH_class): the union covers every nonzero vector once, beta^2
-    cycles each half, and psi_rho(second[i]) = first[-i].  Every call then
-    looks psi_eta(W) = eta W^(q^n) up among rho's second half, which
-    finds t (a miss raises), and returns first, then second rotated by t,
-    each row a fresh read-only Subspace view.  The rows equal those of the
-    direct build for eta, and psi_eta = beta^(2t) c psi_rho maps
-    components to components.  So beta^2 is transitive on each half and
-    psi_eta joins them (second[0] = psi_eta(W)): <beta^2, psi_eta> is
-    transitive on the components.  The table of rho is memoized per
-    (tower, k, delta, rho) only when it fits one block of _BLOCK entries
-    (the 28 rows of (3,3), not the 730 of (9,3)).
+    lies in F_q^*).  A table of at most _BLOCK entries (the 28 rows of
+    (3,3), not the 730 of (9,3)) is built for rho and memoized per
+    (tower, k, delta, rho); every call then looks psi_eta(W) = eta W^(q^n)
+    up among rho's second half, which finds t (a miss raises), and hands
+    over first, then second rotated by t: the rows of the build for eta,
+    and psi_eta = beta^(2t) c psi_rho maps components to components.  A
+    larger table is built for eta itself and not kept.
     """
     if ctx.p == 2 or ctx.n % 2 == 0:
         raise ValueError("this construction needs odd q and odd n")
@@ -500,18 +506,17 @@ def build_typeH(ctx: FieldCtx, k: int, delta: Elt, eta: Elt) -> Spread:
     if ctx.is_square(eta):
         raise ValueError("eta must be a nonsquare")
     delta, half = int(delta), (qn + 1) // 2
+    if 2 * half * qn > _BLOCK:
+        return Spread(ctx, _typeH_class(ctx, k, delta, eta), "typeH", verified=True)
     g = math.gcd(2 * int(ctx.log[ctx.beta]), (ctx.N - 1) // (ctx.q - 1), ctx.N - 1)
-    rho = int(ctx.exp[int(ctx.log[eta]) % g])
-    seeds = _typeH_seeds(ctx, k, delta)
-    build = _typeH_class_memo if 2 * half * seeds.shape[1] <= _BLOCK else _typeH_class
-    blocks = build(ctx, k, delta, rho)
-    psi_W = _images(ctx, seeds[1:], eta)[0]
-    hit = np.flatnonzero(np.concatenate([(B == psi_W).all(axis=1) for B in blocks])[half:])
+    table = _typeH_class_memo(ctx, k, delta, int(ctx.exp[int(ctx.log[eta]) % g]))
+    psi_W = _images(ctx, _typeH_seeds(ctx, k, delta)[1:], eta)[0]
+    hit = np.flatnonzero((table[half:] == psi_W).all(axis=1))
     if not len(hit):
         raise RuntimeError("psi(W) is not a component of the second orbit")
     t = half + int(hit[0])
-    comps = [C for B in blocks for C in Subspace._rows(ctx, B, ctx.n)]
-    return Spread(ctx, comps[:half] + comps[t:] + comps[half:t], "typeH", verified=True)
+    return Spread(ctx, np.concatenate([table[:half], table[t:], table[half:t]]),
+                  "typeH", verified=True)
 
 
 def even3_admissible(ctx: FieldCtx, delta: Elt) -> bool:
@@ -534,11 +539,8 @@ def build_even_n3(ctx: FieldCtx, delta: Elt) -> Spread:
     if not even3_admissible(ctx, delta):
         raise ValueError("delta^-1 + delta^-q^3 is not in F_q^*; "
                          "the component map is not a permutation")
-    W = component_from_pair(QPoly.trace_poly(ctx), QPoly.identity(ctx), delta)
-    comps = orbit(W, "beta")
-    if not is_spread(comps):
-        raise RuntimeError("beta-orbit failed spread verification")
-    return Spread(ctx, comps, "evenC", verified=True)
+    W = _component_row(QPoly.trace_poly(ctx), QPoly.identity(ctx), delta)
+    return _beta_spread(ctx, W, "evenC")
 
 
 def symplectic_check(S: Spread, delta: Elt) -> bool:
@@ -558,17 +560,15 @@ def symplectic_check(S: Spread, delta: Elt) -> bool:
         raise ValueError(f"delta = {delta} has delta + delta^q^3 = 0: no form to check")
     c = ctx.inv(s)
 
-    def gram(basis):
-        x = np.asarray(basis, dtype=np.int64)
-        M = ctx.vmul(c, ctx.vmul(x[:, None], ctx.vpow(x, ctx.p ** ne)[None, :]))
+    def gram(x):        # of each basis along the last axis of x
+        M = ctx.vmul(c, ctx.vmul(x[..., :, None], ctx.vpow(x, ctx.p ** ne)[..., None, :]))
         return ctx.vtrace(M, ctx.d, ctx.e)
 
-    G = gram(ctx.subfield_basis(ctx.d, "q"))
+    G = gram(np.array(ctx.subfield_basis(ctx.d, "q"), dtype=np.int64))
     if (np.any(np.diagonal(G)) or np.any(ctx.vadd(G, G.T))
             or len(rref(ctx, G)[1]) != 2 * ctx.n):
         return False
-    _fill_bases(S.components)
-    return not any(np.any(gram(C.basis)) for C in S.components)
+    return not any(np.any(gram(B)) for B in _bases(ctx, S.rows, S.dim))
 
 
 # -- the orbit/permutation correspondence ----------------------------------------

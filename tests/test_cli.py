@@ -121,6 +121,22 @@ def test_verify_corrupt_file_exits_1(tmp_path, capsys, corrupt):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flag", ["false", "no", [1]])
+def test_verify_refuses_a_verified_flag_that_is_no_boolean(tmp_path, flag):
+    out = str(tmp_path / "s.json")
+    assert main(["build", "typec", "--p", "3", "--n", "3", "--out", out]) == 0
+    with open(out) as fh:
+        doc = json.load(fh)
+    doc["verified"] = flag
+    with open(out, "w") as fh:
+        json.dump(doc, fh)
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spreadlab.cli", "verify", out],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "verified must be a JSON boolean" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("index", [0, 5])
 @pytest.mark.parametrize("edit", ["drop", "add"])
 def test_verify_component_of_wrong_dimension_exits_2(tmp_path, index, edit):

@@ -1,7 +1,9 @@
 """Spread constructions, their verification, kernels, and the
 orbit/polynomial correspondence."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,7 +92,7 @@ def test_desarguesian_orbit(c313):
     comps = orbit(W, "beta")
     assert len(comps) == 28
     assert is_spread(comps)
-    S = Spread(c313, comps, "custom", verified=True)
+    S = Spread(c313, np.stack([C.elements for C in comps]), "custom", verified=True)
     assert kernel_of_spread(S) == 27
 
 
@@ -222,6 +224,32 @@ def test_component_polynomials_are_built_once_per_tower(c313):
 # -- named constructions ---------------------------------------------------------------
 
 
+def test_builds_make_no_subspace(c313, c213, even3_deltas, monkeypatch):
+    # a build hands over its checked table: no Subspace is made, checked or
+    # not, until components is read, and then each read gives fresh
+    # read-only views of the rows in order
+    made = []
+    real_init, real_rows = Subspace.__init__, Subspace._rows.__func__
+    monkeypatch.setattr(Subspace, "__init__", lambda self, *a, **kw:
+                        made.append("init") or real_init(self, *a, **kw))
+    monkeypatch.setattr(Subspace, "_rows", classmethod(lambda cls, *a:
+                                                       made.append("rows") or real_rows(cls, *a)))
+    spread_mod._typeH_seeds.cache_clear()
+    spread_mod._typeH_class_memo.cache_clear()
+    d = int(c313.find_deltas()[0])
+    spreads = [build_typeC(c313, 1, d), build_typeH(c313, 1, d, int(c313.find_etas(1)[0])),
+               build_typeH(c313, 2, d, int(c313.find_etas(2)[0])),
+               build_even_n3(c213, even3_deltas[0])]
+    assert made == []
+    for S in spreads:
+        comps = S.components
+        assert [C.elements.tobytes() for C in comps] == [r.tobytes() for r in S.rows]
+        assert all(C.dim == S.dim == S.ctx.n and not C.elements.flags.writeable for C in comps)
+        assert not S.rows.flags.writeable and S.rows.dtype == np.int64
+        assert not {id(C) for C in comps} & {id(C) for C in S.components}
+    assert made == ["rows"] * 8
+
+
 def test_build_typeC(c313, spread_c313):
     S = spread_c313
     assert S.kind == "typeC" and S.verified
@@ -323,15 +351,29 @@ def test_build_typeH_matches_the_two_orbit_build_sampled(p, e, n, k):
 @pytest.mark.parametrize("rows", [1, 5, 13, 14, 15, 27])
 def test_build_typeH_blocks_cross_the_halves(c313, monkeypatch, rows):
     # 28 rows in blocks of `rows`: a block may end at, straddle or start
-    # after the end of the first orbit (row 14), and the last may be short
+    # after the end of the first orbit (row 14), and the last may be short.
+    # Every image is taken a block at a time: the two seed rows, the table
+    # filled in blocks from row 0, then beta^2 and psi on each block of the
+    # second half from row 14
     d, h = int(c313.find_deltas()[3]), int(c313.find_etas(1)[5])
     want = _typeH_by_two_orbits(c313, 1, d, h)
     monkeypatch.setattr(spread_mod, "_BLOCK", rows * c313.q ** c313.n)
+    spread_mod._typeH_seeds.cache_clear()
     spread_mod._typeH_class_memo.cache_clear()
-    S = build_typeH(c313, 1, d, h)
+    real, calls = spread_mod._images, []
+    monkeypatch.setattr(spread_mod, "_images", lambda ctx, table, g, k=0:
+                        calls.append((k, np.ndim(g), len(table))) or real(ctx, table, g, k))
+    try:
+        S = build_typeH(c313, 1, d, h)
+    finally:
+        spread_mod._typeH_seeds.cache_clear()
     assert _same_components(S, want)
-    blocks = {C.elements.base.ctypes.data for C in S.components}
-    assert len(blocks) == -(-28 // rows)
+
+    def blocks(lo, hi):
+        return [min(rows, hi - b) for b in range(lo, hi, rows)]
+
+    assert calls == ([(0, 0, 1), (3, 0, 1)] + [(0, 2, m) for m in blocks(0, 28)]
+                     + [c for m in blocks(14, 28) for c in ((0, 0, m), (3, 0, m))])
 
 
 def test_build_typeH_class_tables_match_the_two_orbit_build_reversed(c313):
@@ -366,7 +408,7 @@ def test_build_typeH_refuses_a_memo_entry_without_psi_W(c313, monkeypatch):
     real = spread_mod._typeH_class
     half = (c313.q ** c313.n + 1) // 2
     monkeypatch.setattr(spread_mod, "_typeH_class", lambda ctx, k, delta, rho:
-                        (np.concatenate([real(ctx, k, delta, rho)[0][:half]] * 2),))
+                        np.concatenate([real(ctx, k, delta, rho)[:half]] * 2))
     d = int(c313.find_deltas()[0])
     spread_mod._typeH_class_memo.cache_clear()
     try:
@@ -390,16 +432,20 @@ def test_build_typeH_memo_keeps_only_one_block_tables():
 
 
 def test_build_typeH_spreads_share_no_subspace(c313):
-    # the same (delta, eta) twice and another eta of its class: fresh views,
-    # so bases filled through one spread stay unset in the others
+    # the same (delta, eta) twice and another eta of its class: each spread
+    # has a read-only table of its own, not the memoized class table, and
+    # every read of components makes fresh read-only views of it
     d, etas = int(c313.find_deltas()[0]), c313.find_etas(1)
     spreads = [build_typeH(c313, 1, d, int(h)) for h in (etas[0], etas[0], etas[1])]
-    ids = [{id(C) for C in S.components} for S in spreads]
-    assert all(len(i) == 28 for i in ids) and not (ids[0] & ids[1] or ids[0] & ids[2]
-                                                   or ids[1] & ids[2])
-    kernel_of_spread(spreads[0])
-    assert any(C._basis is not None for C in spreads[0].components)
-    assert all(C._basis is None for S in spreads[1:] for C in S.components)
+    g = math.gcd(2 * int(c313.log[c313.beta]), (c313.N - 1) // 2, c313.N - 1)
+    memo = spread_mod._typeH_class_memo(c313, 1, d, int(c313.exp[int(c313.log[etas[0]]) % g]))
+    tables = [S.rows for S in spreads] + [memo]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(tables) for b in tables[i + 1:])
+    assert not any(T.flags.writeable for T in tables)
+    first, again = spreads[0].components, spreads[0].components
+    assert first == again and not {id(C) for C in first} & {id(C) for C in again}
+    assert all(np.shares_memory(C.elements, spreads[0].rows) and not C.elements.flags.writeable
+               for C in first)
 
 
 @pytest.mark.parametrize("fake, message", [
@@ -553,7 +599,8 @@ def _symplectic_by_table(S: Spread, delta, rows: int = 256) -> bool:
 
 
 def _swap_last(S: Spread, W: Subspace) -> Spread:
-    return Spread(S.ctx, S.components[:-1] + [W], "custom", verified=True)
+    return Spread(S.ctx, np.concatenate([S.rows[:-1], W.elements[None, :]]), "custom",
+                  verified=True)
 
 
 def test_symplectic_check(c213, even3_deltas, spread_even3):
@@ -757,7 +804,8 @@ def _first_spread(kind, p, e, n):
     if kind == "desarguesian":
         # the beta-orbit of F_{q^n}, whose kernel is all of F_{q^n}
         W = component_from_pair(QPoly.identity(ctx), QPoly.zero(ctx), ctx.find_deltas()[0])
-        return Spread(ctx, orbit(W, "beta"), "custom", verified=True)
+        return Spread(ctx, np.stack([C.elements for C in orbit(W, "beta")]), "custom",
+                      verified=True)
     return build_even_n3(ctx, next(d for d in range(ctx.N) if even3_admissible(ctx, d)))
 
 
@@ -773,12 +821,15 @@ def test_kernel_matches_one_system_reference(kind, p, e, n):
 @pytest.mark.parametrize("kind, p, e, n, kernel, read", [
     ("typeC", 5, 1, 3, 5, 5), ("typeH", 3, 1, 3, 3, 5), ("desarguesian", 3, 1, 3, 27, 28),
 ], ids=["typeC-5-3", "typeH-3-3", "desarguesian-3-3"])
-def test_kernel_stops_once_it_is_F_q(kind, p, e, n, kernel, read):
-    # components whose basis the kernel never asked for keep _basis None; a
-    # kernel larger than F_q reads every component
+def test_kernel_stops_once_it_is_F_q(monkeypatch, kind, p, e, n, kernel, read):
+    # the rows whose bases the kernel reads off; a kernel larger than F_q
+    # reads every row
     S = _first_spread(kind, p, e, n)
+    real, rows = spread_mod._echelon_rows, []
+    monkeypatch.setattr(spread_mod, "_echelon_rows", lambda ctx, table, dim:
+                        rows.append(len(table)) or real(ctx, table, dim))
     assert kernel_of_spread(S) == kernel
-    assert sum(C._basis is not None for C in S.components) == read
+    assert sum(rows) == read
 
 
 def test_kernel_matches_one_system_reference_even3_q2(c213, even3_deltas):
@@ -836,6 +887,80 @@ def test_spread_json_round_trip(spread_c313):
     assert is_spread(back.components)
 
 
+def test_membership_is_equality_with_an_element(spread_c313):
+    W = spread_c313.components[1]
+    x = int(W.elements[5])
+    # an integer equal to an element, with no conversion of anything else
+    assert x in W and np.int64(x) in W and 0 in W
+    for other in (x + 0.5, str(x), float(x), np.float64(x + 0.9), 10 ** 30, -x, None, [x]):
+        assert other not in W, other
+    assert int(np.setdiff1d(np.arange(spread_c313.ctx.N), W.elements)[0]) not in W
+
+
+@pytest.mark.parametrize("flag", ["false", "no", "true", [1], 1, 0, None])
+def test_verified_must_be_a_json_boolean(spread_c313, flag):
+    doc = dict(spread_c313.to_json(), verified=flag)
+    with pytest.raises(ValueError, match="verified must be a JSON boolean"):
+        Spread.from_json(doc)
+
+
+def test_verified_absent_is_false(spread_c313):
+    doc = spread_c313.to_json()
+    del doc["verified"]
+    S = Spread.from_json(doc)
+    assert S.verified is False
+    with pytest.raises(ValueError, match="verified spreads"):
+        kernel_of_spread(S)
+    assert Spread.from_json(dict(doc, verified=False)).verified is False
+    assert Spread.from_json(dict(doc, verified=True)).verified is True
+
+
+def test_components_of_two_dimensions_make_no_spread(spread_c313):
+    # a table holds one dimension; a malformed document stays a ValueError
+    doc = spread_c313.to_json()
+    doc["components"][4] = doc["components"][4][:2]
+    with pytest.raises(RuntimeError, match="two dimensions are no spread"):
+        Spread.from_json(doc)
+    with pytest.raises(ValueError, match="no components"):
+        Spread.from_json(dict(doc, components=[]))
+
+
+# sha256 of json.dumps(S.to_json()), frozen from the element-set-per-component
+# representation: a change of the JSON format or of the component order fails
+_GOLDEN_DIGESTS = {
+    "typeC-3-3": "2f2c81bc4aca137eeda139963c1ba463f15aa4546f5a1d512c15e15f45ebea04",
+    "typeC-5-3": "c34f260b55d5761533290042bdb19c5bb10ee26cf10ed92135651cade18e599b",
+    "typeC-9-3": "3e9500b0b19c3a05896f89728cab22a64c9e90043f9df176f50018aae1eeb51d",
+    "typeH-3-3-eta39": "bf9a42c822f1bea2c62a040b24e47286af8c6df23c5f8995d919d4e1ce6cecc6",
+    "typeH-3-3-eta42": "b214ca64cfdc2e9adb7c69c9bbce6119d1eb63e942f6fcce8443f94437ef444b",
+    "typeH-3-3-k2": "9c5741dc2fafeb6c4e0fe38c592a92d3730ab8456bbd42dd7b9586ce166d5f35",
+    "typeH-9-3": "9b86fe29f29c627f3e9ac33f549567a2e7de239baa0c29adb13fe8116399d4c0",
+    "even3-q2": "429ca9e37c550558a5c076c7c5b1e18d4d6da7fff66f12714490376054ee048b",
+    "even3-q4": "35665f1a1d66fbf3a65531256c975612a3d1e593b42dafb30569b65a59c33378",
+}
+
+
+def test_spread_json_matches_golden_digests():
+    # eta 39 and 42 lie in one eta-class at (3,3): one class table, two rotations
+    c313, c923 = build_tower(3, 1, 3), build_tower(3, 2, 3)
+    d = c313.find_deltas()[0]
+    spreads = {
+        "typeC-3-3": _first_spread("typeC", 3, 1, 3),
+        "typeC-5-3": _first_spread("typeC", 5, 1, 3),
+        "typeC-9-3": _first_spread("typeC", 3, 2, 3),
+        "typeH-3-3-eta39": build_typeH(c313, 1, d, 39),
+        "typeH-3-3-eta42": build_typeH(c313, 1, d, 42),
+        "typeH-3-3-k2": build_typeH(c313, 2, d, c313.find_etas(2)[0]),
+        "typeH-9-3": build_typeH(c923, 1, c923.find_deltas()[0], c923.find_etas(1)[0]),
+        "even3-q2": _first_spread("even3", 2, 1, 3),
+        "even3-q4": _first_spread("even3", 2, 2, 3),
+    }
+    assert c313.find_etas(1)[0] == 39
+    got = {name: hashlib.sha256(json.dumps(S.to_json()).encode()).hexdigest()
+           for name, S in spreads.items()}
+    assert got == _GOLDEN_DIGESTS
+
+
 def test_kernel_is_stored_and_not_recomputed(c313, monkeypatch):
     S = build_typeC(c313, 1, c313.find_deltas()[0])
     assert S.kernel is None
@@ -879,29 +1004,24 @@ def _basis_by_elimination(C):
     return ctx.from_coords(R, ctx.d, "q").tolist()
 
 
-def _unread(comps):
-    """New subspaces on copies of the element sets, no basis read yet."""
-    return [Subspace._rows(C.ctx, C.elements[None, :].copy())[0] for C in comps]
-
-
 @pytest.mark.parametrize("kind, p, e, n, k", [
     ("typeC", 5, 1, 3, 1), ("typeC", 3, 1, 5, 1), ("typeC", 3, 2, 3, 1),
     ("typeH", 3, 1, 3, 1), ("typeH", 3, 1, 3, 2), ("even3", 2, 1, 3, 0), ("even3", 2, 2, 3, 0),
 ], ids=["typeC-5-3", "typeC-3-5", "typeC-9-3", "typeH-3-3-k1", "typeH-3-3-k2",
         "even3-q2", "even3-q4"])
 def test_bases_read_off_match_elimination(monkeypatch, kind, p, e, n, k):
-    # every component, one at a time (Subspace.basis) and in blocks
-    # (Spread.to_json); blocks of 5 components make the last one short
+    # every component, one at a time (Subspace.basis) and in row blocks of
+    # the table (Spread.to_json); blocks of 5 rows make the last one short
     ctx = build_tower(p, e, n)
     if kind == "typeH":
         S = build_typeH(ctx, k, ctx.find_deltas()[0], ctx.find_etas(k)[0])
     else:
         S = _first_spread(kind, p, e, n)
     want = [_basis_by_elimination(C) for C in S.components]
-    assert [C.basis for C in _unread(S.components)] == want
-    assert Spread(ctx, _unread(S.components)).to_json()["components"] == want
+    assert [C.basis for C in S.components] == want
+    assert Spread(ctx, S.rows).to_json()["components"] == want
     monkeypatch.setattr(spread_mod, "_BLOCK", 5 * ctx.q ** ctx.n)
-    assert Spread(ctx, _unread(S.components)).to_json()["components"] == want
+    assert Spread(ctx, S.rows).to_json()["components"] == want
 
 
 @pytest.mark.parametrize("tower", [(3, 1, 2), (2, 2, 2)], ids=str)
@@ -917,10 +1037,9 @@ def test_bases_read_off_random_subspaces(tower):
             if S.dim == dim:
                 subs.append(S)
     want = [_basis_by_elimination(S) for S in subs]
-    assert [S.basis for S in _unread(subs)] == want
-    fresh = _unread(subs)
-    spread_mod._fill_bases(fresh)
-    assert [S._basis for S in fresh] == want
+    assert [S.basis for S in subs] == want
+    tables = [np.stack([S.elements for S in subs if S.dim == dim]) for dim in range(2 * ctx.n + 1)]
+    assert [b for T in tables for b in Spread(ctx, T).to_json()["components"]] == want
     assert want[0] == [] and len(want[-1]) == 2 * ctx.n
 
 
@@ -955,7 +1074,7 @@ def test_corrupt_bases_and_empty_spreads_are_refused(c313):
 
 
 def test_kernel_requires_verified(c313, spread_c313):
-    S = Spread(c313, spread_c313.components, "custom", verified=False)
+    S = Spread(c313, spread_c313.rows, "custom", verified=False)
     with pytest.raises(ValueError):
         kernel_of_spread(S)
 
