@@ -9,10 +9,12 @@ deterministic given (params, seed) and independent of the worker count.
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import math
 import multiprocessing as mp
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -21,14 +23,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .field import FieldCtx, build_tower, factor_prime_power
-from .linpoly import QPoly, _lin_rows, _sum_rows
+from .linpoly import _lin_rows, _sum_rows
 from .quadform import coset_representatives, is_permutation_brute, permutes_cosets
-from .semifield import _check_element, _pair_rows, _two_to_one_at_reps, q_from_pairs
+from .semifield import _check_element, _pair_rows, _two_to_one_at_reps
 
 CHECKPOINT_EVERY = 1_000_000
 
-# entries in the widest table of one block of the odd, Hermite and planar
-# scans
+# entries in the widest table of one block of the odd, even n = 3, Hermite
+# and planar scans
 _ROW_BLOCK = 1 << 14
 
 # pairs per range of the planar scan, which reads each pair's verdict off a
@@ -80,6 +82,11 @@ def _state_key(name: str, params: dict, total: int, size: int) -> dict:
             "total": total, "size": size}
 
 
+def _cannot_resume(out: str, why) -> ValueError:
+    return ValueError(f"cannot resume from {_state_path(out)}: {why}; "
+                      "delete it to start the scan again")
+
+
 def _load_state(out: str | None, key) -> dict | None:
     """The checkpoint saved under key, or None if there is none for this key;
     a state file that cannot be read is an error, never a silent restart."""
@@ -89,9 +96,28 @@ def _load_state(out: str | None, key) -> dict | None:
         with open(_state_path(out)) as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot resume from {_state_path(out)}: {exc}; "
-                         "delete it to start the scan again") from None
+        raise _cannot_resume(out, exc) from None
     return doc if isinstance(doc, dict) and doc.get("key") == key else None
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _state_error(doc: dict, ranges: int) -> str | None:
+    """Why the fields of a checkpoint of a scan of that many ranges name no
+    point of it, or None: pos must be a range index, candidates and hits
+    counts with hits <= candidates, and seconds a non-negative number."""
+    pos, scanned, hits, seconds = (doc.get(k) for k in ("pos", "candidates", "hits",
+                                                        "seconds"))
+    if not (_is_count(pos) and pos < ranges):
+        return f"pos {pos!r} is not a range index below {ranges}"
+    if not (_is_count(scanned) and _is_count(hits) and hits <= scanned):
+        return f"candidates {scanned!r} and hits {hits!r} are not counts with hits <= candidates"
+    if (isinstance(seconds, bool) or not isinstance(seconds, (int, float))
+            or not 0 <= seconds < math.inf):
+        return f"seconds {seconds!r} is not a non-negative number"
+    return None
 
 
 def _save_state(out: str | None, key, **fields) -> None:
@@ -141,12 +167,16 @@ def _run_scan(name: str, params: dict, total: int, size: int, setup, args: tuple
     shutdown waits forever.  With a report path the scan checkpoints to
     <out>.state every CHECKPOINT_EVERY candidates (never after the last
     range), resumes from a checkpoint with the same key, and removes it at
-    the end.  details(hits, counterexample) gives the report's details.
+    the end; a checkpoint whose fields name no point of the scan
+    (_state_error) is refused before any range runs.  details(hits,
+    counterexample) gives the report's details.
     """
     global _SCAN
     key = _state_key(name, params, total, size) if out else None
-    saved = _load_state(out, key) or {"pos": 0, "candidates": 0, "hits": 0,
-                                      "seconds": 0.0}
+    saved = _load_state(out, key)
+    if saved is not None and (why := _state_error(saved, len(range(0, total, size)))):
+        raise _cannot_resume(out, why)
+    saved = saved or {"pos": 0, "candidates": 0, "hits": 0, "seconds": 0.0}
     pos, scanned, hits = saved["pos"], saved["candidates"], saved["hits"]
     t0 = time.time() - saved["seconds"]
     cex = None
@@ -184,12 +214,20 @@ def _run_scan(name: str, params: dict, total: int, size: int, setup, args: tuple
 
 
 def _read_params(params: dict | None, **defaults) -> dict:
-    """params over the scan's defaults; a key the scan does not read is refused."""
+    """params over the scan's defaults, as ints; a key the scan does not
+    read, or a value that is not an integer (a float, a string, a bool), is
+    refused.  None stays only where it is the default."""
     params = dict(params or {})
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown parameter(s) {', '.join(unknown)}; "
                          f"this scan reads {', '.join(defaults)}")
+    for key, value in params.items():
+        if value is None and defaults[key] is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"parameter {key} must be an integer (got {value!r})")
+        params[key] = int(value)
     return {**defaults, **params}
 
 
@@ -214,7 +252,7 @@ def _odd_setup(p, e, n):
     ctx = build_tower(p, e, n)
     return {"ctx": ctx, "dom": ctx.subfield_elements("qn"),
             "deltas": np.array(ctx.find_deltas(), dtype=np.int64),
-            "ident": np.array(QPoly.identity(ctx).coeffs, dtype=np.int64)}
+            "ident": np.array([1] + [0] * (n - 1), dtype=np.int64)}
 
 
 def _odd_rows(state, lo: int, hi: int):
@@ -249,7 +287,7 @@ def verify_no_typeC_odd(params: dict | None = None, *, jobs: int = 1,
     Each scan item is a range of the lexicographic index of L, whose value
     tables at every delta fill one table of about _ROW_BLOCK entries."""
     params = _read_params(params, q=3, n=2)
-    q, n = int(params["q"]), int(params["n"])
+    q, n = params["q"], params["n"]
     p, e = factor_prime_power(q)
     if p == 2:
         raise ValueError("this nonexistence statement needs odd q")
@@ -284,34 +322,28 @@ def _even8_setup(p, e):
     F_{q^4}, delta0, and the lexicographic indices of the L that permute at
     delta0; _even8_check reads every other delta off them.
 
-    The delta0 pass goes one block of L at a time.  The trailing t
-    coefficients are outer-summed once into an inner table of q^(4t) rows,
-    t <= 3 the largest whose table fits _ROW_BLOCK entries; each prefix of
-    leading coefficients is one shift row, sum a_i x^(q^i) over the prefix
-    plus delta0 x, added to every inner row.  So L of index
-    prefix * q^(4t) + r is inner row r under the shift of its prefix, and no
-    table grows with the number of L."""
+    The delta0 pass goes one block of L at a time.  The L-values of the
+    trailing t coefficients make an inner table of q^(4t) rows, t <= 3 the
+    largest whose table fits _ROW_BLOCK entries; each prefix of leading
+    coefficients is one shift row, sum a_i x^(q^i) over the prefix plus
+    delta0 x, added to every inner row.  Both come from _lin_rows on
+    coefficient rows padded with zeros.  So L of index prefix * q^(4t) + r
+    is inner row r under the shift of its prefix, and no table grows with
+    the number of L."""
     ctx = build_tower(p, e, 4)
     dom = ctx.subfield_elements("qn").astype(np.int64)
-    qn = len(dom)
+    qn, ne = len(dom), 4 * e
     amb = np.arange(ctx.N, dtype=np.int64)
-    # the monomial tables a x^(q^i) (row a, column x): 4 q^8 vmul entries
-    mono = [ctx.vmul(dom[:, None], ctx.vpow(dom, ctx.q ** i)[None, :]) for i in range(4)]
     # int32 Q-values: the row sort then moves half the bytes
     norm = ctx.vmul(amb, ctx.vpow(amb, ctx.q ** 4)).astype(np.int32)
     d0 = int(_outside_deltas(ctx)[0])
     t = max(t for t in range(4) if qn ** (t + 1) <= _ROW_BLOCK)
-    inner = np.zeros((1, qn), dtype=np.int64)
-    for m in mono[4 - t:]:
-        inner = ctx.vadd(inner[:, None, :], m[None, :, :]).reshape(-1, qn)
-    d0x = ctx.vmul(d0, dom)
-    hits = []
-    for prefix, digits in enumerate(np.ndindex(*(qn,) * (4 - t))):
-        shift = d0x
-        for m, a in zip(mono, digits):
-            shift = ctx.vadd(shift, m[a])
-        hits.append(prefix * len(inner)
-                    + np.flatnonzero(_even8_rows(ctx, inner, shift, norm)))
+    inner = _lin_rows(ctx, ne, e, np.pad(_coeff_rows(dom, np.arange(qn ** t), t),
+                                         ((0, 0), (4 - t, 0))))
+    lead = np.pad(_coeff_rows(dom, np.arange(qn ** (4 - t)), 4 - t), ((0, 0), (0, t)))
+    shifts = ctx.vadd(_lin_rows(ctx, ne, e, lead), ctx.vmul(d0, dom)[None, :])
+    hits = [prefix * len(inner) + np.flatnonzero(_even8_rows(ctx, inner, shift, norm))
+            for prefix, shift in enumerate(shifts)]
     return {"ctx": ctx, "dom": dom, "norm": norm, "d0": d0,
             "hits0": np.concatenate(hits)}
 
@@ -354,7 +386,7 @@ def verify_no_typeC_even_8dim(params: dict | None = None, *, jobs: int = 1,
     the q^16 polynomials.
     """
     params = _read_params(params, q=2)
-    q = int(params["q"])
+    q = params["q"]
     p, e = factor_prime_power(q)
     if p != 2:
         raise ValueError("this nonexistence statement needs even q")
@@ -410,26 +442,30 @@ def even3_perm_predicate(ctx: FieldCtx, d0: int, d1: int, delta: int) -> bool:
 
 def _even3_setup(p, e):
     ctx = build_tower(p, e, 3)
-    dom = [int(x) for x in ctx.subfield_elements("qn")]
-    return ctx, dom, _outside_deltas(ctx).tolist(), QPoly.identity(ctx)
+    return {"ctx": ctx, "dom": ctx.subfield_elements("qn"), "deltas": _outside_deltas(ctx),
+            "ident": np.array([1, 0, 0], dtype=np.int64)}
 
 
-def _even3_check(state, i: int, _hi: int):
-    """The monic L = X^(q^2) + d1 X^q + d0 X of index i = (d0, d1) in
-    lexicographic order (ranges hold one L) against every delta up to the
-    first disagreement; the hits are the permutations.  The products
-    (L + delta X)(L + delta^(q^3) X) of all deltas come from one
-    q_from_pairs call; each is then tested on its own."""
-    ctx, dom, deltas, ident = state
-    d0, d1 = dom[i // len(dom)], dom[i % len(dom)]
-    L = QPoly(ctx, {0: d0, 1: d1, 2: 1})
+def _even3_check(state, lo: int, hi: int):
+    """The monic L = X^(q^2) + d1 X^q + d0 X of index lo..hi-1, (d0, d1) in
+    lexicographic order, against every delta up to the first disagreement;
+    the hits are the permutations.  The products (L + delta X)(L + delta^(q^3) X)
+    come from one checked _pair_rows call (the rows for A, X for B); each is
+    then tested on its own."""
+    ctx, dom, deltas = state["ctx"], state["dom"], state["deltas"]
+    ne = ctx.n * ctx.e
+    coeffs = np.pad(_coeff_rows(dom, np.arange(lo, hi), 2), ((0, 0), (0, 1)), constant_values=1)
+    polys = _pair_rows(ctx, ne, ctx.e, coeffs, state["ident"],
+                       _lin_rows(ctx, ne, ctx.e, coeffs), dom, deltas)
+    rows, dl = coeffs.tolist(), deltas.tolist()
     perms = 0
-    for di, (delta, Q) in enumerate(zip(deltas, q_from_pairs(L, ident, deltas))):
+    for k, Q in enumerate(polys):
+        (d0, d1, _), delta = rows[k // len(dl)], dl[k % len(dl)]
         perm = is_permutation_brute(Q)
         perms += perm
         if perm != even3_perm_predicate(ctx, d0, d1, delta):
-            return di + 1, perms, {"L_coeffs": [d0, d1, 1], "delta": delta}
-    return len(deltas), perms, None
+            return k + 1, perms, {"L_coeffs": [d0, d1, 1], "delta": delta}
+    return len(polys), perms, None
 
 
 def verify_even_n3_classification(params: dict | None = None, *, jobs: int = 1,
@@ -438,7 +474,7 @@ def verify_even_n3_classification(params: dict | None = None, *, jobs: int = 1,
     F_{q^3}: the brute permutation test of (L + delta X)(L + delta^(q^3) X)
     agrees with the coordinate classification predicate."""
     params = _read_params(params, q=2)
-    q = int(params["q"])
+    q = params["q"]
     p, e = factor_prime_power(q)
     if p != 2:
         raise ValueError("the classification is for even q")
@@ -446,7 +482,8 @@ def verify_even_n3_classification(params: dict | None = None, *, jobs: int = 1,
     if q ** 6 * n_deltas > 10 ** 8:                # (d0, d1) pairs times deltas
         raise ValueError("search space exceeds the desk-scale budget")
     return _run_scan(
-        "even3-classification", {"q": q}, q ** 6, 1, _even3_setup, (p, e), _even3_check,
+        "even3-classification", {"q": q}, q ** 6, max(1, _ROW_BLOCK // (n_deltas * q ** 3)),
+        _even3_setup, (p, e), _even3_check,
         lambda hits, cex: {"monic_polynomials": q ** 6, "deltas": n_deltas,
                            "permutation_pairs": hits},
         jobs, out)
@@ -535,7 +572,7 @@ def verify_hermite(params: dict | None = None, *, jobs: int = 1,
     Each scan item is a range of the delta index whose rows of Q-values
     fill one table of about _ROW_BLOCK entries."""
     params = _read_params(params, q=2)
-    q = int(params["q"])
+    q = params["q"]
     p, e = factor_prime_power(q)
     if p != 2:
         raise ValueError("the coefficient identity is for even q")
@@ -660,8 +697,7 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
     pair-by-pair scan.
     """
     params = _read_params(params, q=3, m=3, k=1, sample=None)
-    q, m, k = int(params["q"]), int(params["m"]), int(params["k"])
-    sample = params["sample"]
+    q, m, k, sample = params["q"], params["m"], params["k"], params["sample"]
     p, e = factor_prime_power(q)
     if p == 2:
         raise ValueError("planar functions need odd q")
@@ -669,16 +705,16 @@ def verify_planar_dichotomy(params: dict | None = None, *, jobs: int = 1,
         raise ValueError(f"need k >= 1 (got {k})")
     if math.gcd(k, m) != 1 or m < 3:
         raise ValueError("need gcd(k, m) = 1 and m >= 3")
-    if sample is not None and int(sample) < 0:
+    if sample is not None and sample < 0:
         raise ValueError(f"sample must be at least 0 (got {sample})")
     N = q ** (2 * m)          # pairs: N^2 in full, 2N - 1 boundary + sample
-    if (N * N if sample is None else 2 * N - 1 + int(sample)) > 10 ** 6:
+    if (N * N if sample is None else 2 * N - 1 + sample) > 10 ** 6:
         raise ValueError("search space exceeds the desk-scale budget")
     codes = None
     if sample is not None:
         # (0, 0), (a, 0), (0, b), then one (sample, 2) draw: the same pairs
         # as 2 * sample scalar draws, a then b
-        ab = np.random.default_rng(seed).integers(1, N, (int(sample), 2))
+        ab = np.random.default_rng(seed).integers(1, N, (sample, 2))
         span = np.arange(1, N, dtype=np.int64)
         codes = np.concatenate([[0], span * N, span, ab[:, 0] * N + ab[:, 1]])
     w = int(build_tower(p, e, m).least_nonsquare("q2n"))
@@ -726,14 +762,13 @@ def report_write(report: VerdictReport, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(report.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    csv_path = os.path.splitext(path)[0] + ".csv"
     detail_keys = sorted(report.details)
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(["name", "verdict", "candidates", "seconds"]
-                          + detail_keys + ["counterexample"]) + "\n")
-        row = [report.name, report.verdict, str(report.candidates),
-               f"{report.seconds:.3f}"]
-        row += [str(report.details[k]) for k in detail_keys]
-        row.append(json.dumps(report.counterexample) if report.counterexample
-                   else "")
-        fh.write(",".join(row) + "\n")
+    with open(os.path.splitext(path)[0] + ".csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["name", "verdict", "candidates", "seconds"]
+                        + detail_keys + ["counterexample"])
+        writer.writerow([report.name, report.verdict, report.candidates,
+                         f"{report.seconds:.3f}"]
+                        + [str(report.details[k]) for k in detail_keys]
+                        + [json.dumps(report.counterexample) if report.counterexample
+                           else ""])

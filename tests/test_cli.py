@@ -345,6 +345,37 @@ def test_experiment_refuses_corrupt_state(tmp_path, capsys):
     assert not out.exists()
 
 
+_BAD_ODD_STATES = {
+    "pos-past-the-end": {"pos": 10 ** 6},
+    "pos-negative": {"pos": -3},
+    "pos-string": {"pos": "1"},
+    "seconds-missing": {"seconds": None},
+    "hits-above-candidates": {"hits": 6},
+}
+
+
+@pytest.mark.parametrize("fields", _BAD_ODD_STATES.values(), ids=_BAD_ODD_STATES)
+def test_experiment_refuses_a_malformed_checkpoint(tmp_path, capsys, monkeypatch, fields):
+    # a state file under the scan's own key, (3,2) in one range, whose fields
+    # name no point of the scan: exit 1 before any range runs, no Traceback,
+    # never a "confirmed" (pos 10^6 once gave one with 5 candidates)
+    def no_range(*args):
+        raise AssertionError("a range ran")
+
+    monkeypatch.setattr(ex, "_odd_check", no_range)
+    out = tmp_path / "odd.json"
+    size = max(1, ex._ROW_BLOCK // (8 * 9))
+    doc = {"pos": 0, "candidates": 5, "hits": 0, "seconds": 0.5, **fields}
+    ex._save_state(str(out), ex._state_key("no-typec-odd", {"q": 3, "n": 2}, 81, size),
+                   **{k: v for k, v in doc.items() if v is not None})
+    assert main(["experiment", "no-typec-odd", "--q", "3", "--n", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot resume from {out}.state: ")
+    assert "delete it" in err and "Traceback" not in err
+    assert not out.exists() and (tmp_path / "odd.json.state").exists()
+
+
 def test_experiment_refuses_missing_report_dir(tmp_path, capsys, monkeypatch):
     # refused before the scan starts, with the path named and no traceback
     def no_scan(*args, **kwargs):

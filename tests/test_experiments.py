@@ -1,6 +1,7 @@
 """Exhaustive-verification experiments: verdicts, determinism, resume logic,
 and the vectorized scanner's agreement with the brute-force route."""
 
+import csv
 import itertools
 import json
 import multiprocessing.pool as mp_pool
@@ -61,6 +62,36 @@ def test_odd_preconditions():
         verify_no_typeC_odd({"q": 3, "n": 4})      # 81^4 polynomials: over budget
     with pytest.raises(ValueError, match=r"unknown parameter\(s\) k, sample"):
         verify_no_typeC_odd({"q": 3, "n": 2, "sample": 5, "k": 9})
+
+
+_NOT_INTEGERS = [
+    (verify_no_typeC_odd, {"q": 3.9, "n": 2}, "q", 3.9),
+    (verify_no_typeC_odd, {"q": 3, "n": 2.0}, "n", 2.0),
+    (verify_no_typeC_even_8dim, {"q": "2"}, "q", "2"),
+    (verify_even_n3_classification, {"q": True}, "q", True),
+    (verify_hermite, {"q": np.float64(2)}, "q", 2.0),
+    (verify_planar_dichotomy, {"sample": 10.7}, "sample", 10.7),
+    (verify_planar_dichotomy, {"k": "1"}, "k", "1"),
+]
+
+
+@pytest.mark.parametrize("verify, params, key, value", _NOT_INTEGERS,
+                         ids=[f"{v.__name__}-{k}={x!r}" for v, _, k, x in _NOT_INTEGERS])
+def test_non_integer_parameters_are_refused(monkeypatch, verify, params, key, value):
+    # a float, a string or a bool is refused, naming the parameter, before any
+    # tower is built: never truncated to an int
+    monkeypatch.setattr(ex, "build_tower", None)
+    with pytest.raises(ValueError, match=rf"^parameter {key} must be an integer \(got "):
+        verify(params)
+
+
+def test_numpy_integer_parameters_are_read_as_ints():
+    rep = verify_hermite({"q": np.int64(2)})
+    assert rep.params == {"q": 2} and type(rep.params["q"]) is int
+    rep = verify_planar_dichotomy({"q": np.int32(3), "sample": np.uint8(10)})
+    assert rep.params["sample"] == 10 and type(rep.params["sample"]) is int
+    assert rep.candidates == 2 * 729 - 1 + 10
+    json.dumps(rep.to_json())
 
 
 def _odd_setup_per_l(p, e, n):
@@ -276,6 +307,26 @@ def test_classification_budget(monkeypatch):
         verify_even_n3_classification({"q": 8})
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_classification_ranges_fill_one_block(tmp_path, monkeypatch, jobs):
+    # at q = 2 a range holds 36 L (36 x 56 x 8 <= _ROW_BLOCK entries): two
+    # ranges, which fork at two jobs
+    log = tmp_path / "calls"
+    check = ex._even3_check
+
+    def logged(state, lo, hi):
+        with open(log, "a") as fh:
+            fh.write(f"{lo} {hi} {os.getpid()}\n")
+        return check(state, lo, hi)
+
+    monkeypatch.setattr(ex, "_even3_check", logged)
+    rep = verify_even_n3_classification({"q": 2}, jobs=jobs)
+    assert (rep.verdict, rep.candidates) == ("confirmed", 3584)
+    lines = sorted(line.split() for line in log.read_text().splitlines())
+    assert [line[:2] for line in lines] == [["0", "36"], ["36", "64"]]
+    assert all((pid == str(os.getpid())) == (jobs == 1) for *_, pid in lines)
+
+
 def test_classification_q4_within_budget(monkeypatch):
     # q = 4 is 16,515,072 candidates and reaches the scan
     seen = {}
@@ -312,12 +363,14 @@ def _even3_check_per_l(state, i, hi):
     return len(deltas), perms, None
 
 
-@pytest.mark.parametrize("target", [None, (5, 3, 10), (3, 5, 40)])
+@pytest.mark.parametrize("target", [None, (5, 3, 10), (3, 5, 40), (4, 3, 55), (4, 4, 0)])
 def test_classification_index_matches_per_l_reference(monkeypatch, target):
     # the scan that decodes (d0, d1) from the L index and the scan over the
     # listed pairs give the same report; with the predicate flipped at one
     # (d0, d1, delta), given by positions, the same first disagreement
-    # (d0 != d1, so a swapped decode would meet it at another index)
+    # (d0 != d1 in the first two, so a swapped decode would meet it at
+    # another index).  L 35 and 36 lie on each side of the edge of the first
+    # range, which holds 36 L at q = 2
     if target is not None:
         ctx = build_tower(2, 1, 3)
         j0, j1, di = target
@@ -1161,6 +1214,60 @@ def test_run_scan_refuses_a_corrupt_checkpoint(tmp_path):
     assert os.path.exists(out + ".state")
 
 
+def _no_range(*args):
+    raise AssertionError("a range ran")
+
+
+_BAD_STATES = {
+    "pos-past-the-end": {"pos": 10 ** 6},
+    "pos-at-the-end": {"pos": 10},
+    "pos-negative": {"pos": -3},
+    "pos-string": {"pos": "1"},
+    "pos-bool": {"pos": True},
+    "pos-float": {"pos": 1.0},
+    "candidates-negative": {"candidates": -1, "hits": 0},
+    "hits-negative": {"hits": -1},
+    "hits-above-candidates": {"candidates": 5, "hits": 6},
+    "candidates-string": {"candidates": "10"},
+    "seconds-missing": {"seconds": None},
+    "seconds-negative": {"seconds": -0.5},
+    "seconds-string": {"seconds": "1.5"},
+    "seconds-nan": {"seconds": float("nan")},
+    "hits-missing": {"hits": None},
+}
+
+
+def _bad_state(fields) -> dict:
+    """A checkpoint of one range done (pos 1, 10 candidates, 3 hits, 1.5 s)
+    with fields changed; a field set to None is left out."""
+    doc = {"pos": 1, "candidates": 10, "hits": 3, "seconds": 1.5, **fields}
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize("fields", _BAD_STATES.values(), ids=_BAD_STATES)
+def test_run_scan_refuses_a_malformed_checkpoint(tmp_path, fields):
+    # a checkpoint under the scan's own key whose fields name no point of the
+    # scan (10 ranges here) is refused before any range runs, and kept
+    out = str(tmp_path / "s.json")
+    _save_state(out, ex._state_key("fake", {}, 100, 10), **_bad_state(fields))
+    with pytest.raises(ValueError, match=r"cannot resume from .*s\.json\.state: .*delete it"):
+        ex._run_scan("fake", {}, 100, 10, _fake_setup, (10,), _no_range,
+                     lambda hits, cex: {}, 1, out)
+    assert os.path.exists(out + ".state")
+
+
+def test_run_scan_resumes_a_well_formed_checkpoint(tmp_path):
+    # the same fields unchanged, and the last range index, are resumed
+    out = str(tmp_path / "s.json")
+    key = ex._state_key("fake", {}, 100, 10)
+    for pos, want in ((1, 100), (9, 20)):
+        _save_state(out, key, **_bad_state({"pos": pos}))
+        rep = ex._run_scan("fake", {}, 100, 10, _fake_setup, (10,), _tally_check,
+                           lambda hits, cex: {"hits": hits}, 1, out)
+        assert (rep.verdict, rep.candidates, rep.details["hits"]) == ("confirmed", want, want - 7)
+        assert rep.seconds >= 1.5
+
+
 def test_state_round_trip(tmp_path):
     out = str(tmp_path / "r.json")
     _save_state(out, "k1", delta_pos=5, candidates=10)
@@ -1183,10 +1290,11 @@ class _Interrupt(Exception):
 def test_interrupted_scan_resumes(tmp_path, monkeypatch):
     full = verify_even_n3_classification({"q": 2})
     out = str(tmp_path / "even3.json")
-    # 56 candidates per item: a checkpoint after every second item
+    # two ranges at q = 2, of 36 and 28 L with 56 candidates each: a
+    # checkpoint after the first
     monkeypatch.setattr(ex, "CHECKPOINT_EVERY", 100)
     brute = ex.is_permutation_brute
-    calls, limit = 0, 20 * 56
+    calls, limit = 0, 40 * 56
 
     def counted(Q):
         nonlocal calls
@@ -1196,12 +1304,12 @@ def test_interrupted_scan_resumes(tmp_path, monkeypatch):
         return brute(Q)
 
     monkeypatch.setattr(ex, "is_permutation_brute", counted)
-    with pytest.raises(_Interrupt):             # stops in item 20, after 20 items
+    with pytest.raises(_Interrupt):             # stops at L 40, in the second range
         verify_even_n3_classification({"q": 2}, out=out)
     assert os.path.exists(out + ".state")
     calls, limit = 0, float("inf")
     rep = verify_even_n3_classification({"q": 2}, out=out)
-    assert calls == (64 - 20) * 56              # resumed at item 20
+    assert calls == 28 * 56                     # resumed at the second range
     assert (rep.verdict, rep.candidates, rep.details) == \
         (full.verdict, full.candidates, full.details)
     assert not os.path.exists(out + ".state")
@@ -1514,13 +1622,15 @@ def test_even8_maps_are_bijections_fixing_zero():
 
 
 def _marked(monkeypatch, k: int = 0):
-    """Patch the hit-row coefficient decoding: every row whose leading digit
-    (the position of a0) is at least k decodes with a1 = 1, non-scalar."""
+    """Patch the hit-row coefficient decoding of _even8_check (n = 4; the
+    set-up decodes fewer digits): every row whose leading digit (the
+    position of a0) is at least k decodes with a1 = 1, non-scalar."""
     decode = ex._coeff_rows
 
     def marked(dom, idx, n):
         coeffs = decode(dom, idx, n)
-        coeffs[idx // len(dom) ** (n - 1) >= k, 1] = 1
+        if n == 4:
+            coeffs[idx // len(dom) ** (n - 1) >= k, 1] = 1
         return coeffs
 
     monkeypatch.setattr(ex, "_coeff_rows", marked)
@@ -1622,15 +1732,20 @@ def test_run_experiment_writes_report(tmp_path):
 
 
 def test_report_write_csv_shape(tmp_path):
-    rep = VerdictReport("demo", {"q": 3}, "counterexample",
-                        {"a": 1}, 7, 0.25, {"zeta": 2})
+    # a payload of more than one key holds commas: the summary still has one
+    # field per column
+    cex = {"L_coeffs": [1, 2], "delta": 5}
+    rep = VerdictReport("demo", {"q": 3}, "counterexample", cex, 7, 0.25,
+                        {"zeta": 2, "alpha": None})
     path = str(tmp_path / "demo.json")
     report_write(rep, path)
-    with open(str(tmp_path / "demo.csv")) as fh:
-        header, row = fh.read().strip().split("\n")
-    assert header == "name,verdict,candidates,seconds,zeta,counterexample"
-    assert row.startswith("demo,counterexample,7,0.250,2,")
-    assert json.loads(row.split(",", 5)[5]) == {"a": 1}
+    with open(str(tmp_path / "demo.csv"), newline="") as fh:
+        header, row = list(csv.reader(fh))
+    assert header == ["name", "verdict", "candidates", "seconds", "alpha", "zeta",
+                      "counterexample"]
+    assert len(row) == len(header)
+    assert row[:6] == ["demo", "counterexample", "7", "0.250", "None", "2"]
+    assert json.loads(row[6]) == cex
     with open(path) as fh:
         doc = json.load(fh)
-    assert doc["counterexample"] == {"a": 1}
+    assert doc["counterexample"] == cex
